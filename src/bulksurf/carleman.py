@@ -22,7 +22,7 @@ import numpy as np
 from .geometry import Mesh, RegionSet
 from .operators import SparseOp, assemble_bulk_diffusion, \
     assemble_surface_diffusion, conormal_flux
-from .forward import Trajectory
+from .forward import Trajectory, window_nodes
 
 _EXP_CLAMP = -700.0   # exponents below this evaluate to exact zero
 
@@ -31,9 +31,6 @@ def default_s1(lam: float, t0: float, t1: float, eta0_sup: float = 1.0) -> float
     """Default large-parameter floor 2 * gamma_max * e^{2 lam |eta0|_inf}."""
     gamma_max = (t1 - t0) ** 2 / 4.0
     return 2.0 * gamma_max * math.exp(2.0 * lam * eta0_sup)
-
-
-DEFAULT_LAMBDA1 = 2.0
 
 
 @dataclass(frozen=True)
@@ -63,10 +60,6 @@ class CarlemanConfig:
     @property
     def gamma_max(self) -> float:
         return (self.t1 - self.t0) ** 2 / 4.0
-
-    def with_params(self, **kw) -> "CarlemanConfig":
-        from dataclasses import replace
-        return replace(self, **kw)
 
 
 def eta0_and_gradient(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,13 +200,7 @@ class WeightEvaluator:
     def __init__(self, cfg: CarlemanConfig, mesh: Mesh, traj: Trajectory):
         self.cfg = cfg
         self.mesh = mesh
-        tol = 1e-9 * max(traj.dt, 1e-30)
-        ks = [k for k in range(1, traj.n_nodes - 1)
-              if traj.times[k - 1] > cfg.t0 + tol
-              and traj.times[k + 1] < cfg.t1 - tol]
-        if not ks:
-            raise ValueError("trajectory has no interior nodes in the window")
-        self.k_idx = np.asarray(ks)
+        self.k_idx = window_nodes(traj, cfg.t0, cfg.t1)
         self.times = traj.times[self.k_idx]
         self.dt = traj.dt
 

@@ -29,9 +29,15 @@ from .carleman import (
     weight_property_margins,
     weight_vanishing_report,
 )
-from .config import ConfigError, RunConfig, load_config, parse_field_spec
+from .config import (
+    ConfigError,
+    RunConfig,
+    compile_expression,
+    load_config,
+    parse_field_spec,
+)
 from .decomposition import field_to_trajectory, mn_decomposition
-from .fields import SpaceTimeField
+from .fields import SpaceTimeField, sympy_expr
 from .forward import ReactionSet, SemilinearSystem, SolverError, mass_series, observe
 from .inverse import (
     InverseProblem,
@@ -165,25 +171,13 @@ def _cmd_simulate(run: _Runner) -> int:
     return run.finish()
 
 
-def _parse_reaction(expr: str | None):
-    if expr is None:
-        return None
-    ns = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
-
-    def fn(u, v, expr=expr):
-        return np.broadcast_to(
-            np.asarray(eval(expr, {"__builtins__": {}}, {**ns, "u": u, "v": v}),
-                       dtype=float), np.broadcast_shapes(u.shape, v.shape)).copy()
-    return fn
-
-
 def _cmd_positivity(run: _Runner) -> int:
     cfg = run.cfg
     pz = cfg.positivity
     spec = pz.get("reactions", {"f1": "v", "f2": "u", "g1": "v", "g2": "u"})
     reactions = ReactionSet(
-        f1=_parse_reaction(spec.get("f1")), f2=_parse_reaction(spec.get("f2")),
-        g1=_parse_reaction(spec.get("g1")), g2=_parse_reaction(spec.get("g2")),
+        **{k: compile_expression(spec[k], ("u", "v"), f"positivity.reactions.{k}")
+           for k in ("f1", "f2", "g1", "g2") if spec.get(k) is not None},
         lipschitz_bound=float(pz.get("lipschitz_bound", 1.0)))
     n_draws = int(pz.get("draws", 20))
     t_end = float(pz.get("t_end", 0.3))
@@ -250,6 +244,10 @@ def _cmd_carleman_verify(run: _Runner) -> int:
     cfg = run.cfg
     t0, t1 = cfg.regions.t0, cfg.regions.t1
     lam1, grid = _sweep_grid(cfg)
+    a_expr = sympy_expr(cfg.carleman.get("a_expr", "1"), "carleman.a_expr",
+                        ("x1", "x2"))
+    d_expr = sympy_expr(cfg.carleman.get("d_expr", "1"), "carleman.d_expr",
+                        ("theta",))
     eps = float(cfg.carleman.get("epsilon", 0.5))
     tau_list = [float(t) for t in cfg.carleman.get("tau_list", [-3, 0, 2])]
     run.effective.update({
@@ -268,8 +266,6 @@ def _cmd_carleman_verify(run: _Runner) -> int:
     sig = sigma_bounds_report(cfg.mesh, cfg.diffusion.a1, cfg.diffusion.beta)
     run.checks["sigma_bounds"] = bool(sig["passed"])
 
-    a_expr = cfg.carleman.get("a_expr", "1")
-    d_expr = cfg.carleman.get("d_expr", "1")
     dec_cfg = CarlemanConfig(lam=1.0, s=2.0, t0=t0, t1=t1, epsilon=eps)
     field = SpaceTimeField(
         f"sin(pi*(t - {t0})/{t1 - t0})*(1 + x1/2 + x2**2/3)")
@@ -496,6 +492,8 @@ def _cmd_reconstruct(run: _Runner) -> int:
                        "final_objective": out["final_objective"],
                        "converged": out["converged"],
                        "line_search_failed": out["line_search_failed"],
+                       "message": out["message"],
+                       "n_evaluations": out["n_evaluations"],
                        "iterations": len(out["history"])})
 
 
@@ -506,13 +504,10 @@ def _cmd_stability(run: _Runner) -> int:
     truth = _truth_coeffs(problem, cfg)
     scale = float(st.get("scale", 1e-3))
     n_draws = int(st.get("n_draws", 20))
-    mode = st.get("mode", "forward_from_theta")
     rep = stability_ensemble(problem, truth, n_draws=n_draws,
-                             perturbation_scale=scale, mode=mode,
-                             seed=cfg.seed)
+                             perturbation_scale=scale, seed=cfg.seed)
     rep_half = stability_ensemble(problem, truth, n_draws=n_draws,
-                                  perturbation_scale=scale / 2, mode=mode,
-                                  seed=cfg.seed)
+                                  perturbation_scale=scale / 2, seed=cfg.seed)
     rows = []
     for i, (r, rh) in enumerate(zip(rep.records, rep_half.records)):
         if r.get("skipped"):
@@ -541,7 +536,7 @@ def _cmd_stability(run: _Runner) -> int:
     run.checks["linear_response"] = bool(linear_ok)
     run.checks["ratio_spread"] = bool(rep.spread <= 10.0)
     run.effective.update({
-        "scale": scale, "mode": mode, "label": rep.label,
+        "scale": scale, "label": rep.label,
         "identity_tolerance": ident_tol, "spread_tolerance": 10.0,
         "linear_response_tolerance": 0.10})
     return run.finish({"max_ratio": rep.max_ratio,

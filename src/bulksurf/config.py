@@ -9,7 +9,9 @@ modules is checked eagerly with a field-level message.
 
 from __future__ import annotations
 
+import ast
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -29,19 +31,112 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-_EXPR_NS = {name: getattr(np, name) for name in
-            ("sin", "cos", "tan", "exp", "sqrt", "abs", "log", "tanh",
-             "minimum", "maximum")}
-_EXPR_NS["pi"] = np.pi
+# Functions an expression may call, with their number of positional arguments.
+_ARITY = {"sin": 1, "cos": 1, "tan": 1, "exp": 1, "sqrt": 1, "abs": 1,
+          "log": 1, "tanh": 1, "minimum": 2, "maximum": 2}
+# Bounds the nesting depth that compile, eval and sympify recurse through.
+_MAX_NODES = 500
+_SYNTAX = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load, ast.Add, ast.Sub,
+           ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+# Bounds the exact integers and rationals that Python and sympy compute for
+# the constant parts of an expression; ``0*9**9**8`` would otherwise run on.
+_MAX_BITS = 4096
 
 
-def _eval_expression(expr: str, names: dict, where: str) -> np.ndarray:
+def _bits(node) -> float:
+    """Upper bound on log2(2 + |value|) of a checked (sub)expression.
+
+    A name counts as 1: it stands for a float array or a sympy symbol, never
+    for an exact number.
+    """
+    if isinstance(node, ast.Constant):
+        return math.log2(2 + abs(node.value))
+    if isinstance(node, ast.UnaryOp):
+        return _bits(node.operand)
+    if isinstance(node, ast.Call):
+        return max(map(_bits, node.args))
+    if not isinstance(node, ast.BinOp):
+        return 1.0
+    left, right = _bits(node.left), _bits(node.right)
+    if isinstance(node.op, ast.Pow):
+        return left * 2 ** right if right < 64 else math.inf
+    if isinstance(node.op, (ast.Mult, ast.Div)):
+        return left + right
+    return max(left, right) + 1
+
+
+def check_expression(expr, names, where: str) -> ast.Expression:
+    """Parse a closed-form expression string, or raise a ConfigError.
+
+    The only accepted grammar: int/float literals, the names in ``names``,
+    ``+ - * / **``, unary ``+``/``-``, and calls with positional arguments to
+    the names of ``names`` that are functions (the keys of ``_ARITY``).
+    Attributes, subscripts, keywords, strings and everything else are refused
+    before any evaluation, and so are powers whose exact value could exceed
+    ``_MAX_BITS`` bits.
+    """
+    if not isinstance(expr, str):
+        raise ConfigError(f"{where}: expected an expression string, got {expr!r}")
     try:
-        out = eval(expr, {"__builtins__": {}}, {**_EXPR_NS, **names})
-    except Exception as exc:
-        raise ConfigError(f"{where}: cannot evaluate expression {expr!r}: {exc}")
-    return np.broadcast_to(np.asarray(out, dtype=float),
-                           next(iter(names.values())).shape).copy()
+        tree = ast.parse(expr, mode="eval")
+    # the parser reports over-deep nesting as MemoryError or RecursionError
+    except (SyntaxError, ValueError, MemoryError, RecursionError):
+        raise ConfigError(f"{where}: cannot parse expression {expr!r}") from None
+    nodes = list(ast.walk(tree))
+    if len(nodes) > _MAX_NODES:
+        raise ConfigError(f"{where}: expression longer than {_MAX_NODES} "
+                          f"syntax nodes")
+    callees = set()
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            fn = getattr(node.func, "id", None)
+            if fn not in names or fn not in _ARITY:
+                raise ConfigError(f"{where}: only calls to "
+                                  f"{sorted(set(names) & set(_ARITY))} are "
+                                  f"allowed in expression {expr!r}")
+            if node.keywords or len(node.args) != _ARITY[fn]:
+                raise ConfigError(f"{where}: {fn} takes {_ARITY[fn]} positional "
+                                  f"argument(s) in expression {expr!r}")
+            callees.add(node.func)
+        elif isinstance(node, ast.Name):
+            if node.id not in names or (node.id in _ARITY) != (node in callees):
+                raise ConfigError(f"{where}: unknown name {node.id!r} in "
+                                  f"expression {expr!r}")
+        elif isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float):
+                raise ConfigError(f"{where}: literal {node.value!r} not allowed "
+                                  f"in expression {expr!r}")
+        elif not isinstance(node, _SYNTAX):
+            raise ConfigError(f"{where}: {type(node).__name__} not allowed in "
+                              f"expression {expr!r}")
+    if _bits(tree.body) > _MAX_BITS:
+        raise ConfigError(f"{where}: constant part of expression {expr!r} "
+                          f"exceeds {_MAX_BITS} bits")
+    return tree
+
+
+_NUMPY_NS = {name: getattr(np, name) for name in _ARITY}
+_NUMPY_NS["pi"] = np.pi
+
+
+def compile_expression(expr, variables: tuple, where: str):
+    """Check ``expr`` once; return f(*arrays) that evaluates it with numpy.
+
+    The arrays bind to ``variables`` in order and the result is broadcast to
+    their common shape.
+    """
+    code = compile(check_expression(expr, {**_NUMPY_NS, **dict.fromkeys(variables)},
+                                    where), where, "eval")
+
+    def evaluate(*arrays):
+        try:
+            out = eval(code, {"__builtins__": {}},
+                       {**_NUMPY_NS, **dict(zip(variables, arrays))})
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise ConfigError(f"{where}: cannot evaluate expression {expr!r}: {exc}")
+        return np.broadcast_to(np.asarray(out, dtype=float),
+                               np.broadcast_shapes(*map(np.shape, arrays))).copy()
+    return evaluate
 
 
 def _load_csv_field(path: str, n: int, where: str) -> np.ndarray:
@@ -79,13 +174,12 @@ def parse_field_spec(spec, mesh: Mesh, where: str, on_surface: bool = False
         raise ConfigError(f"{where}: field spec dict must carry a 'csv' key")
     if isinstance(spec, str):
         if on_surface:
-            th = mesh.surface_theta
-            names = {"theta": th, "s": mesh.surface_nodes}
+            names = {"theta": mesh.surface_theta, "s": mesh.surface_nodes}
         else:
             xy = mesh.cell_xy
             names = {"x1": xy[:, 0], "x2": xy[:, 1],
                      "r": mesh.cell_r, "theta": mesh.cell_theta}
-        return _eval_expression(spec, names, where)
+        return compile_expression(spec, tuple(names), where)(*names.values())
     raise ConfigError(f"{where}: unsupported field spec {spec!r}")
 
 
@@ -131,7 +225,7 @@ DEFAULT_CONFIG = {
                           "q21": {"base": 1.0, "amplitude": 0.2}},
                 "guess": {"p13": 0.5, "q21": 1.0},
                 "noise_level": 0.0},
-    "stability": {"n_draws": 20, "scale": 1e-3, "mode": "forward_from_theta"},
+    "stability": {"n_draws": 20, "scale": 1e-3},
     "assumptions": {"r": 1.5, "r1": 0.05},
     "positivity": {"t_end": 0.3, "draws": 20},
     "seed": 1234,
@@ -247,6 +341,10 @@ def load_config(path: str | None = None, overrides: dict | None = None
     eps = float(cl.get("epsilon", 0.5))
     if not (0.0 < eps < 1.0):
         raise ConfigError("carleman: epsilon must lie in (0, 1)")
+
+    if "mode" in raw["stability"]:
+        raise ConfigError("stability.mode: unknown key; the stability ensemble "
+                          "has one mode, the half-window variant")
 
     return RunConfig(
         raw=raw, mesh=mesh, regions=regions, diffusion=diffusion,

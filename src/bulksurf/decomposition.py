@@ -27,12 +27,8 @@ import numpy as np
 import sympy as sp
 
 from .carleman import CarlemanConfig
-from .fields import _NAMESPACE, T, TH, X1, X2, SpaceTimeField
+from .fields import T, TH, X1, X2, SpaceTimeField, sympy_expr
 from .geometry import Mesh
-
-
-def _sym(expr):
-    return sp.sympify(expr, locals=_NAMESPACE) if isinstance(expr, str) else sp.sympify(expr)
 
 
 @dataclass
@@ -82,8 +78,8 @@ def mn_decomposition(tau: float, z_field: SpaceTimeField, cfg: CarlemanConfig,
     half_tau = tau_s / 2
     t0, t1 = sp.Float(cfg.t0), sp.Float(cfg.t1)
 
-    a = _sym(a_expr)
-    d = _sym(d_expr)
+    a = sympy_expr(a_expr)
+    d = sympy_expr(d_expr)
     z = z_field.expr
     eta0 = 1 - X1**2 - X2**2
     gamma = (T - t0) * (t1 - T)

@@ -11,13 +11,31 @@ from __future__ import annotations
 import numpy as np
 import sympy as sp
 
+from .config import ConfigError, check_expression
+
 T, X1, X2, TH = sp.symbols("t x1 x2 theta", real=True)
 
-_NAMESPACE = {
-    "t": T, "x1": X1, "x2": X2, "theta": TH,
-    "sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "sqrt": sp.sqrt,
-    "pi": sp.pi, "log": sp.log, "tanh": sp.tanh,
-}
+_SYMBOLS = {"t": T, "x1": X1, "x2": X2, "theta": TH}
+_SYMPY_NS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "sqrt": sp.sqrt,
+             "pi": sp.pi, "log": sp.log, "tanh": sp.tanh}
+
+
+def sympy_expr(expr, where: str = "expression", variables=tuple(_SYMBOLS)):
+    """Sympy form of ``expr``; a string must first pass ``check_expression``.
+
+    ``variables`` limits the symbols a string may use.  The checked string
+    still goes to ``sympify``, which keeps a decimal literal such as
+    ``0.6000000000000001`` at its written precision.  Anything else must
+    already be a number or a sympy expression: ``sympify`` would parse the
+    strings inside a list or dict unchecked.
+    """
+    if isinstance(expr, (sp.Basic, int, float)) and not isinstance(expr, bool):
+        return sp.sympify(expr)
+    if not isinstance(expr, str):
+        raise ConfigError(f"{where}: expected an expression string, got {expr!r}")
+    names = {**_SYMPY_NS, **{v: _SYMBOLS[v] for v in variables}}
+    check_expression(expr, names, where)
+    return sp.sympify(expr, locals=names)
 
 
 def _lambdify(args, expr):
@@ -34,9 +52,7 @@ class SpaceTimeField:
     """Scalar field f(t, x1, x2) with lambdified exact derivatives."""
 
     def __init__(self, expr):
-        if isinstance(expr, str):
-            expr = sp.sympify(expr, locals=_NAMESPACE)
-        self.expr = sp.sympify(expr)
+        self.expr = sympy_expr(expr)
         self._value = _lambdify((T, X1, X2), self.expr)
         self._dt = _lambdify((T, X1, X2), sp.diff(self.expr, T))
         self._d1 = _lambdify((T, X1, X2), sp.diff(self.expr, X1))
@@ -75,9 +91,7 @@ class CircleField:
     """Scalar field g(t, theta) on a circle, with arc-length derivatives."""
 
     def __init__(self, expr, R: float = 1.0):
-        if isinstance(expr, str):
-            expr = sp.sympify(expr, locals=_NAMESPACE)
-        self.expr = sp.sympify(expr)
+        self.expr = sympy_expr(expr)
         self.R = float(R)
         self._value = _lambdify((T, TH), self.expr)
         self._dt = _lambdify((T, TH), sp.diff(self.expr, T))
@@ -95,13 +109,12 @@ class CircleField:
 
 def divergence_a_grad(a_expr, f_expr):
     """Symbolic div(a(x) grad f) for a scalar diffusivity expression."""
-    a_expr = sp.sympify(a_expr, locals=_NAMESPACE) if isinstance(a_expr, str) else sp.sympify(a_expr)
+    a_expr = sympy_expr(a_expr)
     return (sp.diff(a_expr * sp.diff(f_expr, X1), X1)
             + sp.diff(a_expr * sp.diff(f_expr, X2), X2))
 
 
 def surface_divergence_d_grad(d_theta_expr, g_expr, R: float = 1.0):
     """Symbolic div_s(d(s) d/ds g) on a circle of radius R, in theta."""
-    d_theta_expr = (sp.sympify(d_theta_expr, locals=_NAMESPACE)
-                    if isinstance(d_theta_expr, str) else sp.sympify(d_theta_expr))
+    d_theta_expr = sympy_expr(d_theta_expr)
     return sp.diff(d_theta_expr * sp.diff(g_expr, TH) / R, TH) / R

@@ -72,14 +72,6 @@ class Trajectory:
                            self.y_gamma[k].copy(), self.z_gamma[k].copy(),
                            float(self.times[k]))
 
-    def difference(self, other: "Trajectory") -> "Trajectory":
-        if self.n_nodes != other.n_nodes or abs(self.dt - other.dt) > 1e-14:
-            raise ValueError("trajectories are not on the same time grid")
-        return Trajectory(times=self.times.copy(), dt=self.dt,
-                          y=self.y - other.y, z=self.z - other.z,
-                          y_gamma=self.y_gamma - other.y_gamma,
-                          z_gamma=self.z_gamma - other.z_gamma)
-
 
 @dataclass
 class ObservationRecord:
@@ -96,11 +88,6 @@ class ObservationRecord:
         """L2(omega x window) norm of the sampled time derivative."""
         per_time = self.values**2 @ self.cell_weights
         return float(np.sqrt(per_time.sum() * self.dt))
-
-    @property
-    def quadrature_weights(self) -> np.ndarray:
-        """Per-sample space-time weights (cell areas times dt)."""
-        return self.cell_weights * self.dt
 
 
 @dataclass(frozen=True)
@@ -341,6 +328,17 @@ class SemilinearSystem:
                           dt=float(dt), sources=sources)
 
 
+def window_nodes(traj: Trajectory, t0: float, t1: float) -> np.ndarray:
+    """Indices of the nodes whose centered stencil lies strictly inside (t0, t1)."""
+    tol = 1e-9 * max(traj.dt, 1e-30)
+    k_idx = 1 + np.flatnonzero((traj.times[:-2] > t0 + tol)
+                               & (traj.times[2:] < t1 - tol))
+    if not k_idx.size:
+        raise ValueError(
+            f"window ({t0}, {t1}) leaves no interior stencil nodes in the trajectory")
+    return k_idx
+
+
 def observe(traj: Trajectory, regions: RegionSet, mesh: Mesh,
             t0: float | None = None, t1: float | None = None) -> ObservationRecord:
     """Sample the centered time derivative of z on omega inside (t0, t1).
@@ -349,15 +347,8 @@ def observe(traj: Trajectory, regions: RegionSet, mesh: Mesh,
     window are used, so the record depends on the trajectory only through
     its restriction to omega x (t0, t1).
     """
-    t0 = regions.t0 if t0 is None else t0
-    t1 = regions.t1 if t1 is None else t1
-    tol = 1e-9 * max(traj.dt, 1e-30)
-    k_idx = [k for k in range(1, traj.n_nodes - 1)
-             if traj.times[k - 1] > t0 + tol and traj.times[k + 1] < t1 - tol]
-    if not k_idx:
-        raise ValueError(
-            f"window ({t0}, {t1}) leaves no interior stencil nodes in the trajectory")
-    k_idx = np.asarray(k_idx)
+    k_idx = window_nodes(traj, regions.t0 if t0 is None else t0,
+                         regions.t1 if t1 is None else t1)
     cells = regions.omega
     dz = (traj.z[k_idx + 1][:, cells] - traj.z[k_idx - 1][:, cells]) / (2 * traj.dt)
     return ObservationRecord(values=dz, cell_indices=cells, time_indices=k_idx,
@@ -371,37 +362,15 @@ def mass_series(traj: Trajectory, mesh: Mesh) -> np.ndarray:
     return traj.y @ mesh.cell_areas + traj.y_gamma @ mesh.surface_weights
 
 
-def write_checkpoints(traj: Trajectory, path: str, fmt: str = "npz") -> None:
-    """Persist per-node state snapshots for later adjoint/restart use.
-
-    ``npz`` writes one compressed binary file; ``csv`` writes one file per
-    time node under ``path`` with rows (cell index, y, z) plus a matching
-    surface file with rows (node index, y_gamma, z_gamma).
-    """
-    import os
-
-    if fmt == "npz":
-        np.savez_compressed(path, times=traj.times, y=traj.y, z=traj.z,
-                            y_gamma=traj.y_gamma, z_gamma=traj.z_gamma,
-                            dt=traj.dt)
-        return
-    if fmt != "csv":
-        raise ValueError(f"unknown checkpoint format {fmt!r}")
-    os.makedirs(path, exist_ok=True)
-    for k in range(traj.n_nodes):
-        with open(os.path.join(path, f"state_{k:06d}.csv"), "w") as fh:
-            fh.write("cell,y,z\n")
-            for i in range(traj.y.shape[1]):
-                fh.write(f"{i},{traj.y[k, i]:.17g},{traj.z[k, i]:.17g}\n")
-        with open(os.path.join(path, f"surface_{k:06d}.csv"), "w") as fh:
-            fh.write("node,y_gamma,z_gamma\n")
-            for j in range(traj.y_gamma.shape[1]):
-                fh.write(f"{j},{traj.y_gamma[k, j]:.17g},"
-                         f"{traj.z_gamma[k, j]:.17g}\n")
+def write_checkpoints(traj: Trajectory, path: str) -> None:
+    """Persist per-node state snapshots, as one compressed npz file, for
+    later adjoint/restart use."""
+    np.savez_compressed(path, times=traj.times, y=traj.y, z=traj.z,
+                        y_gamma=traj.y_gamma, z_gamma=traj.z_gamma, dt=traj.dt)
 
 
 def load_checkpoints(path: str) -> Trajectory:
-    """Rehydrate a trajectory saved with ``write_checkpoints(..., "npz")``."""
+    """Rehydrate a trajectory saved with ``write_checkpoints``."""
     data = np.load(path)
     return Trajectory(times=data["times"], y=data["y"], z=data["z"],
                       y_gamma=data["y_gamma"], z_gamma=data["z_gamma"],

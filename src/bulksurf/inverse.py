@@ -401,7 +401,6 @@ class StabilityReport:
     median_ratio: float
     spread: float
     n_rejected: int
-    mode: str
     seed: int
     label: str = "half-window variant"
 
@@ -412,7 +411,6 @@ class StabilityReport:
                         "median_ratio": self.median_ratio,
                         "spread": self.spread},
             "n_rejected": self.n_rejected,
-            "mode": self.mode,
             "seed": self.seed,
             "label": self.label,
         }
@@ -435,55 +433,10 @@ def _smooth_surf_shape(mesh: Mesh, rng) -> np.ndarray:
     return raw / np.abs(raw).max()
 
 
-class _DampedBackwardIntegrator:
-    """Reversed-time stepping with a modal low-pass filter.
-
-    Undoes implicit-Euler steps explicitly and projects onto diffusion modes
-    below the grid Nyquist scale after each step; serviceable at desk scale
-    but inherently regularized (experimental).
-    """
-
-    def __init__(self, system: SemilinearSystem, mesh: Mesh):
-        import scipy.linalg as sla
-
-        diff_only = SemilinearSystem(mesh, system.diffusion)
-        A = (-diff_only._K).toarray()
-        A = 0.5 * (A + A.T)
-        Mv = system.mass
-        w, V = sla.eigh(A, np.diag(Mv))
-        h = max(mesh.dr, float(mesh.surface_weights[0]))
-        mu_cut = (np.pi / (2 * h)) ** 2
-        keep = w <= mu_cut
-        self.V = V[:, keep]          # M-orthonormal columns
-        self.mass = Mv
-        self.system = system
-        self.mu_cut = float(mu_cut)
-
-    def filt(self, x):
-        return self.V @ (self.V.T @ (self.mass * x))
-
-    def integrate_backward(self, state, t_stop, dt):
-        """March from state.t down to t_stop; returns states oldest-first."""
-        system = self.system
-        x = system._pack(state.y, state.z, state.y_gamma, state.z_gamma)
-        t = state.t
-        K = system._K
-        out = [(t, x.copy())]
-        while t > t_stop + 1e-9:
-            ey, ez, eg, ezg = system.explicit_rate(
-                *system._unpack(x), t)
-            x = x - dt * (K @ x) / self.mass - dt * system._pack(ey, ez, eg, ezg)
-            x = self.filt(x)
-            t -= dt
-            out.append((t, x.copy()))
-        out.reverse()
-        return out
-
-
 def stability_ensemble(problem: InverseProblem,
                        reference_coeffs: CoefficientVector,
                        n_draws: int = 20, perturbation_scale: float = 1e-3,
-                       mode: str = "forward_from_theta", seed: int = 0,
+                       seed: int = 0,
                        max_resample: int = 50) -> StabilityReport:
     """Empirical Lipschitz-stability records for coefficient perturbations.
 
@@ -494,8 +447,6 @@ def stability_ensemble(problem: InverseProblem,
     delta-norm over observation-norm.  Mid-time identity errors for the
     first-step time derivatives are recorded per draw.
     """
-    if mode not in ("forward_from_theta", "full_window_regularized"):
-        raise ValueError(f"unknown mode {mode!r}")
     mesh, regions = problem.mesh, problem.regions
     rng = np.random.default_rng(seed)
 
@@ -512,7 +463,6 @@ def stability_ensemble(problem: InverseProblem,
     f_theta = problem.nl_f(ref_traj.y[k_theta], ref_traj.z[k_theta])
     g_theta = problem.nl_g(ref_traj.y_gamma[k_theta], ref_traj.z_gamma[k_theta])
 
-    backward = None
     records = []
     n_rejected = 0
     draws_done = 0
@@ -586,28 +536,7 @@ def stability_ensemble(problem: InverseProblem,
             "identity_dt": dt_fine,
         }
 
-        if mode == "full_window_regularized":
-            if backward is None:
-                backward = _DampedBackwardIntegrator(system_pert, mesh)
-            back = backward.integrate_backward(
-                pert_traj.state(0), regions.t0, dt)
-            bt = np.array([t for t, _ in back[:-1]])
-            bx = [x for _, x in back[:-1]]
-            rows = []
-            for (t_b, x_b) in zip(bt, bx):
-                _, zb, _, _ = system_pert._unpack(x_b)
-                k_ref = ref_traj.index_at(t_b)
-                rows.append(zb - ref_traj.z[k_ref])
-            z_back = np.stack(rows) if rows else np.zeros((0, mesh.n_cells))
-            times_full = np.concatenate([bt, diff.times])
-            z_full = np.vstack([z_back, diff.z])
-            filler = np.zeros((len(times_full), mesh.n_cells))
-            filler_s = np.zeros((len(times_full), mesh.n_theta))
-            diff_obs = Trajectory(times=times_full, dt=dt, y=filler, z=z_full,
-                                  y_gamma=filler_s, z_gamma=filler_s)
-            rec = observe(diff_obs, regions, mesh, t0=regions.t0, t1=t1)
-        else:
-            rec = observe(diff, regions, mesh, t0=theta, t1=t1)
+        rec = observe(diff, regions, mesh, t0=theta, t1=t1)
         obs_norm = rec.norm()
         ratio = delta / obs_norm if obs_norm > 0 else float("inf")
         records.append({"delta_norm": delta, "obs_norm": obs_norm,
@@ -626,7 +555,4 @@ def stability_ensemble(problem: InverseProblem,
         max_ratio = med_ratio = float("nan")
     return StabilityReport(
         records=records, max_ratio=max_ratio, median_ratio=med_ratio,
-        spread=max_ratio / med_ratio, n_rejected=n_rejected, mode=mode,
-        seed=seed,
-        label=("half-window variant" if mode == "forward_from_theta"
-               else "experimental full-window (damped backward)"))
+        spread=max_ratio / med_ratio, n_rejected=n_rejected, seed=seed)

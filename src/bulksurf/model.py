@@ -185,13 +185,6 @@ def make_power_nonlinearity(d: int, delta: int,
                         range_box=(float(y_max), float(z_max)))
 
 
-def make_custom_nonlinearity(evaluate, partials, lipschitz_bound: float,
-                             range_box=(1.0, 1.0), kind: str = "custom") -> Nonlinearity:
-    return Nonlinearity(kind=kind, evaluate=evaluate, partials=partials,
-                        lipschitz_bound=float(lipschitz_bound),
-                        range_box=tuple(range_box))
-
-
 @dataclass(frozen=True)
 class InitialData:
     """Initial quadruple (y0, z0, y0_gamma, z0_gamma)."""

@@ -66,13 +66,6 @@ class SparseOp:
             total += float(np.dot(self.bnd_t, dub * dvb))
         return total
 
-    def to_coo_text(self, path) -> None:
-        """Write (row, col, value) triplets for external inspection."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v:.17g}\n")
-
 
 def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * a * b / (a + b)
@@ -136,23 +129,15 @@ def assemble_surface_diffusion(mesh: Mesh, d: np.ndarray) -> SparseOp:
 
 
 def conormal_flux(mesh: Mesh, a: np.ndarray, y: np.ndarray,
-                  y_gamma: np.ndarray, second_order: bool = False) -> np.ndarray:
+                  y_gamma: np.ndarray) -> np.ndarray:
     """Discrete conormal derivative a * d_nu y per surface node.
 
-    Default is the one-sided difference over dr/2 that matches the
-    boundary-face flux of the assembled operator (keeps the coupled matrix
-    symmetric).  ``second_order`` switches to a three-point extrapolated
-    stencil through the two outermost cell centers (diagnostics only).
+    The one-sided difference over dr/2 matches the boundary-face flux of the
+    assembled operator (keeps the coupled matrix symmetric).
     """
     a = np.asarray(a, dtype=float)
     a_bnd = a[mesh.trace_map]
-    if not second_order:
-        return a_bnd * (y_gamma - y[mesh.trace_map]) / (0.5 * mesh.dr)
-    if mesh.n_r < 2:
-        raise ValueError("second-order flux needs at least two rings")
-    inner = mesh.trace_map - mesh.n_theta
-    return a_bnd * (8.0 * y_gamma - 9.0 * y[mesh.trace_map] + y[inner]) \
-        / (3.0 * mesh.dr)
+    return a_bnd * (y_gamma - y[mesh.trace_map]) / (0.5 * mesh.dr)
 
 
 def green_identity_residual(mesh: Mesh, op: SparseOp, u: np.ndarray,

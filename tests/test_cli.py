@@ -137,6 +137,8 @@ def test_reconstruct_command(tmp_path):
     summary = read_summary(out)
     assert summary["checks"]["recovery_error"]
     assert summary["relative_error"] <= 0.05
+    assert summary["message"]
+    assert summary["n_evaluations"] >= summary["iterations"]
     assert os.path.exists(out / "history.csv")
     assert os.path.exists(out / "coefficients.csv")
 
@@ -150,6 +152,54 @@ def test_stability_command(tmp_path):
     assert summary["checks"]["linear_response"]
     assert summary["checks"]["ratio_spread"]
     assert summary["effective"]["label"] == "half-window variant"
+
+
+def test_removed_stability_mode_is_refused(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"stability": {"mode": "forward_from_theta"}})
+    assert run_cli("stability", cfg, tmp_path / "out") == 1
+    assert "stability.mode" in capsys.readouterr().err
+
+
+# Each bad expression, through each entry point, must end in a configuration
+# error naming the field; the probe in ``os`` records any payload that runs.
+BAD_EXPRESSIONS = {
+    "dunder": "[c for c in ().__class__.__base__.__subclasses__() "
+              "if c.__name__ == '_wrap_close'][0].__init__.__globals__"
+              "['bulksurf_probe']()",
+    "import": "__import__('os').bulksurf_probe()",
+    "subscript": "[1.0][0]",
+    "lambda": "(lambda: 1.0)()",
+    "comprehension": "[c for c in (1.0,)][0]",
+    "unknown_name": "w",
+    "keyword": "exp(0, evaluate=False)",
+    "string": "'1.0'",
+    "xor": "2^1",
+    "list": ["__import__('os').bulksurf_probe()"],
+}
+EXPRESSION_FIELDS = {
+    "diffusion.a1": ("simulate", lambda e: {"diffusion": {"a1": e}}),
+    "carleman.sources.f1": ("shifted-verify",
+                            lambda e: {"carleman": {"sources": {"f1": e}}}),
+    "positivity.reactions.f1": ("positivity",
+                                lambda e: {"positivity": {"reactions": {"f1": e}}}),
+    "carleman.a_expr": ("carleman-verify", lambda e: {"carleman": {"a_expr": e}}),
+}
+
+
+@pytest.mark.parametrize("payload", list(BAD_EXPRESSIONS.values()),
+                         ids=list(BAD_EXPRESSIONS))
+@pytest.mark.parametrize("field", list(EXPRESSION_FIELDS))
+def test_bad_expression_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                          field, payload):
+    calls = []
+    monkeypatch.setattr(os, "bulksurf_probe", lambda: calls.append(1) or 1.0,
+                        raising=False)
+    command, section = EXPRESSION_FIELDS[field]
+    cfg = write_config(tmp_path, section(payload))
+    assert run_cli(command, cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and field in err[0], err
+    assert not calls
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

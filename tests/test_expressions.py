@@ -1,0 +1,121 @@
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+import sympy as sp
+
+import bulksurf
+from bulksurf.config import (
+    ConfigError,
+    check_expression,
+    compile_expression,
+    load_config,
+    parse_field_spec,
+)
+from bulksurf.fields import X1, X2, sympy_expr
+
+
+def test_field_spec_expression_value():
+    cfg = load_config(overrides={
+        "mesh": {"n_r": 8, "n_theta": 16},
+        "diffusion": {"a1": "1 + x1**2/4", "d1": "2 + sin(theta)"}})
+    xy = cfg.mesh.cell_xy
+    np.testing.assert_array_equal(cfg.diffusion.a1, 1 + xy[:, 0] ** 2 / 4)
+    np.testing.assert_array_equal(cfg.diffusion.d1,
+                                  2 + np.sin(cfg.mesh.surface_theta))
+    f1 = parse_field_spec("0.5 + 0.3*x1", cfg.mesh, "carleman.sources.f1")
+    np.testing.assert_array_equal(f1, 0.5 + 0.3 * xy[:, 0])
+
+
+def test_reaction_expression_value():
+    rng = np.random.default_rng(0)
+    u, v = rng.random(5), rng.random(5)
+    fn = compile_expression("u*v + minimum(u, v) - -exp(v)", ("u", "v"),
+                            "positivity.reactions.f1")
+    np.testing.assert_array_equal(fn(u, v), u * v + np.minimum(u, v) + np.exp(v))
+    np.testing.assert_array_equal(
+        compile_expression("v", ("u", "v"), "positivity.reactions.f1")(u, v), v)
+
+
+def test_sympy_expression_value_and_precision():
+    a = sympy_expr("1 + (x1**2 + x2**2)/4", "carleman.a_expr", ("x1", "x2"))
+    assert a == 1 + (X1**2 + X2**2) / 4
+    # the checked string still goes through sympify, which keeps the
+    # written digits; a float round trip would round them to 53 bits
+    lit = "0.6000000000000001"
+    assert sympy_expr(lit) == sp.Float(lit)
+    assert sympy_expr(lit) != sp.Float(float(lit))
+
+
+@pytest.mark.parametrize("expr", ["theta", "t", "1 + r"])
+def test_sympy_expression_limits_symbols(expr):
+    with pytest.raises(ConfigError, match="carleman.a_expr"):
+        sympy_expr(expr, "carleman.a_expr", ("x1", "x2"))
+
+
+@pytest.mark.parametrize("expr", [
+    "sin(x1, x2)",        # would write into x2 through numpy's out argument
+    "sin",                # a function used as a value
+    "x1(2)",              # a variable called as a function
+    "True", "1j", "-" * 100000 + "1", 5,
+])
+def test_grammar_edge_cases_are_refused(expr):
+    with pytest.raises(ConfigError, match="diffusion.a1"):
+        compile_expression(expr, ("x1", "x2"), "diffusion.a1")
+
+
+@pytest.mark.parametrize("expr", [
+    ["__import__('os').getpid()"], {"x": "__import__('os').getpid()"}, True,
+])
+def test_sympy_expression_refuses_other_containers(expr):
+    with pytest.raises(ConfigError, match="carleman.a_expr"):
+        sympy_expr(expr, "carleman.a_expr", ("x1", "x2"))
+
+
+def test_sympy_expression_passes_numbers_and_sympy_through():
+    assert sympy_expr(2) == 2 and sympy_expr(0.5) == sp.Float(0.5)
+    assert sympy_expr(X1 + 1) == X1 + 1
+
+
+# Python and sympy evaluate these constant powers exactly and without end.
+@pytest.mark.parametrize("expr", [
+    "0*9**9**8", "x1 + ((9**64)**64)**64", "2**(0*x1 + 9**9)", "1/7**5000",
+])
+def test_huge_constant_powers_are_refused(expr):
+    with pytest.raises(ConfigError, match="diffusion.a1: constant part"):
+        check_expression(expr, dict.fromkeys(("x1", "x2")), "diffusion.a1")
+
+
+@pytest.mark.parametrize("expr", [
+    "(1 + x1**2 + x2**2)**8", "x1**(1/3) - 2**x2", "exp(-12*(x1**2 + x2**2))",
+    "1e300*x1", "2**1000 - 2**1000 + x1",
+])
+def test_ordinary_powers_pass(expr):
+    check_expression(expr, {"exp": None, "x1": None, "x2": None}, "diffusion.a1")
+
+
+def _string_evaluations(path: pathlib.Path) -> set:
+    """(file, top-level function) of each eval/exec/sympify call in a module."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and scope == "<module>":
+            scope = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in ("eval", "exec", "sympify"):
+                found.add((path.name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_strings_are_evaluated_only_after_the_whitelist():
+    src = pathlib.Path(bulksurf.__file__).parent
+    found = set().union(*map(_string_evaluations, sorted(src.glob("*.py"))))
+    assert found == {("config.py", "compile_expression"),
+                     ("fields.py", "sympy_expr")}

@@ -199,15 +199,6 @@ def test_checkpoint_roundtrip(mesh, diffusion, tmp_path):
     np.testing.assert_array_equal(back.z, traj.z)
     np.testing.assert_array_equal(back.times, traj.times)
 
-    csv_dir = tmp_path / "csv"
-    write_checkpoints(traj, str(csv_dir), fmt="csv")
-    files = sorted(csv_dir.glob("state_*.csv"))
-    assert len(files) == traj.n_nodes
-    first = files[0].read_text().splitlines()
-    assert first[0] == "cell,y,z"
-    cell, y, z = first[1].split(",")
-    assert float(y) == traj.y[0][int(cell)]
-
 
 def test_mms_spatial_order():
     levels = [(8, 16, 0.02), (16, 32, 0.01), (32, 64, 0.005)]

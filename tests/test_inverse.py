@@ -225,14 +225,6 @@ def test_stability_midtime_identities(problem, truth):
         assert rec["u_gamma_rel_err"] <= tol
 
 
-def test_stability_full_window_mode(problem, truth):
-    report = stability_ensemble(problem, truth, n_draws=3,
-                                perturbation_scale=1e-3, seed=5,
-                                mode="full_window_regularized")
-    assert "experimental" in report.label
-    assert np.isfinite(report.max_ratio)
-
-
 def test_checkpoint_budget_guard():
     with pytest.raises(ValueError, match="checkpoint"):
         make_problem(n_r=8, n_theta=16, dt=1e-7, t_end=10.0)

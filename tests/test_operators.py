@@ -149,32 +149,18 @@ def test_conormal_flux_constant_zero(mesh16):
     assert np.abs(flux).max() == 0.0
 
 
-def test_conormal_flux_second_order_variant():
-    # oracle: u = r^3, d_nu u = 3 on the unit circle; the extrapolated
-    # stencil is exact for quadratics so its error is O(dr^2)
-    errs1, errs2 = [], []
+def test_conormal_flux_first_order():
+    # oracle: u = r^3, d_nu u = 3 on the unit circle; the one-sided stencil
+    # converges at first order
+    errs = []
     for n in (8, 16, 32):
         mesh = build_polar_mesh(n, 2 * n, 1.0)
         u = mesh.cell_r**3
         ug = np.ones(mesh.n_theta)
         a = np.ones(mesh.n_cells)
-        errs1.append(np.abs(conormal_flux(mesh, a, u, ug) - 3.0).max())
-        errs2.append(np.abs(
-            conormal_flux(mesh, a, u, ug, second_order=True) - 3.0).max())
-    order1 = np.log2(errs1[0] / errs1[-1]) / 2
-    order2 = np.log2(errs2[0] / errs2[-1]) / 2
-    assert 0.9 <= order1 <= 1.5
-    assert order2 >= 1.8
-
-
-def test_coo_text_export(mesh16, tmp_path):
-    op = assemble_surface_diffusion(mesh16, np.ones(mesh16.n_theta))
-    path = tmp_path / "op.txt"
-    op.to_coo_text(path)
-    rows = [line.split() for line in path.read_text().strip().splitlines()]
-    assert len(rows) == op.matrix.nnz
-    i, j, v = rows[0]
-    assert float(v) == op.matrix[int(i), int(j)]
+        errs.append(np.abs(conormal_flux(mesh, a, u, ug) - 3.0).max())
+    order = np.log2(errs[0] / errs[-1]) / 2
+    assert 0.9 <= order <= 1.5
 
 
 def test_conormal_flux_linear_field():
