@@ -27,15 +27,19 @@ from .forward import Trajectory, window_nodes
 _EXP_CLAMP = -700.0   # exponents below this evaluate to exact zero
 
 
-def default_s1(lam: float, t0: float, t1: float, eta0_sup: float = 1.0) -> float:
-    """Default large-parameter floor 2 * gamma_max * e^{2 lam |eta0|_inf}."""
-    gamma_max = (t1 - t0) ** 2 / 4.0
-    return 2.0 * gamma_max * math.exp(2.0 * lam * eta0_sup)
+def _gamma_max(t0: float, t1: float) -> float:
+    """max of gamma(t) = (t - t0)(t1 - t), reached at t = (t0 + t1) / 2."""
+    return (t1 - t0) ** 2 / 4.0
+
+
+def default_s1(lam: float, t0: float, t1: float) -> float:
+    """Default large-parameter floor 2 * gamma_max * e^{2 lam sup eta0}."""
+    return 2.0 * _gamma_max(t0, t1) * math.exp(2.0 * lam)
 
 
 @dataclass(frozen=True)
 class CarlemanConfig:
-    """Weight parameters; defaults target the unit disk (eta0_sup = 1)."""
+    """Weight parameters on the unit disk, where sup eta0 = 1."""
 
     lam: float
     s: float
@@ -43,9 +47,6 @@ class CarlemanConfig:
     t1: float
     tau: float = 0.0
     epsilon: float = 0.5
-    eta0_sup: float = 1.0
-    c_floor: float = 2.0      # -d_nu eta0 on the unit circle
-    C0: float = 0.0           # gradient floor of |grad eta0| outside omega'
 
     def __post_init__(self):
         if self.lam < 1.0:
@@ -59,7 +60,7 @@ class CarlemanConfig:
 
     @property
     def gamma_max(self) -> float:
-        return (self.t1 - self.t0) ** 2 / 4.0
+        return _gamma_max(self.t0, self.t1)
 
 
 def eta0_and_gradient(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,6 +74,20 @@ def gamma_value(t, cfg: CarlemanConfig):
     return (t - cfg.t0) * (cfg.t1 - t)
 
 
+def weight_tables(cfg: CarlemanConfig, eta, times) -> tuple:
+    """alpha, xi and dlog gamma = gamma'/gamma on the (times x eta) grid.
+
+    The weights depend on x only through eta = eta0(x); the surface is the
+    eta = 0 column.  The three broadcast to shape (n_times, *eta.shape).
+    """
+    eta = np.asarray(eta, dtype=float)
+    tt = np.asarray(times, dtype=float).reshape((-1,) + (1,) * eta.ndim)
+    gamma = gamma_value(tt, cfg)
+    K = math.exp(2.0 * cfg.lam)
+    E = np.exp(cfg.lam * eta)
+    return (K - E) / gamma, E / gamma, (cfg.t0 + cfg.t1 - 2.0 * tt) / gamma
+
+
 def weights(t: float, xy: np.ndarray, cfg: CarlemanConfig) -> dict:
     """Closed-form weight values and derivatives at time t and points xy.
 
@@ -83,13 +98,7 @@ def weights(t: float, xy: np.ndarray, cfg: CarlemanConfig) -> dict:
     if not (cfg.t0 < t < cfg.t1):
         raise ValueError(f"t={t} outside the open window ({cfg.t0}, {cfg.t1})")
     eta, grad_eta = eta0_and_gradient(xy)
-    gamma = gamma_value(t, cfg)
-    dgamma = cfg.t0 + cfg.t1 - 2.0 * t
-    K = math.exp(2.0 * cfg.lam * cfg.eta0_sup)
-    E = np.exp(cfg.lam * eta)
-    alpha = (K - E) / gamma
-    xi = E / gamma
-    dlog = dgamma / gamma
+    alpha, xi, dlog = (table[0] for table in weight_tables(cfg, eta, [t]))
     grad_xi = cfg.lam * xi[..., None] * grad_eta
     return {
         "alpha": alpha,
@@ -118,21 +127,15 @@ def weight_property_margins(cfg: CarlemanConfig, times: np.ndarray,
     times = np.asarray(times, dtype=float)
     if times.min() <= cfg.t0 or times.max() >= cfg.t1:
         raise ValueError("sample times must lie strictly inside (t0, t1)")
-    eta = np.asarray(eta_values, dtype=float)[None, :]
-    tt = times[:, None]
-    gamma = (tt - cfg.t0) * (cfg.t1 - tt)
-    dgamma = cfg.t0 + cfg.t1 - 2.0 * tt
-    K = math.exp(2.0 * cfg.lam * cfg.eta0_sup)
-    E = np.exp(cfg.lam * eta)
-    alpha = (K - E) / gamma
-    xi = E / gamma
-    dlog = dgamma / gamma
+    alpha, xi, dlog = weight_tables(cfg, eta_values, times)
     dalpha = -alpha * dlog
     dxi = -xi * dlog
     s, tau = cfg.s, cfg.tau
 
     c_quot = np.abs((tau / 2.0 - s * alpha) * dlog)
     # d/dt[(tau/2 - s alpha) dlog gamma]; gamma'' = -2
+    gamma = gamma_value(times[:, None], cfg)
+    dgamma = cfg.t0 + cfg.t1 - 2.0 * times[:, None]
     ddlog = (-2.0 * gamma - dgamma**2) / gamma**2
     d_quot = np.abs(-s * dalpha * dlog + (tau / 2.0 - s * alpha) * ddlog)
 
@@ -192,26 +195,21 @@ class DiffusionPair:
 class WeightEvaluator:
     """Weight tables over window-interior trajectory nodes, with the shift.
 
-    All quantities returned by ``bulk_weight``/``surf_weight`` carry the
-    common factor e^{+2 s alpha_ref}; ``log_scale`` = -2 s alpha_ref restores
+    ``W_bulk``/``W_surf`` and the weights built from them carry the common
+    factor e^{+2 s alpha_ref}; ``log_scale`` = -2 s alpha_ref restores
     absolute magnitudes.
     """
 
     def __init__(self, cfg: CarlemanConfig, mesh: Mesh, traj: Trajectory):
         self.cfg = cfg
-        self.mesh = mesh
         self.k_idx = window_nodes(traj, cfg.t0, cfg.t1)
         self.times = traj.times[self.k_idx]
         self.dt = traj.dt
 
         eta, _ = eta0_and_gradient(mesh.cell_xy)
-        gamma = gamma_value(self.times, cfg)
-        K = math.exp(2.0 * cfg.lam * cfg.eta0_sup)
-        E = np.exp(cfg.lam * eta)
-        self.alpha_bulk = (K - E)[None, :] / gamma[:, None]
-        self.xi_bulk = E[None, :] / gamma[:, None]
-        self.alpha_surf = (K - 1.0) / gamma
-        self.xi_surf = 1.0 / gamma
+        alpha, xi, _ = weight_tables(cfg, np.append(0.0, eta), self.times)
+        self.alpha_surf, self.alpha_bulk = alpha[:, 0], alpha[:, 1:]
+        self.xi_surf, self.xi_bulk = xi[:, 0], xi[:, 1:]
         self.alpha_ref = float(min(self.alpha_bulk.min(), self.alpha_surf.min()))
         self.W_bulk = exp_weight(cfg.s, self.alpha_bulk, shift=self.alpha_ref)
         self.W_surf = exp_weight(cfg.s, self.alpha_surf, shift=self.alpha_ref)
@@ -220,11 +218,8 @@ class WeightEvaluator:
     def log_scale(self) -> float:
         return -2.0 * self.cfg.s * self.alpha_ref
 
-    def bulk_weight(self, power: float) -> np.ndarray:
-        """(shifted weight) * (s xi)^power, shape (n_times, n_cells)."""
-        return self.W_bulk * (self.cfg.s * self.xi_bulk) ** power
-
     def surf_weight(self, power: float) -> np.ndarray:
+        """(shifted weight) * (s xi)^power on the surface, shape (n_times,)."""
         return self.W_surf * (self.cfg.s * self.xi_surf) ** power
 
 
@@ -259,6 +254,75 @@ class WeightedNorms:
         return self.i_omega + self.i_gamma
 
 
+def _window_pass(tau: float, zb: np.ndarray, zg: np.ndarray,
+                 cfg: CarlemanConfig, mesh: Mesh, pair: DiffusionPair,
+                 ev: WeightEvaluator, omega: np.ndarray | None = None
+                 ) -> tuple[WeightedNorms, dict]:
+    """Walk the window nodes once for weighted_norms and carleman_ratio.
+
+    Returns the weighted norms of (zb, zg) and, given the observation cells
+    ``omega``, the right-hand-side terms of carleman_ratio (else zeros).
+    """
+    lam, dt = cfg.lam, ev.dt
+    areas, ds = mesh.cell_areas, mesh.surface_weights
+
+    w_te_s = ev.surf_weight(tau - 1.0)
+    w_gr_s = ev.surf_weight(tau + 1.0)
+    w_z_s = ev.surf_weight(tau + 3.0)
+    w_res_s = ev.surf_weight(tau)
+
+    t_time = t_ell = t_grad = t_zero = 0.0
+    s_time = s_ell = s_grad = s_zero = s_con = 0.0
+    obs = res_b = res_s = 0.0
+    for row, k in enumerate(ev.k_idx):
+        # bulk weights row by row: an (n_nodes, n_cells) table per power
+        # would add about 8 MB each to the peak memory at 64x128
+        W, sxi = ev.W_bulk[row], cfg.s * ev.xi_bulk[row]
+        w_te_b = W * sxi ** (tau - 1.0)
+        w_gr_b = W * sxi ** (tau + 1.0)
+        w_z_b = W * sxi ** (tau + 3.0)
+        dtz = (zb[k + 1] - zb[k - 1]) / (2.0 * dt)
+        dtzg = (zg[k + 1] - zg[k - 1]) / (2.0 * dt)
+        div_b = pair.op_bulk.apply(zb[k], zg[k])
+        div_s = pair.op_surf.apply(zg[k])
+        flux = conormal_flux(mesh, pair.a, zb[k], zg[k])
+        w_gr_s_row = np.full(mesh.n_theta, w_gr_s[row])
+
+        t_time += dt * float(np.dot(areas, w_te_b * dtz**2))
+        t_ell += dt * float(np.dot(areas, w_te_b * div_b**2))
+        t_grad += dt * lam**2 * _grad_quadrature(mesh, zb[k], zg[k],
+                                                 w_gr_b, w_gr_s_row)
+        t_zero += dt * lam**4 * float(np.dot(areas, w_z_b * zb[k]**2))
+
+        s_time += dt * float(np.dot(ds, w_te_s[row] * dtzg**2))
+        s_ell += dt * float(np.dot(ds, w_te_s[row] * div_s**2))
+        s_grad += dt * lam * _surf_grad_quadrature(mesh, zg[k], w_gr_s_row)
+        s_zero += dt * lam**3 * float(np.dot(ds, w_z_s[row] * zg[k]**2))
+        s_con += dt * lam * float(np.dot(ds, w_gr_s[row] * flux**2))
+
+        if omega is not None:
+            obs += dt * lam**4 * float(
+                np.dot(areas[omega], w_z_b[omega] * zb[k][omega] ** 2))
+            w_res_b = W * sxi ** tau
+            res_b += dt * float(np.dot(areas, w_res_b * (dtz - div_b)**2))
+            res_s += dt * float(np.dot(ds, w_res_s[row]
+                                       * (dtzg - div_s + flux)**2))
+
+    terms = {
+        "bulk_time": t_time, "bulk_elliptic": t_ell,
+        "bulk_gradient": t_grad, "bulk_zeroth": t_zero,
+        "surf_time": s_time, "surf_elliptic": s_ell,
+        "surf_gradient": s_grad, "surf_zeroth": s_zero,
+        "surf_conormal": s_con,
+    }
+    norms = WeightedNorms(
+        i_omega=t_time + t_ell + t_grad + t_zero,
+        i_gamma=s_time + s_ell + s_grad + s_zero + s_con,
+        log_scale=ev.log_scale, terms=terms)
+    return norms, {"observation": obs, "bulk_residual": res_b,
+                   "surface_residual": res_s}
+
+
 def weighted_norms(tau: float, traj: Trajectory, cfg: CarlemanConfig,
                    mesh: Mesh, pair: DiffusionPair, which: str = "z",
                    evaluator: WeightEvaluator | None = None) -> WeightedNorms:
@@ -276,50 +340,7 @@ def weighted_norms(tau: float, traj: Trajectory, cfg: CarlemanConfig,
         zb, zg = traj.y, traj.y_gamma
     else:
         raise ValueError("which must be 'y' or 'z'")
-    lam, dt = cfg.lam, ev.dt
-    areas, ds = mesh.cell_areas, mesh.surface_weights
-
-    w_te_b = ev.bulk_weight(tau - 1.0)
-    w_gr_b = ev.bulk_weight(tau + 1.0)
-    w_z_b = ev.bulk_weight(tau + 3.0)
-    w_te_s = ev.surf_weight(tau - 1.0)
-    w_gr_s = ev.surf_weight(tau + 1.0)
-    w_z_s = ev.surf_weight(tau + 3.0)
-
-    t_time = t_ell = t_grad = t_zero = 0.0
-    s_time = s_ell = s_grad = s_zero = s_con = 0.0
-    for row, k in enumerate(ev.k_idx):
-        dtz = (zb[k + 1] - zb[k - 1]) / (2.0 * dt)
-        dtzg = (zg[k + 1] - zg[k - 1]) / (2.0 * dt)
-        div_b = pair.op_bulk.apply(zb[k], zg[k])
-        div_s = pair.op_surf.apply(zg[k])
-        flux = conormal_flux(mesh, pair.a, zb[k], zg[k])
-
-        t_time += dt * float(np.dot(areas, w_te_b[row] * dtz**2))
-        t_ell += dt * float(np.dot(areas, w_te_b[row] * div_b**2))
-        t_grad += dt * lam**2 * _grad_quadrature(mesh, zb[k], zg[k],
-                                                 w_gr_b[row],
-                                                 np.full(mesh.n_theta, w_gr_s[row]))
-        t_zero += dt * lam**4 * float(np.dot(areas, w_z_b[row] * zb[k]**2))
-
-        s_time += dt * float(np.dot(ds, w_te_s[row] * dtzg**2))
-        s_ell += dt * float(np.dot(ds, w_te_s[row] * div_s**2))
-        s_grad += dt * lam * _surf_grad_quadrature(
-            mesh, zg[k], np.full(mesh.n_theta, w_gr_s[row]))
-        s_zero += dt * lam**3 * float(np.dot(ds, w_z_s[row] * zg[k]**2))
-        s_con += dt * lam * float(np.dot(ds, w_gr_s[row] * flux**2))
-
-    terms = {
-        "bulk_time": t_time, "bulk_elliptic": t_ell,
-        "bulk_gradient": t_grad, "bulk_zeroth": t_zero,
-        "surf_time": s_time, "surf_elliptic": s_ell,
-        "surf_gradient": s_grad, "surf_zeroth": s_zero,
-        "surf_conormal": s_con,
-    }
-    return WeightedNorms(
-        i_omega=t_time + t_ell + t_grad + t_zero,
-        i_gamma=s_time + s_ell + s_grad + s_zero + s_con,
-        log_scale=ev.log_scale, terms=terms)
+    return _window_pass(tau, zb, zg, cfg, mesh, pair, ev)[0]
 
 
 def carleman_ratio(tau: float, traj: Trajectory, cfg: CarlemanConfig,
@@ -331,40 +352,21 @@ def carleman_ratio(tau: float, traj: Trajectory, cfg: CarlemanConfig,
     exponent shift, so the ratio is shift-invariant.
     """
     ev = WeightEvaluator(cfg, mesh, traj)
-    norms = weighted_norms(tau, traj, cfg, mesh, pair, "z", evaluator=ev)
-    lam, dt = cfg.lam, ev.dt
-    areas, ds = mesh.cell_areas, mesh.surface_weights
-
-    w_obs = ev.bulk_weight(tau + 3.0)
-    w_res_b = ev.bulk_weight(tau)
-    w_res_s = ev.surf_weight(tau)
-    obs = res_b = res_s = 0.0
-    cells = regions.omega
-    for row, k in enumerate(ev.k_idx):
-        obs += dt * lam**4 * float(
-            np.dot(areas[cells], w_obs[row][cells] * traj.z[k][cells] ** 2))
-        dtz = (traj.z[k + 1] - traj.z[k - 1]) / (2.0 * dt)
-        Lz = dtz - pair.op_bulk.apply(traj.z[k], traj.z_gamma[k])
-        res_b += dt * float(np.dot(areas, w_res_b[row] * Lz**2))
-        dtzg = (traj.z_gamma[k + 1] - traj.z_gamma[k - 1]) / (2.0 * dt)
-        Lzg = dtzg - pair.op_surf.apply(traj.z_gamma[k]) \
-            + conormal_flux(mesh, pair.a, traj.z[k], traj.z_gamma[k])
-        res_s += dt * float(np.dot(ds, w_res_s[row] * Lzg**2))
-
+    norms, parts = _window_pass(tau, traj.z, traj.z_gamma, cfg, mesh, pair, ev,
+                                regions.omega)
     lhs = norms.total
-    rhs = obs + res_b + res_s
+    rhs = sum(parts.values())
     if rhs > 0:
         ratio = lhs / rhs
     else:
         ratio = math.inf if lhs > 0 else math.nan
     return {"lhs": lhs, "rhs": rhs, "ratio": ratio, "log_scale": ev.log_scale,
-            "parts": {"observation": obs, "bulk_residual": res_b,
-                      "surface_residual": res_s, **norms.terms}}
+            "parts": {**parts, **norms.terms}}
 
 
 def shifted_ratio(traj: Trajectory, sources: dict, cfg: CarlemanConfig,
                   mesh: Mesh, pair1: DiffusionPair, pair2: DiffusionPair,
-                  regions: RegionSet, potentials, p0: float | None = None) -> dict:
+                  regions: RegionSet, potentials) -> dict:
     """One-observation estimate for the coupled linear system with sources.
 
     lhs = lam^{-4+eps} [I(-3) of the y pair] + [I(0) of the z pair];
@@ -372,7 +374,7 @@ def shifted_ratio(traj: Trajectory, sources: dict, cfg: CarlemanConfig,
     weighted (f1, g1) terms + lam^{2 eps} (f2, g2) terms.  Refuses to run
     unless p21 and q21 sit above the coercivity floor.
     """
-    floor = p0 if p0 is not None else potentials.p0
+    floor = potentials.p0
     if floor <= 0 or potentials.p21.min() < floor or potentials.q21.min() < floor:
         raise ValueError(
             "shifted estimate needs p21, q21 >= p0 > 0 "
@@ -432,43 +434,28 @@ def alpha_time_minimum_margin(cfg: CarlemanConfig, times: np.ndarray,
                               eta_values: np.ndarray) -> float:
     """min over the grid of alpha(t, .) - alpha(theta, .), >= 0 pointwise."""
     theta = 0.5 * (cfg.t0 + cfg.t1)
-    eta = np.asarray(eta_values, dtype=float)
-    K = math.exp(2.0 * cfg.lam * cfg.eta0_sup)
-    num = K - np.exp(cfg.lam * eta)
-    a_theta = num / gamma_value(theta, cfg)
-    margins = []
-    for t in np.asarray(times, dtype=float):
-        margins.append(np.min(num / gamma_value(t, cfg) - a_theta))
-    return float(min(margins))
+    alpha, _, _ = weight_tables(cfg, eta_values, np.append(times, theta))
+    return float(np.min(alpha[:-1] - alpha[-1]))
 
 
-def weight_vanishing_report(cfg: CarlemanConfig, dt: float,
-                            powers=(-3.0, 0.0, 4.0)) -> dict:
+def weight_vanishing_report(cfg: CarlemanConfig, dt: float) -> dict:
     """Raw clamped weight e^{-2 s alpha} xi^k at the first/last interior nodes.
 
-    For s above the default floor these values drop below 1e-300 (they
-    underflow to exact zero), realizing the endpoint degeneracy.
+    For k in (-3, 0, 4), on the boundary and at the centre, and s above the
+    default floor, these values drop below 1e-300 (they underflow to exact
+    zero), realizing the endpoint degeneracy.
     """
-    out = {}
-    worst = 0.0
-    for t in (cfg.t0 + dt, cfg.t1 - dt):
-        gamma = gamma_value(t, cfg)
-        for eta in (0.0, cfg.eta0_sup):
-            K = math.exp(2.0 * cfg.lam * cfg.eta0_sup)
-            E = math.exp(cfg.lam * eta)
-            alpha = (K - E) / gamma
-            xi = E / gamma
-            for k in powers:
-                v = float(exp_weight(cfg.s, np.array([alpha]))[0] * xi**k)
-                worst = max(worst, v)
-    out["max_endpoint_weight"] = worst
-    out["passed"] = bool(worst < 1e-300)
-    return out
+    alpha, xi, _ = weight_tables(cfg, [0.0, 1.0], [cfg.t0 + dt, cfg.t1 - dt])
+    worst = max(float(np.max(exp_weight(cfg.s, alpha) * xi**k))
+                for k in (-3.0, 0.0, 4.0))
+    return {"max_endpoint_weight": worst, "passed": bool(worst < 1e-300)}
 
 
 def sum_identity_residual(cfg: CarlemanConfig, t: float, xy: np.ndarray) -> float:
-    """alpha + xi - e^{2 lam sup}/gamma, zero in exact arithmetic."""
+    """alpha + xi - e^{2 lam}/gamma, zero in exact arithmetic.
+
+    e^{2 lam}/gamma is xi at eta = 2 (outside the range of eta0).
+    """
     w = weights(t, xy, cfg)
-    K = math.exp(2.0 * cfg.lam * cfg.eta0_sup)
-    target = K / gamma_value(t, cfg)
-    return float(np.abs(w["alpha"] + w["xi"] - target).max())
+    _, target, _ = weight_tables(cfg, 2.0, [t])
+    return float(np.abs(w["alpha"] + w["xi"] - target[0]).max())

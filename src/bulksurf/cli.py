@@ -292,15 +292,14 @@ def _cmd_carleman_verify(run: _Runner) -> int:
         trajs[name] = field_to_trajectory(SpaceTimeField(expr), cfg.mesh,
                                           times_traj)
 
-    jobs = [(name, tau, lam, s1, s)
-            for name in names for tau in (0.0,) for lam, s1, s in grid]
+    jobs = [(name, lam, s) for name in names for lam, _, s in grid]
 
     def run_point(job):
-        name, tau, lam, s1, s = job
-        c = CarlemanConfig(lam=lam, s=s, t0=t0, t1=t1, epsilon=eps, tau=tau)
-        out = carleman_ratio(tau, trajs[name], c, cfg.mesh, pair, cfg.regions)
+        name, lam, s = job
+        c = CarlemanConfig(lam=lam, s=s, t0=t0, t1=t1, epsilon=eps)
+        out = carleman_ratio(0.0, trajs[name], c, cfg.mesh, pair, cfg.regions)
         p = out["parts"]
-        return (name, tau, s, lam, out["lhs"], out["rhs"], out["ratio"],
+        return (name, 0.0, s, lam, out["lhs"], out["rhs"], out["ratio"],
                 out["log_scale"], p["observation"], p["bulk_residual"],
                 p["surface_residual"], p["bulk_zeroth"], p["bulk_gradient"],
                 p["surf_zeroth"], p["surf_conormal"])

@@ -242,6 +242,34 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+# The keys a run reads that DEFAULT_CONFIG leaves out.  Together with it,
+# they are every key that load_config accepts.
+_OPTIONAL = {
+    "diffusion": dict.fromkeys(("beta", "beta_gamma")),
+    "nonlinearity": dict.fromkeys(("d_surf", "delta_surf")),
+    "initial": dict.fromkeys(("y0_gamma", "z0_gamma")),
+    "carleman": {"a_expr": None, "d_expr": None, "n_test_fields": None,
+                 "sources": dict.fromkeys(("f1", "f2", "g1", "g2"))},
+    "inverse": {"gradcheck_points": None, "gradcheck_directions": None,
+                "gradcheck_step": None, "guess": dict.fromkeys(("p21", "q13")),
+                "truth": dict.fromkeys(("p21", "q13"),
+                                       {"base": None, "amplitude": None})},
+    "positivity": {"lipschitz_bound": None,
+                   "reactions": dict.fromkeys(("f1", "f2", "g1", "g2"))},
+}
+_KNOWN = _merge(DEFAULT_CONFIG, _OPTIONAL)
+
+
+def _check_keys(section: dict, known: dict, where: str = "") -> None:
+    """Raise a ConfigError naming the first key that ``known`` lacks."""
+    for key, value in section.items():
+        if key not in known:
+            raise ConfigError(f"{where}{key}: unknown key (known: "
+                              f"{', '.join(sorted(known))})")
+        if isinstance(value, dict) and isinstance(known[key], dict):
+            _check_keys(value, known[key], f"{where}{key}.")
+
+
 def load_config(path: str | None = None, overrides: dict | None = None
                 ) -> RunConfig:
     """Load and validate; missing keys fall back to documented defaults."""
@@ -257,6 +285,7 @@ def load_config(path: str | None = None, overrides: dict | None = None
         raw = _merge(DEFAULT_CONFIG, user)
     if overrides:
         raw = _merge(raw, overrides)
+    _check_keys(raw, _KNOWN)
 
     m = raw["mesh"]
     try:
@@ -341,10 +370,6 @@ def load_config(path: str | None = None, overrides: dict | None = None
     eps = float(cl.get("epsilon", 0.5))
     if not (0.0 < eps < 1.0):
         raise ConfigError("carleman: epsilon must lie in (0, 1)")
-
-    if "mode" in raw["stability"]:
-        raise ConfigError("stability.mode: unknown key; the stability ensemble "
-                          "has one mode, the half-window variant")
 
     return RunConfig(
         raw=raw, mesh=mesh, regions=regions, diffusion=diffusion,

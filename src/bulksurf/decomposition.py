@@ -83,7 +83,7 @@ def mn_decomposition(tau: float, z_field: SpaceTimeField, cfg: CarlemanConfig,
     z = z_field.expr
     eta0 = 1 - X1**2 - X2**2
     gamma = (T - t0) * (t1 - T)
-    K = sp.exp(2 * lam * sp.Float(cfg.eta0_sup))
+    K = sp.exp(2 * lam)   # e^{2 lam sup eta0}, sup eta0 = 1 on the unit disk
     E = sp.exp(lam * eta0)
     alpha = (K - E) / gamma
     xi = E / gamma

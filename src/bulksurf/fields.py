@@ -57,10 +57,6 @@ class SpaceTimeField:
         self._dt = _lambdify((T, X1, X2), sp.diff(self.expr, T))
         self._d1 = _lambdify((T, X1, X2), sp.diff(self.expr, X1))
         self._d2 = _lambdify((T, X1, X2), sp.diff(self.expr, X2))
-        self._lap = _lambdify(
-            (T, X1, X2),
-            sp.diff(self.expr, X1, 2) + sp.diff(self.expr, X2, 2),
-        )
 
     def value(self, t, xy):
         return self._value(t, xy[..., 0], xy[..., 1])
@@ -72,9 +68,6 @@ class SpaceTimeField:
         return np.stack(
             [self._d1(t, xy[..., 0], xy[..., 1]),
              self._d2(t, xy[..., 0], xy[..., 1])], axis=-1)
-
-    def laplacian(self, t, xy):
-        return self._lap(t, xy[..., 0], xy[..., 1])
 
     def on_circle(self, R: float = 1.0) -> "CircleField":
         """Restriction to the circle of radius R, parametrized by angle."""

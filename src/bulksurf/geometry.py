@@ -82,12 +82,6 @@ class Mesh:
         """Flat index of cell (ring, sector); ring is 1-based."""
         return (ring - 1) * self.n_theta + sector % self.n_theta
 
-    def bulk_integral(self, u: np.ndarray) -> float:
-        return float(np.dot(self.cell_areas, u))
-
-    def surface_integral(self, u: np.ndarray) -> float:
-        return float(np.dot(self.surface_weights, u))
-
     def bulk_l2(self, u: np.ndarray) -> float:
         return float(np.sqrt(np.dot(self.cell_areas, u * u)))
 

@@ -193,55 +193,90 @@ def test_weighted_norms_quadratic_scaling(mesh, pair, smooth_traj):
     assert n2.total / n1.total == pytest.approx(4.0, rel=1e-10)
 
 
-def _independent_norm_terms(tau, traj, cfg, mesh, pair):
-    """Plain-loop requadrature of the weighted-norm terms."""
-    from bulksurf.operators import conormal_flux
+def _independent_nodes(traj, cfg, mesh):
+    """Window nodes k with plain per-node weights (W, xi, W_s, xi_s).
 
+    W and W_s are e^{-2 s alpha} shifted by the grid minimum of alpha, like
+    the weights of the estimates.
+    """
     K = math.exp(2 * cfg.lam)
     eta = 1.0 - np.sum(mesh.cell_xy**2, axis=-1)
     E = np.exp(cfg.lam * eta)
     ks = [k for k in range(1, traj.n_nodes - 1)
           if traj.times[k - 1] > cfg.t0 and traj.times[k + 1] < cfg.t1]
-    alphas, alphas_s = [], []
-    for k in ks:
-        gamma = (traj.times[k] - cfg.t0) * (cfg.t1 - traj.times[k])
-        alphas.append((K - E) / gamma)
-        alphas_s.append((K - 1.0) / gamma)
-    aref = min(min(a.min() for a in alphas), min(alphas_s))
-    out = {key: 0.0 for key in ("bulk_zeroth", "bulk_time", "bulk_elliptic",
-                                "surf_zeroth", "surf_gradient",
+    gammas = [(traj.times[k] - cfg.t0) * (cfg.t1 - traj.times[k]) for k in ks]
+    aref = min(min(((K - E) / g).min(), (K - 1.0) / g) for g in gammas)
+    nodes = []
+    for k, gamma in zip(ks, gammas):
+        expo = -2 * cfg.s * ((K - E) / gamma - aref)
+        W = np.where(expo < -700, 0.0, np.exp(np.maximum(expo, -700)))
+        expo_s = -2 * cfg.s * ((K - 1.0) / gamma - aref)
+        W_s = 0.0 if expo_s < -700 else math.exp(expo_s)
+        nodes.append((k, W, E / gamma, W_s, 1.0 / gamma))
+    return nodes
+
+
+def _independent_surface_divergence(d, zg, ds):
+    """Periodic div_s(d dz/ds) with harmonic face averages, node by node."""
+    n = len(zg)
+    t = [2 * d[j] * d[(j + 1) % n] / (d[j] + d[(j + 1) % n]) / ds
+         for j in range(n)]
+    return np.array([(t[j] * (zg[(j + 1) % n] - zg[j])
+                      - t[j - 1] * (zg[j] - zg[j - 1])) / ds
+                     for j in range(n)])
+
+
+def _independent_norm_terms(tau, traj, cfg, mesh, pair, which="z"):
+    """Plain-loop requadrature of the nine weighted-norm terms."""
+    from bulksurf.operators import conormal_flux
+
+    zb, zgs = (traj.z, traj.z_gamma) if which == "z" else (traj.y, traj.y_gamma)
+    out = {key: 0.0 for key in ("bulk_time", "bulk_elliptic", "bulk_gradient",
+                                "bulk_zeroth", "surf_time", "surf_elliptic",
+                                "surf_gradient", "surf_zeroth",
                                 "surf_conormal")}
     ds = mesh.surface_weights[0]
-    for row, k in enumerate(ks):
-        gamma = (traj.times[k] - cfg.t0) * (cfg.t1 - traj.times[k])
-        xi = E / gamma
-        expo = -2 * cfg.s * (alphas[row] - aref)
-        W = np.where(expo < -700, 0.0, np.exp(np.maximum(expo, -700)))
-        dtz = (traj.z[k + 1] - traj.z[k - 1]) / (2 * traj.dt)
-        div = pair.op_bulk.apply(traj.z[k], traj.z_gamma[k])
+    faces = list(zip(mesh.faces_a.tolist(), mesh.faces_b.tolist(),
+                     mesh.faces_geom.tolist()))
+    bnd = list(zip(mesh.bnd_cells.tolist(), mesh.bnd_geom.tolist()))
+    for k, W, xi, W_s, xi_s in _independent_nodes(traj, cfg, mesh):
+        dtz = (zb[k + 1] - zb[k - 1]) / (2 * traj.dt)
+        div = pair.op_bulk.apply(zb[k], zgs[k])
         out["bulk_zeroth"] += traj.dt * cfg.lam**4 * np.dot(
-            mesh.cell_areas, W * (cfg.s * xi) ** (tau + 3) * traj.z[k] ** 2)
+            mesh.cell_areas, W * (cfg.s * xi) ** (tau + 3) * zb[k] ** 2)
         out["bulk_time"] += traj.dt * np.dot(
             mesh.cell_areas, W * (cfg.s * xi) ** (tau - 1) * dtz**2)
         out["bulk_elliptic"] += traj.dt * np.dot(
             mesh.cell_areas, W * (cfg.s * xi) ** (tau - 1) * div**2)
 
-        xi_s = 1.0 / gamma
-        expo_s = -2 * cfg.s * (alphas_s[row] - aref)
-        W_s = 0.0 if expo_s < -700 else math.exp(expo_s)
-        zg = traj.z_gamma[k]
+        zg = zgs[k]
+        # int w |grad z|^2 face by face: interior faces, then the boundary
+        # faces to the matched surface nodes (half-cell distance)
+        w_gr = (W * (cfg.s * xi) ** (tau + 1)).tolist()
+        w_gr_s = W_s * (cfg.s * xi_s) ** (tau + 1)
+        z = zb[k].tolist()
+        grad = sum(geom * 0.5 * (w_gr[a] + w_gr[b]) * (z[a] - z[b]) ** 2
+                   for a, b, geom in faces)
+        grad += sum(geom * 0.5 * (w_gr[c] + w_gr_s) * (zg[j] - z[c]) ** 2
+                    for j, (c, geom) in enumerate(bnd))
+        out["bulk_gradient"] += traj.dt * cfg.lam**2 * grad
+
+        dtzg = (zgs[k + 1] - zgs[k - 1]) / (2 * traj.dt)
+        div_s = _independent_surface_divergence(pair.d, zg, ds)
+        out["surf_time"] += traj.dt * W_s * (cfg.s * xi_s) ** (tau - 1) \
+            * float(np.dot(mesh.surface_weights, dtzg**2))
+        out["surf_elliptic"] += traj.dt * W_s * (cfg.s * xi_s) ** (tau - 1) \
+            * float(np.dot(mesh.surface_weights, div_s**2))
         out["surf_zeroth"] += traj.dt * cfg.lam**3 * W_s \
             * (cfg.s * xi_s) ** (tau + 3) * float(np.dot(mesh.surface_weights,
                                                          zg**2))
         # int w |dz/ds|^2 over the periodic grid, face by face
         grad_sum = sum((zg[(j + 1) % len(zg)] - zg[j]) ** 2 / ds
                        for j in range(len(zg)))
-        out["surf_gradient"] += traj.dt * cfg.lam * W_s \
-            * (cfg.s * xi_s) ** (tau + 1) * grad_sum
-        flux = conormal_flux(mesh, pair.a, traj.z[k], zg)
-        out["surf_conormal"] += traj.dt * cfg.lam * W_s \
-            * (cfg.s * xi_s) ** (tau + 1) * float(np.dot(mesh.surface_weights,
-                                                         flux**2))
+        out["surf_gradient"] += traj.dt * cfg.lam * w_gr_s * grad_sum
+        flux = conormal_flux(mesh, pair.a, zb[k], zg)
+        out["surf_conormal"] += traj.dt * cfg.lam * w_gr_s \
+            * float(np.dot(mesh.surface_weights, flux**2))
     return out
 
 
@@ -251,7 +286,7 @@ def test_weighted_norms_vs_independent_quadrature(mesh, pair, smooth_traj, tau):
     norms = weighted_norms(tau, smooth_traj, cfg, mesh, pair)
     indep = _independent_norm_terms(tau, smooth_traj, cfg, mesh, pair)
     for key, val in indep.items():
-        assert norms.terms[key] == pytest.approx(val, rel=1e-10)
+        assert norms.terms[key] == pytest.approx(val, rel=1e-10, abs=0.0), key
 
 
 # --- decomposition identities ------------------------------------------------
@@ -321,6 +356,40 @@ def test_ratio_localized_field_observation_dominates(mesh, pair, regions):
     assert parts["observation"] > parts["bulk_residual"] + parts["surface_residual"]
 
 
+@pytest.mark.parametrize("tau", [-3.0, 0.0, 2.0])
+def test_ratio_rhs_vs_independent_quadrature(mesh, pair, regions, smooth_traj,
+                                             tau):
+    from bulksurf.operators import conormal_flux
+
+    cfg = cfg_small(lam=2.0)
+    traj = smooth_traj
+    obs = res_b = res_s = 0.0
+    ds = mesh.surface_weights[0]
+    for k, W, xi, W_s, xi_s in _independent_nodes(traj, cfg, mesh):
+        z, zg = traj.z[k], traj.z_gamma[k]
+        for i in regions.omega:
+            obs += traj.dt * cfg.lam**4 * mesh.cell_areas[i] * W[i] \
+                * (cfg.s * xi[i]) ** (tau + 3) * z[i] ** 2
+        Lz = (traj.z[k + 1] - traj.z[k - 1]) / (2 * traj.dt) \
+            - pair.op_bulk.apply(z, zg)
+        res_b += traj.dt * float(np.sum(mesh.cell_areas * W
+                                        * (cfg.s * xi) ** tau * Lz**2))
+        Lzg = (traj.z_gamma[k + 1] - traj.z_gamma[k - 1]) / (2 * traj.dt) \
+            - _independent_surface_divergence(pair.d, zg, ds) \
+            + conormal_flux(mesh, pair.a, z, zg)
+        res_s += traj.dt * W_s * (cfg.s * xi_s) ** tau \
+            * float(np.dot(mesh.surface_weights, Lzg**2))
+    out = carleman_ratio(tau, traj, cfg, mesh, pair, regions)
+    parts = out["parts"]
+    want = {"observation": obs, "bulk_residual": res_b,
+            "surface_residual": res_s,
+            **_independent_norm_terms(tau, traj, cfg, mesh, pair)}
+    for key, val in want.items():
+        assert parts[key] == pytest.approx(val, rel=1e-10, abs=0.0), key
+    assert out["lhs"] + out["rhs"] == pytest.approx(sum(want.values()),
+                                                    rel=1e-10, abs=0.0)
+
+
 @pytest.fixture(scope="module")
 def linear_system_run(mesh):
     """Coupled linear source solve for the one-observation estimate."""
@@ -380,3 +449,36 @@ def test_shifted_ratio_zero_everything(mesh, regions):
     out = shifted_ratio(traj, {}, cfg_small(epsilon=0.5), mesh, pair, pair,
                         regions, pot)
     assert out["lhs"] == 0.0 and out["rhs"] == 0.0
+
+
+def test_shifted_ratio_parts_vs_independent_quadrature(mesh, regions,
+                                                       linear_system_run):
+    pot, sources, traj = linear_system_run
+    pair = DiffusionPair.from_fields(mesh, 1.0, 1.0)
+    lam, eps = 2.0, 0.5
+    cfg = CarlemanConfig(lam=lam, s=default_s1(lam, 0.2, 0.8), t0=0.2, t1=0.8,
+                         epsilon=eps)
+    s = cfg.s
+    obs = f1g1 = f2g2 = 0.0
+    for k, W, xi, W_s, xi_s in _independent_nodes(traj, cfg, mesh):
+        for i in regions.omega:
+            obs += traj.dt * mesh.cell_areas[i] * W[i] * xi[i] ** 4 \
+                * traj.z[k][i] ** 2
+        f1g1 += traj.dt * (np.dot(mesh.cell_areas, W * xi**-3 * sources["f1"]**2)
+                           + W_s * xi_s**-3 * np.dot(mesh.surface_weights,
+                                                     sources["g1"]**2))
+        f2g2 += traj.dt * (np.dot(mesh.cell_areas, W * sources["f2"]**2)
+                           + W_s * np.dot(mesh.surface_weights,
+                                          sources["g2"]**2))
+    want = {
+        "observation": s**4 * lam ** (4 + eps) * obs,
+        "f1_g1": s**-3 * lam ** (-4 + eps) * f1g1,
+        "f2_g2": lam ** (2 * eps) * f2g2,
+        "norms_y": sum(_independent_norm_terms(-3.0, traj, cfg, mesh, pair,
+                                               "y").values()),
+        "norms_z": sum(_independent_norm_terms(0.0, traj, cfg, mesh,
+                                               pair).values()),
+    }
+    out = shifted_ratio(traj, sources, cfg, mesh, pair, pair, regions, pot)
+    for key, val in want.items():
+        assert out["parts"][key] == pytest.approx(val, rel=1e-10, abs=0.0), key

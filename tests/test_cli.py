@@ -99,6 +99,9 @@ def test_carleman_verify_command(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert run_cli("carleman-verify", cfg, out, threads=2) == 0
+    assert run_cli("carleman-verify", cfg, tmp_path / "serial", threads=1) == 0
+    assert (out / "ratio_sweep.csv").read_bytes() == \
+        (tmp_path / "serial" / "ratio_sweep.csv").read_bytes()
     summary = read_summary(out)
     for key in ("weight_margins", "weight_vanishing", "sigma_bounds",
                 "decomposition_residuals", "ratio_non_growth"):
@@ -119,6 +122,9 @@ def test_shifted_verify_command(tmp_path):
     assert run_cli("shifted-verify", cfg, out) == 0
     summary = read_summary(out)
     assert summary["checks"]["shifted_ratio_non_growth"]
+    assert run_cli("shifted-verify", cfg, tmp_path / "threads", threads=2) == 0
+    assert (out / "shifted_sweep.csv").read_bytes() == \
+        (tmp_path / "threads" / "shifted_sweep.csv").read_bytes()
 
 
 def test_gradcheck_command(tmp_path):
@@ -158,6 +164,18 @@ def test_removed_stability_mode_is_refused(tmp_path, capsys):
     cfg = write_config(tmp_path, {"stability": {"mode": "forward_from_theta"}})
     assert run_cli("stability", cfg, tmp_path / "out") == 1
     assert "stability.mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"solvr": {"dt": 0.01}}, "solvr"),
+    ({"stability": {"n_draw": 3}}, "stability.n_draw"),
+    ({"carleman": {"sources": {"f3": "1"}}}, "carleman.sources.f3"),
+    ({"inverse": {"guess": {"p11": 0.5}}}, "inverse.guess.p11"),
+])
+def test_unknown_config_key_is_refused(tmp_path, capsys, extra, key):
+    cfg = write_config(tmp_path, extra)
+    assert run_cli("simulate", cfg, tmp_path / "out") == 1
+    assert f"{key}: unknown key" in capsys.readouterr().err
 
 
 # Each bad expression, through each entry point, must end in a configuration
