@@ -49,25 +49,17 @@ def _lambdify(args, expr):
 
 
 class SpaceTimeField:
-    """Scalar field f(t, x1, x2) with lambdified exact derivatives."""
+    """Scalar field f(t, x1, x2): a sympy expression and its lambdified value.
+
+    Callers differentiate ``expr`` symbolically where they need derivatives.
+    """
 
     def __init__(self, expr):
         self.expr = sympy_expr(expr)
         self._value = _lambdify((T, X1, X2), self.expr)
-        self._dt = _lambdify((T, X1, X2), sp.diff(self.expr, T))
-        self._d1 = _lambdify((T, X1, X2), sp.diff(self.expr, X1))
-        self._d2 = _lambdify((T, X1, X2), sp.diff(self.expr, X2))
 
     def value(self, t, xy):
         return self._value(t, xy[..., 0], xy[..., 1])
-
-    def dt(self, t, xy):
-        return self._dt(t, xy[..., 0], xy[..., 1])
-
-    def grad(self, t, xy):
-        return np.stack(
-            [self._d1(t, xy[..., 0], xy[..., 1]),
-             self._d2(t, xy[..., 0], xy[..., 1])], axis=-1)
 
     def on_circle(self, R: float = 1.0) -> "CircleField":
         """Restriction to the circle of radius R, parametrized by angle."""
@@ -81,23 +73,15 @@ class SpaceTimeField:
 
 
 class CircleField:
-    """Scalar field g(t, theta) on a circle, with arc-length derivatives."""
+    """Scalar field g(t, theta) on the circle of radius R, with its value."""
 
     def __init__(self, expr, R: float = 1.0):
         self.expr = sympy_expr(expr)
         self.R = float(R)
         self._value = _lambdify((T, TH), self.expr)
-        self._dt = _lambdify((T, TH), sp.diff(self.expr, T))
-        self._ds = _lambdify((T, TH), sp.diff(self.expr, TH) / self.R)
 
     def value(self, t, theta):
         return self._value(t, theta)
-
-    def dt(self, t, theta):
-        return self._dt(t, theta)
-
-    def ds(self, t, theta):
-        return self._ds(t, theta)
 
 
 def divergence_a_grad(a_expr, f_expr):

@@ -10,6 +10,7 @@ conservation exact for zero potentials.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -20,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .geometry import Mesh, RegionSet
 from .model import DiffusionSpec, InitialData, Nonlinearity, PotentialSet
-from .operators import SparseOp, assemble_bulk_diffusion, assemble_surface_diffusion
+from .operators import assemble_bulk_diffusion, assemble_surface_diffusion
 
 
 class SolverError(RuntimeError):
@@ -139,7 +140,13 @@ def _normalize_sources(sources, mesh: Mesh):
 
 
 class SemilinearSystem:
-    """Assembled coupled system: operators, implicit matrix, IMEX stepping."""
+    """Assembled coupled system: operators, implicit matrix, IMEX stepping.
+
+    The packed state is x = (y, z, y_gamma, z_gamma); ``blocks`` holds the
+    slice of each field in it.  Diffusion, trace coupling and the mass
+    vector depend on the mesh and the diffusivities only, so
+    ``with_potentials`` shares them and adds just the potential blocks.
+    """
 
     def __init__(self, mesh: Mesh, diffusion: DiffusionSpec,
                  potentials: PotentialSet | None = None,
@@ -147,66 +154,84 @@ class SemilinearSystem:
                  nl_g: Nonlinearity | None = None):
         self.mesh = mesh
         self.diffusion = diffusion
-        self.potentials = potentials or PotentialSet.from_values(mesh)
         self.nl_f = nl_f
         self.nl_g = nl_g
 
-        self.op_bulk1 = assemble_bulk_diffusion(mesh, diffusion.a1)
-        self.op_bulk2 = assemble_bulk_diffusion(mesh, diffusion.a2)
-        self.op_surf1 = assemble_surface_diffusion(mesh, diffusion.d1)
-        self.op_surf2 = assemble_surface_diffusion(mesh, diffusion.d2)
-
         nb, ns = mesh.n_cells, mesh.n_theta
         self.n_dof = 2 * nb + 2 * ns
-        self.offsets = (0, nb, 2 * nb, 2 * nb + ns)
+        self.blocks = (slice(0, nb), slice(nb, 2 * nb),
+                       slice(2 * nb, 2 * nb + ns), slice(2 * nb + ns, self.n_dof))
         self.mass = np.concatenate([mesh.cell_areas, mesh.cell_areas,
                                     mesh.surface_weights, mesh.surface_weights])
-        self._K = self._assemble_coupling()
-        self._lu_cache: dict[float, spla.SuperLU] = {}
-        self._S_cache: dict[float, sp.csc_matrix] = {}
+        self._K_diffusion = self._assemble_diffusion()
+        self._set_potentials(potentials or PotentialSet.from_values(mesh))
 
-    def _assemble_coupling(self) -> sp.csc_matrix:
-        """Integrated linear operator K: diffusion + trace coupling + potentials."""
-        mesh, pot = self.mesh, self.potentials
+    def _assemble_diffusion(self) -> sp.csc_matrix:
+        """Integrated diffusion + trace coupling: the potential-free part of K."""
+        mesh, diffusion = self.mesh, self.diffusion
         nb, ns = mesh.n_cells, mesh.n_theta
-        oy, oz, oyg, ozg = self.offsets
-        areas, ds = mesh.cell_areas, mesh.surface_weights
-        blocks = []
-
-        def add(op_rows, op_cols, matrix):
-            blocks.append((op_rows, op_cols, sp.coo_matrix(matrix)))
-
-        # bulk diffusion + flux to the surface unknowns
-        add(oy, oy, self.op_bulk1.matrix)
-        add(oy, oyg, self.op_bulk1.boundary)
-        add(oz, oz, self.op_bulk2.matrix)
-        add(oz, ozg, self.op_bulk2.boundary)
-        # surface diffusion and the returning conormal flux
-        t1, t2 = self.op_bulk1.bnd_t, self.op_bulk2.bnd_t
+        oy, oz, oyg, ozg = (b.start for b in self.blocks)
+        bulk1 = assemble_bulk_diffusion(mesh, diffusion.a1)
+        bulk2 = assemble_bulk_diffusion(mesh, diffusion.a2)
+        surf1 = assemble_surface_diffusion(mesh, diffusion.d1)
+        surf2 = assemble_surface_diffusion(mesh, diffusion.d2)
+        t1, t2 = bulk1.bnd_t, bulk2.bnd_t
         j = np.arange(ns)
-        add(oyg, oyg, self.op_surf1.matrix - sp.diags(t1))
-        add(oyg, oy, sp.coo_matrix((t1, (j, mesh.trace_map)), shape=(ns, nb)))
-        add(ozg, ozg, self.op_surf2.matrix - sp.diags(t2))
-        add(ozg, oz, sp.coo_matrix((t2, (j, mesh.trace_map)), shape=(ns, nb)))
-        # linear potential terms, area-weighted
-        add(oy, oy, sp.diags(areas * pot.p11))
-        add(oy, oz, sp.diags(areas * pot.p12))
-        add(oz, oy, sp.diags(areas * pot.p21))
-        add(oz, oz, sp.diags(areas * pot.p22))
-        add(oyg, oyg, sp.diags(ds * pot.q11))
-        add(oyg, ozg, sp.diags(ds * pot.q12))
-        add(ozg, oyg, sp.diags(ds * pot.q21))
-        add(ozg, ozg, sp.diags(ds * pot.q22))
-
+        blocks = [
+            # bulk diffusion + flux to the surface unknowns
+            (oy, oy, bulk1.matrix), (oy, oyg, bulk1.boundary),
+            (oz, oz, bulk2.matrix), (oz, ozg, bulk2.boundary),
+            # surface diffusion and the returning conormal flux
+            (oyg, oyg, surf1.matrix - sp.diags(t1)),
+            (oyg, oy, sp.coo_matrix((t1, (j, mesh.trace_map)), shape=(ns, nb))),
+            (ozg, ozg, surf2.matrix - sp.diags(t2)),
+            (ozg, oz, sp.coo_matrix((t2, (j, mesh.trace_map)), shape=(ns, nb))),
+        ]
         rows, cols, vals = [], [], []
-        for orow, ocol, m in blocks:
+        for orow, ocol, matrix in blocks:
+            m = sp.coo_matrix(matrix)
             rows.append(m.row + orow)
             cols.append(m.col + ocol)
             vals.append(m.data)
-        K = sp.csc_matrix(
+        return sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.n_dof, self.n_dof))
-        return K
+
+    def _set_potentials(self, pot: PotentialSet) -> None:
+        """Add the area-weighted potential blocks to K and reset the caches.
+
+        Also fixes ``lipschitz``, the Lipschitz scale of the explicit part
+        plus the potential magnitudes, for the step-size guard.
+        """
+        self.potentials = pot
+        sy, sz, syg, szg = self.blocks
+        areas, ds = self.mesh.cell_areas, self.mesh.surface_weights
+        # eight diagonal blocks: (row block, column block, diagonal)
+        diagonals = ((sy, sy, areas * pot.p11), (sy, sz, areas * pot.p12),
+                     (sz, sy, areas * pot.p21), (sz, sz, areas * pot.p22),
+                     (syg, syg, ds * pot.q11), (syg, szg, ds * pot.q12),
+                     (szg, syg, ds * pot.q21), (szg, szg, ds * pot.q22))
+        P = sp.csc_matrix(
+            (np.concatenate([d for _, _, d in diagonals]),
+             (np.concatenate([np.arange(r.start, r.stop) for r, _, _ in diagonals]),
+              np.concatenate([np.arange(c.start, c.stop) for _, c, _ in diagonals]))),
+            shape=(self.n_dof, self.n_dof))
+        self._K = self._K_diffusion + P
+        L = max(float(np.abs(getattr(pot, name)).max()) for name in
+                ("p11", "p12", "p21", "p22", "q11", "q12", "q21", "q22"))
+        if self.nl_f is not None:
+            L = max(L, float(np.abs(pot.p13).max()) * self.nl_f.lipschitz_bound)
+        if self.nl_g is not None:
+            L = max(L, float(np.abs(pot.q13).max()) * self.nl_g.lipschitz_bound)
+        self.lipschitz = L
+        self._lu_cache: dict[float, spla.SuperLU] = {}
+        self._S_cache: dict[float, sp.csc_matrix] = {}
+
+    def with_potentials(self, potentials: PotentialSet) -> "SemilinearSystem":
+        """This system with other potentials; the diffusion part is shared."""
+        system = copy.copy(self)
+        system._set_potentials(potentials)
+        return system
 
     def implicit_matrix(self, dt: float) -> sp.csc_matrix:
         key = float(dt)
@@ -216,82 +241,59 @@ class SemilinearSystem:
         return self._S_cache[key]
 
     def factorization(self, dt: float) -> spla.SuperLU:
+        """Sparse LU of the implicit matrix, one per step size.
+
+        The minimum-degree ordering on A^T + A suits this nearly symmetric
+        matrix: it roughly halves the fill of SuperLU's default COLAMD.
+        """
         key = float(dt)
         if key not in self._lu_cache:
             try:
-                self._lu_cache[key] = spla.splu(self.implicit_matrix(dt))
+                self._lu_cache[key] = spla.splu(self.implicit_matrix(dt),
+                                                permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:  # singular factorization
                 raise SolverError(f"implicit factorization failed: {exc}") from exc
         return self._lu_cache[key]
 
-    def stability_lipschitz(self, reactions: ReactionSet | None = None) -> float:
-        """Lipschitz scale of the explicit part plus potential magnitudes."""
-        pot = self.potentials
-        L = 0.0
-        if self.nl_f is not None:
-            L = max(L, float(np.abs(pot.p13).max()) * self.nl_f.lipschitz_bound)
-        if self.nl_g is not None:
-            L = max(L, float(np.abs(pot.q13).max()) * self.nl_g.lipschitz_bound)
-        for name in ("p11", "p12", "p21", "p22", "q11", "q12", "q21", "q22"):
-            L = max(L, float(np.abs(getattr(pot, name)).max()))
-        if reactions is not None:
-            L = max(L, reactions.lipschitz_bound)
-        return L
+    def step_imex(self, x: np.ndarray, t: float, dt: float,
+                  out: np.ndarray | None = None, sources=None,
+                  reactions: ReactionSet | None = None,
+                  lu: spla.SuperLU | None = None) -> np.ndarray:
+        """One IMEX step of the packed state ``x`` at time ``t``.
 
-    def explicit_rate(self, y, z, yg, zg, t, sources=None,
-                      reactions: ReactionSet | None = None):
-        pot = self.potentials
-        nb, ns = self.mesh.n_cells, self.mesh.n_theta
-        ey = np.zeros(nb)
-        ez = np.zeros(nb)
-        eg = np.zeros(ns)
-        ezg = np.zeros(ns)
-        if self.nl_f is not None:
-            ey += pot.p13 * self.nl_f(y, z)
-        if self.nl_g is not None:
-            eg += pot.q13 * self.nl_g(yg, zg)
-        if reactions is not None:
-            r1, r2, r3, r4 = reactions.rates(y, z, yg, zg)
-            ey = ey + r1
-            ez = ez + r2
-            eg = eg + r3
-            ezg = ezg + r4
-        if sources is not None:
-            if sources["f1"] is not None:
-                ey = ey + sources["f1"](t)
-            if sources["f2"] is not None:
-                ez = ez + sources["f2"](t)
-            if sources["g1"] is not None:
-                eg = eg + sources["g1"](t)
-            if sources["g2"] is not None:
-                ezg = ezg + sources["g2"](t)
-        return ey, ez, eg, ezg
-
-    def _pack(self, y, z, yg, zg):
-        return np.concatenate([y, z, yg, zg])
-
-    def _unpack(self, x):
-        nb, ns = self.mesh.n_cells, self.mesh.n_theta
-        return x[:nb], x[nb:2 * nb], x[2 * nb:2 * nb + ns], x[2 * nb + ns:]
-
-    def step_imex(self, state: SystemState, dt: float, sources=None,
-                  reactions: ReactionSet | None = None) -> SystemState:
-        """One IMEX step; ``sources`` must already be normalized callables."""
-        L = self.stability_lipschitz(reactions)
+        Writes the state at ``t + dt`` into ``out`` (a new array when None)
+        and returns it.  ``sources`` must already be normalized callables;
+        ``lu`` is ``factorization(dt)``, looked up when not given.
+        """
+        L = self.lipschitz if reactions is None \
+            else max(self.lipschitz, reactions.lipschitz_bound)
         if L > 0 and dt > 0.5 / L:
             raise ValueError(
                 f"dt={dt} exceeds the explicit-part stability bound 0.5/L={0.5 / L:.3g}")
-        lu = self.factorization(dt)
-        x = self._pack(state.y, state.z, state.y_gamma, state.z_gamma)
-        ey, ez, eg, ezg = self.explicit_rate(state.y, state.z, state.y_gamma,
-                                             state.z_gamma, state.t,
-                                             sources=sources, reactions=reactions)
-        rhs = self.mass * (x / dt + self._pack(ey, ez, eg, ezg))
-        x_new = lu.solve(rhs)
+        if lu is None:
+            lu = self.factorization(dt)
+        pot = self.potentials
+        sy, sz, syg, szg = self.blocks
+        y, z, yg, zg = x[sy], x[sz], x[syg], x[szg]
+        E = np.zeros(self.n_dof)
+        if self.nl_f is not None:
+            E[sy] += pot.p13 * self.nl_f(y, z)
+        if self.nl_g is not None:
+            E[syg] += pot.q13 * self.nl_g(yg, zg)
+        if reactions is not None:
+            for block, rate in zip(self.blocks, reactions.rates(y, z, yg, zg)):
+                E[block] += rate
+        if sources is not None:
+            for block, key in zip(self.blocks, ("f1", "f2", "g1", "g2")):
+                if sources[key] is not None:
+                    E[block] += sources[key](t)
+        x_new = lu.solve(self.mass * (x / dt + E))
         if not np.isfinite(x_new).all():
-            raise SolverError(f"non-finite state after step at t={state.t:.6g}")
-        y, z, yg, zg = self._unpack(x_new)
-        return SystemState(y, z, yg, zg, state.t + dt)
+            raise SolverError(f"non-finite state after step at t={t:.6g}")
+        if out is None:
+            return x_new
+        out[:] = x_new
+        return out
 
     def solve(self, init: InitialData, t_end: float, dt: float,
               sources=None, reactions: ReactionSet | None = None,
@@ -300,32 +302,34 @@ class SemilinearSystem:
         """Integrate from t_start to t_end; returns all intermediate states.
 
         ``init_state`` overrides ``init`` when restarting mid-trajectory.
+        The four tables of the result are views of one packed array.
         """
-        mesh = self.mesh
-        srcs = _normalize_sources(sources, mesh)
+        srcs = _normalize_sources(sources, self.mesh)
         if init_state is not None:
             state = init_state
         else:
-            state = SystemState(init.y0.copy(), init.z0.copy(),
-                                init.y0_gamma.copy(), init.z0_gamma.copy(), t_start)
-        state.validate(mesh)
+            state = SystemState(init.y0, init.z0, init.y0_gamma, init.z0_gamma,
+                                t_start)
+        state.validate(self.mesh)
         n_steps = max(0, math.ceil((t_end - t_start) / dt - 1e-9)) if t_end > t_start else 0
 
-        y = np.empty((n_steps + 1, mesh.n_cells))
-        z = np.empty((n_steps + 1, mesh.n_cells))
-        yg = np.empty((n_steps + 1, mesh.n_theta))
-        zg = np.empty((n_steps + 1, mesh.n_theta))
+        X = np.empty((n_steps + 1, self.n_dof))
+        for block, values in zip(self.blocks, (state.y, state.z,
+                                               state.y_gamma, state.z_gamma)):
+            X[0, block] = values
         times = t_start + dt * np.arange(n_steps + 1)
-        y[0], z[0], yg[0], zg[0] = state.y, state.z, state.y_gamma, state.z_gamma
+        lu = self.factorization(dt) if n_steps else None
+        t = state.t
         for k in range(n_steps):
             try:
-                state = self.step_imex(state, dt, sources=srcs, reactions=reactions)
+                self.step_imex(X[k], t, dt, out=X[k + 1], sources=srcs,
+                               reactions=reactions, lu=lu)
             except SolverError as exc:
                 raise SolverError(f"step {k + 1} (t={times[k]:.6g}): {exc}") from exc
-            y[k + 1], z[k + 1] = state.y, state.z
-            yg[k + 1], zg[k + 1] = state.y_gamma, state.z_gamma
-        return Trajectory(times=times, y=y, z=z, y_gamma=yg, z_gamma=zg,
-                          dt=float(dt), sources=sources)
+            t = t + dt
+        sy, sz, syg, szg = self.blocks
+        return Trajectory(times=times, y=X[:, sy], z=X[:, sz], y_gamma=X[:, syg],
+                          z_gamma=X[:, szg], dt=float(dt), sources=sources)
 
 
 def window_nodes(traj: Trajectory, t0: float, t1: float) -> np.ndarray:

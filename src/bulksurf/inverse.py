@@ -160,6 +160,10 @@ class InverseProblem:
         if n_nodes * n_dof > _MAX_CHECKPOINT_FLOATS:
             raise ValueError(
                 "checkpoint storage exhausted: reduce t_end/dt or the mesh")
+        # every coefficient set shares this system's diffusion part
+        self._base_system = SemilinearSystem(
+            self.mesh, self.diffusion, self.base_potentials,
+            nl_f=self.nl_f, nl_g=self.nl_g)
 
     def patch_average(self, field: np.ndarray, where: str) -> np.ndarray:
         """Measure-weighted average of a full field per patch/arc."""
@@ -197,9 +201,7 @@ class InverseProblem:
             q21=self.basis.surf @ coeffs.q21)
 
     def system_for(self, coeffs: CoefficientVector) -> SemilinearSystem:
-        return SemilinearSystem(self.mesh, self.diffusion,
-                                self.to_potentials(coeffs),
-                                nl_f=self.nl_f, nl_g=self.nl_g)
+        return self._base_system.with_potentials(self.to_potentials(coeffs))
 
     def simulate(self, coeffs: CoefficientVector) -> Trajectory:
         return self.system_for(coeffs).solve(self.init, self.t_end, self.dt)
@@ -248,65 +250,66 @@ class InverseProblem:
                                prior: CoefficientVector | None = None
                                ) -> tuple[float, np.ndarray]:
         """Exact gradient of the discrete objective via the adjoint sweep."""
-        mesh = self.mesh
         system = self.system_for(coeffs)
         traj = system.solve(self.init, self.t_end, self.dt)
         rec = self.observation(traj)
         J = self._misfit(rec, data)
 
-        nb, ns = mesh.n_cells, mesh.n_theta
-        oy, oz, oyg, ozg = system.offsets
+        sy, sz, syg, szg = system.blocks
         N = traj.n_nodes - 1
         dt = self.dt
         lu = system.factorization(dt)
         M = system.mass
         pot = system.potentials
 
-        # gradient of the misfit wrt each state (z-block only)
+        # gradient of the misfit wrt each state: z on the omega cells only
         res = (rec.values - data.values) * rec.cell_weights[None, :] * dt
-        G = np.zeros((N + 1, system.n_dof))
+        G = np.zeros((N + 1, rec.cell_indices.size))
         for row, k in enumerate(rec.time_indices):
-            G[k + 1, oz + rec.cell_indices] += res[row] / (2 * dt)
-            G[k - 1, oz + rec.cell_indices] -= res[row] / (2 * dt)
+            G[k + 1] += res[row] / (2 * dt)
+            G[k - 1] -= res[row] / (2 * dt)
+        z_obs = sz.start + rec.cell_indices
 
-        grads = {name: np.zeros_like(getattr(coeffs, name))
-                 for name in _COEFF_NAMES}
-        areas, ds = mesh.cell_areas, mesh.surface_weights
+        # Sum over the sweep of the adjoint-times-parameter-Jacobian fields
+        # for step n -> n+1; weighted by M and reduced to patches once below.
+        # Implicit side: dS/dp21 x^{n+1} = -area * y^{n+1} in the z rows.
+        # Explicit side: -mu^T M dE/dc at x^n.
+        acc = np.zeros(system.n_dof)
 
         def accumulate(mu, n):
-            """Adjoint-times-parameter-Jacobian terms for step n -> n+1."""
-            mu_y, mu_z = mu[oy:oy + nb], mu[oz:oz + nb]
-            mu_yg = mu[oyg:oyg + ns]
-            mu_zg = mu[ozg:ozg + ns]
-            # implicit side: dS/dp21 x^{n+1} = -area * y^{n+1} in the z rows
-            grads["p21"] -= self.basis.bulk.T @ (areas * mu_z * traj.y[n + 1])
-            grads["q21"] -= self.basis.surf.T @ (ds * mu_zg * traj.y_gamma[n + 1])
-            # explicit side: -mu^T M dE/dc at x^n
-            fvals = self.nl_f(traj.y[n], traj.z[n])
-            gvals = self.nl_g(traj.y_gamma[n], traj.z_gamma[n])
-            grads["p13"] -= self.basis.bulk.T @ (areas * mu_y * fvals)
-            grads["q13"] -= self.basis.surf.T @ (ds * mu_yg * gvals)
+            acc[sy] += mu[sy] * self.nl_f(traj.y[n], traj.z[n])
+            acc[sz] += mu[sz] * traj.y[n + 1]
+            acc[syg] += mu[syg] * self.nl_g(traj.y_gamma[n], traj.z_gamma[n])
+            acc[szg] += mu[szg] * traj.y_gamma[n + 1]
 
         def jac_expl_T(mu, n):
             """(dE/dx)^T (M mu) for the explicit reaction at state n."""
             out = np.zeros(system.n_dof)
             fy, fz = self.nl_f.partials(traj.y[n], traj.z[n])
             gy, gz = self.nl_g.partials(traj.y_gamma[n], traj.z_gamma[n])
-            wy = areas * mu[oy:oy + nb]
-            wyg = ds * mu[oyg:oyg + ns]
-            out[oy:oy + nb] += pot.p13 * fy * wy
-            out[oz:oz + nb] += pot.p13 * fz * wy
-            out[oyg:oyg + ns] += pot.q13 * gy * wyg
-            out[ozg:ozg + ns] += pot.q13 * gz * wyg
+            wy = M[sy] * mu[sy]
+            wyg = M[syg] * mu[syg]
+            out[sy] += pot.p13 * fy * wy
+            out[sz] += pot.p13 * fz * wy
+            out[syg] += pot.q13 * gy * wyg
+            out[szg] += pot.q13 * gz * wyg
             return out
 
-        mu = lu.solve(-G[N], trans="T")
+        rhs = np.zeros(system.n_dof)
+        rhs[z_obs] = -G[N]
+        mu = lu.solve(rhs, trans="T")
         accumulate(mu, N - 1)
         for m in range(N - 1, 0, -1):
-            rhs = -G[m] + (M / dt) * mu + jac_expl_T(mu, m)
+            rhs = (M / dt) * mu
+            rhs[z_obs] -= G[m]
+            rhs += jac_expl_T(mu, m)
             mu = lu.solve(rhs, trans="T")
             accumulate(mu, m - 1)
 
+        w = M * acc
+        bulk_T, surf_T = self.basis.bulk.T, self.basis.surf.T
+        grads = {"p13": -(bulk_T @ w[sy]), "p21": -(bulk_T @ w[sz]),
+                 "q13": -(surf_T @ w[syg]), "q21": -(surf_T @ w[szg])}
         flat = np.concatenate([grads[name] for name in coeffs.free])
         if reg_weight > 0 and prior is not None:
             d = coeffs.pack() - prior.pack()
@@ -459,9 +462,23 @@ def stability_ensemble(problem: InverseProblem,
     theta = float(ref_traj.times[k_theta])
     t1 = regions.t1
     state_theta = ref_traj.state(k_theta)
+    pot_ref = system_ref.potentials
+    ref_tail = Trajectory(
+        times=ref_traj.times[k_theta:], dt=ref_traj.dt,
+        y=ref_traj.y[k_theta:], z=ref_traj.z[k_theta:],
+        y_gamma=ref_traj.y_gamma[k_theta:], z_gamma=ref_traj.z_gamma[k_theta:])
 
     f_theta = problem.nl_f(ref_traj.y[k_theta], ref_traj.z[k_theta])
     g_theta = problem.nl_g(ref_traj.y_gamma[k_theta], ref_traj.z_gamma[k_theta])
+
+    # mid-time identities: one fine substep of both systems off theta
+    # isolates d/dt of the difference at theta+ (a coarse step would
+    # fold in an O(dt * a/dr^2) boundary-coupling error)
+    dt_fine = problem.dt / 64.0
+    x_theta = np.concatenate([state_theta.y, state_theta.z,
+                              state_theta.y_gamma, state_theta.z_gamma])
+    s_ref = system_ref.step_imex(x_theta, theta, dt_fine)
+    sy, sz, syg, szg = system_ref.blocks
 
     records = []
     n_rejected = 0
@@ -474,7 +491,6 @@ def stability_ensemble(problem: InverseProblem,
         l1 = perturbation_scale * _smooth_surf_shape(mesh, rng)
         l2 = perturbation_scale * _smooth_surf_shape(mesh, rng)
 
-        pot_ref = problem.to_potentials(reference_coeffs)
         try:
             pot_pert = pot_ref.with_fields(p13=pot_ref.p13 + a1,
                                            p21=pot_ref.p21 + a2,
@@ -495,14 +511,9 @@ def stability_ensemble(problem: InverseProblem,
             draws_done += 1
             continue
 
-        system_pert = SemilinearSystem(mesh, problem.diffusion, pot_pert,
-                                       nl_f=problem.nl_f, nl_g=problem.nl_g)
+        system_pert = system_ref.with_potentials(pot_pert)
         pert_traj = system_pert.solve(problem.init, t1, problem.dt,
                                       t_start=theta, init_state=state_theta)
-        ref_tail = Trajectory(
-            times=ref_traj.times[k_theta:], dt=ref_traj.dt,
-            y=ref_traj.y[k_theta:], z=ref_traj.z[k_theta:],
-            y_gamma=ref_traj.y_gamma[k_theta:], z_gamma=ref_traj.z_gamma[k_theta:])
         n_common = min(ref_tail.n_nodes, pert_traj.n_nodes)
         diff = Trajectory(
             times=pert_traj.times[:n_common], dt=pert_traj.dt,
@@ -511,17 +522,11 @@ def stability_ensemble(problem: InverseProblem,
             y_gamma=pert_traj.y_gamma[:n_common] - ref_tail.y_gamma[:n_common],
             z_gamma=pert_traj.z_gamma[:n_common] - ref_tail.z_gamma[:n_common])
 
-        # mid-time identities: one fine substep of both systems off theta
-        # isolates d/dt of the difference at theta+ (a coarse step would
-        # fold in an O(dt * a/dr^2) boundary-coupling error)
-        dt = problem.dt
-        dt_fine = dt / 64.0
-        s_ref = system_ref.step_imex(state_theta, dt_fine)
-        s_pert = system_pert.step_imex(state_theta, dt_fine)
-        v0 = (s_pert.z - s_ref.z) / dt_fine
-        u0 = (s_pert.y - s_ref.y) / dt_fine
-        v0_g = (s_pert.z_gamma - s_ref.z_gamma) / dt_fine
-        u0_g = (s_pert.y_gamma - s_ref.y_gamma) / dt_fine
+        s_pert = system_pert.step_imex(x_theta, theta, dt_fine)
+        v0 = (s_pert[sz] - s_ref[sz]) / dt_fine
+        u0 = (s_pert[sy] - s_ref[sy]) / dt_fine
+        v0_g = (s_pert[szg] - s_ref[szg]) / dt_fine
+        u0_g = (s_pert[syg] - s_ref[syg]) / dt_fine
         tv = a2 * ref_traj.y[k_theta]
         tu = a1 * f_theta
         tvg = l2 * ref_traj.y_gamma[k_theta]

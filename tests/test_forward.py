@@ -99,6 +99,108 @@ def test_dt_stability_guard(mesh, diffusion):
         system.solve(init, t_end=1.0, dt=0.2)
 
 
+def test_reaction_bound_enters_the_cached_guard(mesh, diffusion):
+    # the bound from the potentials is fixed per system; the reactions'
+    # bound still joins it on every step, and a derived system has its own
+    system = SemilinearSystem(mesh, diffusion)
+    init = InitialData.from_values(mesh, y0=1.0, z0=1.0)
+    system.solve(init, t_end=0.05, dt=0.01)
+    with pytest.raises(ValueError, match="stability"):
+        system.solve(init, t_end=0.05, dt=0.01,
+                     reactions=ReactionSet(lipschitz_bound=100.0))
+    hot = system.with_potentials(
+        PotentialSet.from_values(mesh, R_bound=100.0, p11=60.0))
+    with pytest.raises(ValueError, match="stability"):
+        hot.solve(init, t_end=0.05, dt=0.01)
+    system.solve(init, t_end=0.05, dt=0.01)
+
+
+def test_with_potentials_matches_fresh_system(mesh, diffusion):
+    nl = make_power_nonlinearity(1, 1, (4.0, 4.0))
+    base_pot = PotentialSet.from_values(mesh, p11=0.3, q13=0.2)
+    base = SemilinearSystem(mesh, diffusion, base_pot, nl_f=nl, nl_g=nl)
+    dt = 0.01
+    base_S = base.implicit_matrix(dt).toarray()
+    base_lu = base.factorization(dt)
+    pot = PotentialSet.from_values(
+        mesh, p11=-0.2, p12=0.1, p13=0.5, p21=0.3 + 0.1 * mesh.cell_r,
+        p22=-0.1, q11=0.1, q12=0.05, q13=0.3,
+        q21=0.2 + 0.1 * np.cos(mesh.surface_theta), q22=-0.05)
+    derived = base.with_potentials(pot)
+    fresh = SemilinearSystem(mesh, diffusion, pot, nl_f=nl, nl_g=nl)
+    np.testing.assert_array_equal(derived.implicit_matrix(dt).toarray(),
+                                  fresh.implicit_matrix(dt).toarray())
+    assert derived.lipschitz == fresh.lipschitz
+    init = InitialData.from_values(mesh, y0=1.0 + 0.2 * mesh.cell_r, z0=0.5)
+    a = derived.solve(init, t_end=0.1, dt=dt)
+    b = fresh.solve(init, t_end=0.1, dt=dt)
+    for name in ("y", "z", "y_gamma", "z_gamma"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    # the base system keeps its own matrix and factorization
+    assert base.potentials is base_pot
+    np.testing.assert_array_equal(base.implicit_matrix(dt).toarray(), base_S)
+    assert base.factorization(dt) is base_lu
+    assert derived.factorization(dt) is not base_lu
+
+
+def test_solve_matches_dense_reference():
+    # oracle: dense solves of S x^{n+1} = M (x^n / dt + E(t_n, x^n)), with
+    # the explicit part E written out by hand
+    mesh = build_polar_mesh(4, 8, 1.0)
+    nb, ns = mesh.n_cells, mesh.n_theta
+    diffusion = DiffusionSpec.from_values(mesh, a1=1.0 + 0.3 * mesh.cell_r,
+                                          d2=2.0)
+    pot = PotentialSet.from_values(
+        mesh, p11=-0.3, p12=0.2, p13=0.5, p21=0.4, p22=-0.1,
+        q11=0.1, q12=-0.2, q13=0.3, q21=0.25, q22=-0.15)
+    nl_f = make_power_nonlinearity(1, 1, (2.0, 2.0))
+    nl_g = make_power_nonlinearity(2, 0, (2.0, 2.0))
+    system = SemilinearSystem(mesh, diffusion, pot, nl_f=nl_f, nl_g=nl_g)
+
+    def f1(y, z):
+        return 0.1 * z
+
+    def f2(y, z):
+        return 0.2 * y - 0.05 * z
+
+    def g1(yg, zg):
+        return 0.3 * zg * zg
+
+    def g2(yg, zg):
+        return 0.1 * yg
+
+    reactions = ReactionSet(f1=f1, f2=f2, g1=g1, g2=g2, lipschitz_bound=1.0,
+                            clip=True)
+    src_f2 = 0.1 * mesh.cell_xy[:, 0]
+    sources = {"f1": lambda t: np.cos(3 * t) * mesh.cell_r, "f2": src_f2,
+               "g1": lambda t: t * np.sin(mesh.surface_theta)}
+    rng = np.random.default_rng(12)
+    init = InitialData.from_values(
+        mesh, y0=rng.standard_normal(nb), z0=rng.standard_normal(nb),
+        y0_gamma=rng.standard_normal(ns), z0_gamma=rng.standard_normal(ns))
+    dt = 0.01
+    traj = system.solve(init, t_end=10 * dt, dt=dt, sources=sources,
+                        reactions=reactions)
+    assert traj.n_nodes == 11
+
+    S = system.implicit_matrix(dt).toarray()
+    x = np.concatenate([init.y0, init.z0, init.y0_gamma, init.z0_gamma])
+    for k in range(10):
+        t = k * dt
+        y, z = x[:nb], x[nb:2 * nb]
+        yg, zg = x[2 * nb:2 * nb + ns], x[2 * nb + ns:]
+        yp, zp, ygp, zgp = (np.maximum(v, 0.0) for v in (y, z, yg, zg))
+        E = np.concatenate([
+            pot.p13 * y * z + f1(yp, zp) + np.cos(3 * t) * mesh.cell_r,
+            f2(yp, zp) + src_f2,
+            pot.q13 * yg**2 + g1(ygp, zgp) + t * np.sin(mesh.surface_theta),
+            g2(ygp, zgp)])
+        x = np.linalg.solve(S, system.mass * (x / dt + E))
+        got = np.concatenate([traj.y[k + 1], traj.z[k + 1],
+                              traj.y_gamma[k + 1], traj.z_gamma[k + 1]])
+        assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
+
+
 def test_linear_response_to_initial_perturbation(mesh, diffusion):
     nl = make_power_nonlinearity(1, 1, (4.0, 4.0))
     pot = PotentialSet.from_values(mesh, p13=0.5, p21=0.3, q21=0.3)

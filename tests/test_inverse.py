@@ -137,6 +137,31 @@ def test_gradient_matches_finite_differences(problem, truth, data):
     assert worst <= 1e-5
 
 
+def test_gradient_all_four_blocks_per_coordinate(problem, data):
+    # oracle: central differences per coordinate, with all four blocks free,
+    # so the implicit-side p21/q21 and explicit-side p13/q13 sums are checked
+    rng = np.random.default_rng(23)
+    nb, na = problem.basis.n_bulk, problem.basis.n_arcs
+    c0 = problem.coefficient_vector(
+        p13=0.8 + 0.3 * rng.standard_normal(nb),
+        p21=1.0 + 0.2 * rng.standard_normal(nb),
+        q13=0.3 + 0.2 * rng.standard_normal(na),
+        q21=1.0 + 0.2 * rng.standard_normal(na),
+        free=("p13", "p21", "q13", "q21")).project()
+    x0 = c0.pack()
+    _, g = problem.objective_and_gradient(c0, data)
+    h = 1e-5
+    fd = np.empty_like(x0)
+    for i in range(x0.size):
+        e = np.zeros_like(x0)
+        e[i] = h
+        fd[i] = (problem.objective(c0.unpack(x0 + e), data)
+                 - problem.objective(c0.unpack(x0 - e), data)) / (2 * h)
+    assert np.abs(fd).min() > 1e-6  # every coordinate is sensitive
+    rel = np.abs(fd - g) / np.abs(fd)
+    assert rel.max() <= 1e-5
+
+
 def test_gradient_of_regularizer_alone(problem, truth, data):
     # with zero observation misfit, the gradient is reg * W * (c - prior)
     prior = problem.coefficient_vector(p13=0.5, q21=1.0, free=("p13", "q21"))
