@@ -45,6 +45,7 @@ from .inverse import (
     simulate_twin,
     stability_ensemble,
 )
+from .model import InitialData
 from .positivity import negative_part_energy_monotone, positivity_experiment
 
 
@@ -100,15 +101,12 @@ class _Runner:
         self.threads = max(1, threads)
         os.makedirs(out_dir, exist_ok=True)
         self.checks: dict[str, bool] = {}
-        lam1 = float(cfg.carleman.get("lambda1", 2.0))
-        s1 = cfg.carleman.get("s1")
+        lam1 = cfg.carleman["lambda1"]
         self.effective: dict = {
             "seed": cfg.seed,
             "lambda1": lam1,
-            "s1_at_lambda1": (float(s1) if s1
-                              else default_s1(lam1, cfg.regions.t0,
-                                              cfg.regions.t1)),
-            "epsilon": float(cfg.carleman.get("epsilon", 0.5)),
+            "s1_at_lambda1": _s1(cfg, lam1),
+            "epsilon": cfg.carleman["epsilon"],
         }
         self.schema: dict[str, list[str]] = {}
         write_json(os.path.join(out_dir, "config_echo.json"), cfg.raw)
@@ -133,6 +131,11 @@ class _Runner:
             return [fn(x) for x in items]
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
             return list(pool.map(fn, items))
+
+
+def _s1(cfg: RunConfig, lam: float) -> float:
+    """The configured s1, or the default floor at ``lam``."""
+    return cfg.carleman["s1"] or default_s1(lam, cfg.regions.t0, cfg.regions.t1)
 
 
 def _cmd_simulate(run: _Runner) -> int:
@@ -175,13 +178,11 @@ def _cmd_simulate(run: _Runner) -> int:
 def _cmd_positivity(run: _Runner) -> int:
     cfg = run.cfg
     pz = cfg.positivity
-    spec = pz.get("reactions", {"f1": "v", "f2": "u", "g1": "v", "g2": "u"})
     reactions = ReactionSet(
-        **{k: compile_expression(spec[k], ("u", "v"), f"positivity.reactions.{k}")
-           for k in ("f1", "f2", "g1", "g2") if spec.get(k) is not None},
-        lipschitz_bound=float(pz.get("lipschitz_bound", 1.0)))
-    n_draws = int(pz.get("draws", 20))
-    t_end = float(pz.get("t_end", 0.3))
+        **{k: compile_expression(spec, ("u", "v"), f"positivity.reactions.{k}")
+           for k, spec in pz["reactions"].items() if spec is not None},
+        lipschitz_bound=pz["lipschitz_bound"])
+    n_draws, t_end = pz["draws"], pz["t_end"]
     rng = np.random.default_rng(cfg.seed)
     tol = 1e-10
     run.effective.update({"min_tolerance": tol, "draws": n_draws,
@@ -192,7 +193,6 @@ def _cmd_positivity(run: _Runner) -> int:
     energy_ok = True
     first_energy = None
     for d in range(n_draws):
-        from .model import InitialData
         init = InitialData.from_values(
             cfg.mesh, y0=rng.random(cfg.mesh.n_cells),
             z0=rng.random(cfg.mesh.n_cells),
@@ -229,30 +229,30 @@ _TEST_FIELDS = {
 }
 
 
-def _sweep_grid(cfg: RunConfig):
-    lam1 = float(cfg.carleman.get("lambda1", 2.0))
-    s1_cfg = cfg.carleman.get("s1")
-    t0, t1 = cfg.regions.t0, cfg.regions.t1
-    grid = []
-    for lam in (lam1, 2 * lam1):
-        s1 = float(s1_cfg) if s1_cfg else default_s1(lam, t0, t1)
-        for fac in (1.0, 2.0, 4.0):
-            grid.append((lam, s1, fac * s1))
-    return lam1, grid
+def _sweep_grid(run: _Runner) -> list:
+    """(lambda, s1, s) at lambda1 and 2 lambda1, each with s = s1, 2 s1, 4 s1."""
+    lam1 = run.effective["lambda1"]
+    return [(lam, s1, fac * s1) for lam in (lam1, 2 * lam1)
+            for s1 in (_s1(run.cfg, lam),) for fac in (1.0, 2.0, 4.0)]
+
+
+def _non_growth(ratios: list) -> bool:
+    """Each triple of sweep ratios (s = s1, 2 s1, 4 s1) stays within twice its first."""
+    return all(np.isfinite(a) and b <= 2.0 * a and c <= 2.0 * a
+               for a, b, c in zip(*[iter(ratios)] * 3))
 
 
 def _cmd_carleman_verify(run: _Runner) -> int:
     cfg = run.cfg
+    cl = cfg.carleman
     t0, t1 = cfg.regions.t0, cfg.regions.t1
-    lam1, grid = _sweep_grid(cfg)
-    a_expr = sympy_expr(cfg.carleman.get("a_expr", "1"), "carleman.a_expr",
-                        ("x1", "x2"))
-    d_expr = sympy_expr(cfg.carleman.get("d_expr", "1"), "carleman.d_expr",
-                        ("theta",))
-    eps = float(cfg.carleman.get("epsilon", 0.5))
-    tau_list = [float(t) for t in cfg.carleman.get("tau_list", [-3, 0, 2])]
+    lam1, eps = run.effective["lambda1"], run.effective["epsilon"]
+    grid = _sweep_grid(run)
+    a_expr = sympy_expr(cl["a_expr"], "carleman.a_expr", ("x1", "x2"))
+    d_expr = sympy_expr(cl["d_expr"], "carleman.d_expr", ("theta",))
+    tau_list = cl["tau_list"]
     run.effective.update({
-        "lambda1": lam1, "epsilon": eps, "tau_list": tau_list,
+        "tau_list": tau_list,
         "s1_per_lambda": {str(lam): s1 for lam, s1, _ in grid},
         "residual_tolerance": 1e-8, "growth_tolerance": 2.0,
         "margin_floor": 1.0})
@@ -283,8 +283,7 @@ def _cmd_carleman_verify(run: _Runner) -> int:
 
     pair = DiffusionPair.from_fields(cfg.mesh, cfg.diffusion.a1,
                                      cfg.diffusion.d1)
-    n_fields = int(cfg.carleman.get("n_test_fields", 3))
-    names = list(_TEST_FIELDS)[:n_fields]
+    names = list(_TEST_FIELDS)[:cl["n_test_fields"]]
     times_traj = np.arange(0.0, cfg.t_end + cfg.dt / 2, cfg.dt)
     trajs = {}
     for name in names:
@@ -311,26 +310,17 @@ def _cmd_carleman_verify(run: _Runner) -> int:
              "observation", "bulk_residual", "surface_residual",
              "bulk_zeroth", "bulk_gradient", "surf_zeroth", "surf_conormal"],
             rows)
-    growth_ok = True
-    for name in names:
-        for lam, s1, _ in grid[::3]:
-            rs = [r[6] for r in rows if r[0] == name and r[3] == lam]
-            base_r = rs[0]
-            if not np.isfinite(base_r):
-                growth_ok = False
-                continue
-            growth_ok = growth_ok and all(r <= 2.0 * base_r for r in rs[1:])
-    run.checks["ratio_non_growth"] = bool(growth_ok)
+    run.checks["ratio_non_growth"] = _non_growth([r[6] for r in rows])
     return run.finish({"margins": margins, "sigma": sig})
 
 
 def _cmd_shifted_verify(run: _Runner) -> int:
     cfg = run.cfg
     t0, t1 = cfg.regions.t0, cfg.regions.t1
-    lam1, grid = _sweep_grid(cfg)
-    eps = float(cfg.carleman.get("epsilon", 0.5))
+    eps = run.effective["epsilon"]
+    grid = _sweep_grid(run)
     run.effective.update({
-        "lambda1": lam1, "epsilon": eps, "growth_tolerance": 2.0,
+        "growth_tolerance": 2.0,
         "s1_per_lambda": {str(lam): s1 for lam, s1, _ in grid},
         "p0": cfg.potentials.p0})
 
@@ -339,19 +329,9 @@ def _cmd_shifted_verify(run: _Runner) -> int:
               file=sys.stderr)
         return 1
     system = SemilinearSystem(cfg.mesh, cfg.diffusion, cfg.potentials)
-    xy = cfg.mesh.cell_xy
-    th = cfg.mesh.surface_theta
-    src_spec = cfg.carleman.get("sources", {})
-    sources = {
-        "f1": parse_field_spec(src_spec.get("f1", "0.5 + 0.3*x1"), cfg.mesh,
-                               "carleman.sources.f1"),
-        "f2": parse_field_spec(src_spec.get("f2", "0.4 - 0.2*x2"), cfg.mesh,
-                               "carleman.sources.f2"),
-        "g1": parse_field_spec(src_spec.get("g1", "0.2 + 0.1*cos(theta)"),
-                               cfg.mesh, "carleman.sources.g1", on_surface=True),
-        "g2": parse_field_spec(src_spec.get("g2", "0.3 + 0.1*sin(theta)"),
-                               cfg.mesh, "carleman.sources.g2", on_surface=True),
-    }
+    sources = {k: parse_field_spec(spec, cfg.mesh, f"carleman.sources.{k}",
+                                   on_surface=k.startswith("g"))
+               for k, spec in cfg.carleman["sources"].items()}
     traj = system.solve(cfg.init, cfg.t_end, cfg.dt, sources=sources)
     pair1 = DiffusionPair.from_fields(cfg.mesh, cfg.diffusion.a1,
                                       cfg.diffusion.d1)
@@ -373,41 +353,30 @@ def _cmd_shifted_verify(run: _Runner) -> int:
             ["s", "lambda", "epsilon", "lhs", "rhs", "ratio", "log_scale",
              "observation", "f1_g1", "f2_g2", "norms_y", "norms_z"],
             rows)
-    growth_ok = True
-    for lam, s1, _ in grid[::3]:
-        rs = [r[5] for r in rows if r[1] == lam]
-        if not np.isfinite(rs[0]):
-            growth_ok = False
-            continue
-        growth_ok = growth_ok and all(r <= 2.0 * rs[0] for r in rs[1:])
-    run.checks["shifted_ratio_non_growth"] = bool(growth_ok)
+    run.checks["shifted_ratio_non_growth"] = _non_growth([r[5] for r in rows])
     return run.finish()
 
 
 def _make_inverse_problem(cfg: RunConfig) -> InverseProblem:
     inv = cfg.inverse
-    basis = build_patch_basis(cfg.mesh, int(inv.get("n_patch_r", 4)),
-                              int(inv.get("n_patch_theta", 4)),
-                              int(inv.get("n_arcs", 8)))
+    basis = build_patch_basis(cfg.mesh, inv["n_patch_r"], inv["n_patch_theta"],
+                              inv["n_arcs"])
     return InverseProblem(
         mesh=cfg.mesh, regions=cfg.regions, diffusion=cfg.diffusion,
         base_potentials=cfg.potentials, nl_f=cfg.nl_f, nl_g=cfg.nl_g,
         init=cfg.init, t_end=cfg.t_end, dt=cfg.dt, basis=basis,
-        r_floor=float(cfg.assumptions.get("r", 1.0)),
-        r1_floor=float(cfg.assumptions.get("r1", 0.05)))
+        r_floor=cfg.assumptions["r"], r1_floor=cfg.assumptions["r1"])
 
 
 def _truth_coeffs(problem: InverseProblem, cfg: RunConfig):
-    inv = cfg.inverse
-    free = tuple(inv.get("free", ["p13", "q21"]))
     rng = np.random.default_rng(cfg.seed)
     vals = {}
-    for name, spec in inv.get("truth", {}).items():
+    for name, spec in cfg.inverse["truth"].items():
         n = problem.basis.n_bulk if name.startswith("p") else problem.basis.n_arcs
         raw = rng.standard_normal(n)
         pattern = raw / np.abs(raw).max()
-        vals[name] = float(spec["base"]) + float(spec["amplitude"]) * pattern
-    return problem.coefficient_vector(free=free, **vals).project()
+        vals[name] = spec["base"] + spec["amplitude"] * pattern
+    return problem.coefficient_vector(free=cfg.inverse["free"], **vals).project()
 
 
 def _cmd_gradcheck(run: _Runner) -> int:
@@ -415,9 +384,9 @@ def _cmd_gradcheck(run: _Runner) -> int:
     problem = _make_inverse_problem(cfg)
     truth = _truth_coeffs(problem, cfg)
     data = simulate_twin(problem, truth, noise_level=0.0, seed=cfg.seed)
-    n_pts = int(cfg.inverse.get("gradcheck_points", 3))
-    n_dirs = int(cfg.inverse.get("gradcheck_directions", 20))
-    h = float(cfg.inverse.get("gradcheck_step", 1e-5))
+    inv = cfg.inverse
+    n_pts, n_dirs = inv["gradcheck_points"], inv["gradcheck_directions"]
+    h = inv["gradcheck_step"]
     tol = 1e-5
     run.effective.update({"fd_step": h, "tolerance": tol,
                           "points": n_pts, "directions": n_dirs})
@@ -451,16 +420,14 @@ def _cmd_reconstruct(run: _Runner) -> int:
     inv = cfg.inverse
     problem = _make_inverse_problem(cfg)
     truth = _truth_coeffs(problem, cfg)
-    noise = float(inv.get("noise_level", 0.0))
+    noise = inv["noise_level"]
     data = simulate_twin(problem, truth, noise_level=noise, seed=cfg.seed)
-    guess_spec = inv.get("guess", {})
     guess = problem.coefficient_vector(
         free=truth.free,
-        **{k: guess_spec[k] for k in guess_spec if k in truth.free})
-    out = problem.reconstruct(
-        data, guess, max_iter=int(inv.get("max_iter", 100)),
-        tolerance=float(inv.get("tolerance", 1e-10)),
-        reg_weight=float(inv.get("reg_weight", 0.0)))
+        **{k: v for k, v in inv["guess"].items() if k in truth.free})
+    out = problem.reconstruct(data, guess, max_iter=inv["max_iter"],
+                              tolerance=inv["tolerance"],
+                              reg_weight=inv["reg_weight"])
     run.csv("history.csv", ["iteration", "objective", "grad_norm", "step_size"],
             [(h["iteration"], h["objective"], h["grad_norm"], h["step_size"])
              for h in out["history"]])
@@ -478,11 +445,10 @@ def _cmd_reconstruct(run: _Runner) -> int:
         free=truth.free, **{k: 0.0 for k in truth.free})
     rel = out["coeffs"].l2_distance(truth, problem.basis) \
         / max(truth.l2_distance(zero, problem.basis), 1e-300)
-    target = float(inv.get("target_rel_error", 0.05))
-    run.effective.update({"target_rel_error": target, "noise_level": noise,
-                          "reg_weight": float(inv.get("reg_weight", 0.0)),
-                          "max_iter": int(inv.get("max_iter", 100)),
-                          "tolerance": float(inv.get("tolerance", 1e-10))})
+    target = inv["target_rel_error"]
+    run.effective.update({k: inv[k] for k in (
+        "target_rel_error", "noise_level", "reg_weight", "max_iter",
+        "tolerance")})
     run.checks["objective_monotone"] = bool(all(
         b["objective"] <= a["objective"] + 1e-15
         for a, b in zip(out["history"], out["history"][1:])))
@@ -499,39 +465,27 @@ def _cmd_reconstruct(run: _Runner) -> int:
 
 def _cmd_stability(run: _Runner) -> int:
     cfg = run.cfg
-    st = cfg.stability
     problem = _make_inverse_problem(cfg)
     truth = _truth_coeffs(problem, cfg)
-    scale = float(st.get("scale", 1e-3))
-    n_draws = int(st.get("n_draws", 20))
-    rep = stability_ensemble(problem, truth, n_draws=n_draws,
+    scale = cfg.stability["scale"]
+    rep = stability_ensemble(problem, truth, n_draws=cfg.stability["n_draws"],
                              perturbation_scale=scale, seed=cfg.seed)
-    rep_half = stability_ensemble(problem, truth, n_draws=n_draws,
-                                  perturbation_scale=scale / 2, seed=cfg.seed)
-    rows = []
-    for i, (r, rh) in enumerate(zip(rep.records, rep_half.records)):
-        if r.get("skipped"):
-            continue
-        rows.append((i, r["delta_norm"], r["obs_norm"], r["ratio"],
-                     r["v_rel_err"], r["u_rel_err"], r["v_gamma_rel_err"],
-                     r["u_gamma_rel_err"], rh["obs_norm"]))
-    run.csv("draws.csv",
-            ["draw", "delta_norm", "obs_norm", "ratio", "v_rel_err",
-             "u_rel_err", "v_gamma_rel_err", "u_gamma_rel_err",
-             "obs_norm_half_scale"], rows)
+    drawn = [(i, r) for i, r in enumerate(rep.records) if not r["skipped"]]
+    columns = ["delta_norm", "obs_norm", "ratio", "v_rel_err", "u_rel_err",
+               "v_gamma_rel_err", "u_gamma_rel_err", "obs_norm_half_scale"]
+    run.csv("draws.csv", ["draw", *columns],
+            [(i, *(r[c] for c in columns)) for i, r in drawn])
 
     kappa = 4.0 * float(cfg.diffusion.a2.max()) / problem.mesh.dr**2
     ident_dt = problem.dt / 64.0
     ident_tol = ident_dt * kappa + 100 * scale**2
     ident_ok = all(
         max(r["v_rel_err"], r["u_rel_err"], r["v_gamma_rel_err"],
-            r["u_gamma_rel_err"]) <= ident_tol
-        for r in rep.records if not r.get("skipped"))
+            r["u_gamma_rel_err"]) <= ident_tol for _, r in drawn)
     linear_ok = all(
-        rh["obs_norm"] == 0.0 if r["obs_norm"] == 0.0 else
-        abs(rh["obs_norm"] / r["obs_norm"] - 0.5) <= 0.05
-        for r, rh in zip(rep.records, rep_half.records)
-        if not r.get("skipped"))
+        r["obs_norm_half_scale"] == 0.0 if r["obs_norm"] == 0.0 else
+        abs(r["obs_norm_half_scale"] / r["obs_norm"] - 0.5) <= 0.05
+        for _, r in drawn)
     run.checks["midtime_identities"] = bool(ident_ok)
     run.checks["linear_response"] = bool(linear_ok)
     run.checks["ratio_spread"] = bool(rep.spread <= 10.0)

@@ -13,12 +13,15 @@ import ast
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Mesh, RegionSet, build_polar_mesh, build_regions
+from .inverse import _COEFF_NAMES
 from .model import (
+    _BULK_NAMES,
+    _SURF_NAMES,
     DiffusionSpec,
     InitialData,
     Nonlinearity,
@@ -185,7 +188,11 @@ def parse_field_spec(spec, mesh: Mesh, where: str, on_surface: bool = False
 
 @dataclass
 class RunConfig:
-    """Validated run configuration with constructed model objects."""
+    """Validated run configuration with constructed model objects.
+
+    ``raw`` is the config as given, merged over DEFAULT_CONFIG; the
+    sections below hold its values typed like their defaults.
+    """
 
     raw: dict
     mesh: Mesh
@@ -198,38 +205,63 @@ class RunConfig:
     dt: float
     t_end: float
     seed: int
-    carleman: dict = field(default_factory=dict)
-    inverse: dict = field(default_factory=dict)
-    stability: dict = field(default_factory=dict)
-    assumptions: dict = field(default_factory=dict)
-    positivity: dict = field(default_factory=dict)
+    carleman: dict
+    inverse: dict
+    stability: dict
+    assumptions: dict
+    positivity: dict
 
 
+# Every key a run reads, with its default.  ``None`` means "derive it":
+# the floors beta, beta_gamma from the diffusivities, the surface powers
+# from the bulk ones, the surface initial data from the outer bulk ring and
+# s1 from lambda.
 DEFAULT_CONFIG = {
     "mesh": {"n_r": 16, "n_theta": 32, "radius": 1.0},
     "regions": {"rho_prime": 0.25, "rho_dprime": 0.4, "rho_omega": 0.6,
                 "t0": 0.2, "t1": 0.8},
-    "diffusion": {"a1": 1.0, "a2": 1.0, "d1": 1.0, "d2": 1.0},
+    "diffusion": {"a1": 1.0, "a2": 1.0, "d1": 1.0, "d2": 1.0,
+                  "beta": None, "beta_gamma": None},
     "potentials": {"p11": 0.2, "p12": 0.1, "p13": 0.8, "p21": 2.0,
                    "p22": -0.1, "q11": 0.1, "q12": 0.05, "q13": 0.3,
                    "q21": 1.0, "q22": -0.05, "R_bound": 10.0, "p0": 0.3},
-    "nonlinearity": {"d": 1, "delta": 1, "y_max": 12.0, "z_max": 12.0},
-    "initial": {"y0": 1.5, "z0": 1.0},
+    "nonlinearity": {"d": 1, "delta": 1, "d_surf": None, "delta_surf": None,
+                     "y_max": 12.0, "z_max": 12.0},
+    "initial": {"y0": 1.5, "z0": 1.0, "y0_gamma": None, "z0_gamma": None},
     "solver": {"dt": 0.005, "t_end": 1.0},
     "carleman": {"lambda1": 2.0, "s1": None, "tau_list": [-3, 0, 2],
-                 "epsilon": 0.5},
+                 "epsilon": 0.5, "a_expr": "1", "d_expr": "1",
+                 "n_test_fields": 3,
+                 "sources": {"f1": "0.5 + 0.3*x1", "f2": "0.4 - 0.2*x2",
+                             "g1": "0.2 + 0.1*cos(theta)",
+                             "g2": "0.3 + 0.1*sin(theta)"}},
     "inverse": {"n_patch_r": 4, "n_patch_theta": 4, "n_arcs": 8,
                 "reg_weight": 0.0, "max_iter": 100, "tolerance": 1e-10,
                 "free": ["p13", "q21"], "target_rel_error": 0.05,
                 "truth": {"p13": {"base": 0.8, "amplitude": 0.3},
                           "q21": {"base": 1.0, "amplitude": 0.2}},
                 "guess": {"p13": 0.5, "q21": 1.0},
-                "noise_level": 0.0},
+                "noise_level": 0.0, "gradcheck_points": 3,
+                "gradcheck_directions": 20, "gradcheck_step": 1e-5},
     "stability": {"n_draws": 20, "scale": 1e-3},
     "assumptions": {"r": 1.5, "r1": 0.05},
-    "positivity": {"t_end": 0.3, "draws": 20},
+    "positivity": {"t_end": 0.3, "draws": 20, "lipschitz_bound": 1.0,
+                   "reactions": {"f1": "v", "f2": "u", "g1": "v", "g2": "u"}},
     "seed": 1234,
 }
+
+# Values passed on as given and checked where they are read: field specs
+# by parse_field_spec, initial guesses (a number or one value per patch) by
+# InverseProblem.coefficient_vector.  Expression strings, the keys whose
+# default is a string, pass as given too.
+_AS_GIVEN = ({f"potentials.{n}" for n in _BULK_NAMES + _SURF_NAMES}
+             | {f"diffusion.{n}" for n in ("a1", "a2", "d1", "d2")}
+             | {f"initial.{n}" for n in ("y0", "z0", "y0_gamma", "z0_gamma")}
+             | {f"inverse.guess.{n}" for n in _COEFF_NAMES})
+# The list and the maps whose entries are coefficient names.
+_BY_COEFF = ("inverse.free", "inverse.truth", "inverse.guess")
+# The int keys that count nothing; every other one must be at least 1.
+_NOT_COUNTS = ("seed", "nonlinearity.d", "nonlinearity.delta")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -242,37 +274,61 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-# The keys a run reads that DEFAULT_CONFIG leaves out.  Together with it,
-# they are every key that load_config accepts.
-_OPTIONAL = {
-    "diffusion": dict.fromkeys(("beta", "beta_gamma")),
-    "nonlinearity": dict.fromkeys(("d_surf", "delta_surf")),
-    "initial": dict.fromkeys(("y0_gamma", "z0_gamma")),
-    "carleman": {"a_expr": None, "d_expr": None, "n_test_fields": None,
-                 "sources": dict.fromkeys(("f1", "f2", "g1", "g2"))},
-    "inverse": {"gradcheck_points": None, "gradcheck_directions": None,
-                "gradcheck_step": None, "guess": dict.fromkeys(("p21", "q13")),
-                "truth": dict.fromkeys(("p21", "q13"),
-                                       {"base": None, "amplitude": None})},
-    "positivity": {"lipschitz_bound": None,
-                   "reactions": dict.fromkeys(("f1", "f2", "g1", "g2"))},
-}
-_KNOWN = _merge(DEFAULT_CONFIG, _OPTIONAL)
+def _typed(value, default, where: str):
+    """``value`` in the type of ``default``, or a ConfigError naming ``where``.
 
-
-def _check_keys(section: dict, known: dict, where: str = "") -> None:
-    """Raise a ConfigError naming the first key that ``known`` lacks."""
-    for key, value in section.items():
-        if key not in known:
-            raise ConfigError(f"{where}{key}: unknown key (known: "
-                              f"{', '.join(sorted(known))})")
-        if isinstance(value, dict) and isinstance(known[key], dict):
-            _check_keys(value, known[key], f"{where}{key}.")
+    A map takes the keys of its default, each typed in turn; the maps in
+    ``_BY_COEFF`` take any coefficient name, typed like their first
+    default entry.  A number is a JSON number, never a bool, and an int
+    where the default is an int; where the default is None it may be null.
+    A list holds numbers, which become floats, or coefficient names.
+    """
+    if where in _AS_GIVEN or isinstance(default, str):
+        return value
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected a map, got {value!r}")
+        known = _COEFF_NAMES if where in _BY_COEFF else default
+        first = next(iter(default.values()))
+        out = {}
+        for key, v in value.items():
+            path = f"{where}.{key}" if where else key
+            if key not in known:
+                raise ConfigError(f"{path}: unknown key (known: "
+                                  f"{', '.join(sorted(known))})")
+            out[key] = _typed(v, default[key] if key in default else first,
+                              path)
+        # only an entry a coefficient map adds can lack a key of its default
+        for key in default:
+            if key not in out:
+                raise ConfigError(f"{where}.{key}: missing")
+        return out
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        if where in _BY_COEFF:
+            if (not value or any(v not in _COEFF_NAMES for v in value)
+                    or len(set(value)) < len(value)):
+                raise ConfigError(f"{where}: expected distinct names among "
+                                  f"{', '.join(_COEFF_NAMES)}, got {value!r}")
+            return list(value)
+        return [_typed(v, 0.0, f"{where}[{i}]") for i, v in enumerate(value)]
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not isinstance(default, int):
+        return float(value)
+    if not (isinstance(value, int) or value.is_integer()):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if value < 1 and where not in _NOT_COUNTS:
+        raise ConfigError(f"{where}: must be at least 1, got {value!r}")
+    return int(value)
 
 
 def load_config(path: str | None = None, overrides: dict | None = None
                 ) -> RunConfig:
-    """Load and validate; missing keys fall back to documented defaults."""
+    """Load and validate; missing keys take their DEFAULT_CONFIG values."""
     raw = DEFAULT_CONFIG
     if path is not None:
         if not os.path.exists(path):
@@ -285,43 +341,36 @@ def load_config(path: str | None = None, overrides: dict | None = None
         raw = _merge(DEFAULT_CONFIG, user)
     if overrides:
         raw = _merge(raw, overrides)
-    _check_keys(raw, _KNOWN)
+    typed = _typed(raw, DEFAULT_CONFIG, "")
 
-    m = raw["mesh"]
+    m = typed["mesh"]
     try:
-        mesh = build_polar_mesh(int(m["n_r"]), int(m["n_theta"]),
-                                float(m.get("radius", 1.0)))
+        mesh = build_polar_mesh(m["n_r"], m["n_theta"], m["radius"])
     except ValueError as exc:
         raise ConfigError(f"mesh: {exc}")
 
-    rg = raw["regions"]
+    rg = typed["regions"]
     try:
-        regions = build_regions(mesh, float(rg["rho_prime"]),
-                                float(rg["rho_dprime"]), float(rg["rho_omega"]),
-                                float(rg["t0"]), float(rg["t1"]))
+        regions = build_regions(mesh, rg["rho_prime"], rg["rho_dprime"],
+                                rg["rho_omega"], rg["t0"], rg["t1"])
     except ValueError as exc:
         raise ConfigError(f"regions: {exc}")
 
-    df = raw["diffusion"]
+    df = typed["diffusion"]
     try:
         diffusion = DiffusionSpec.from_values(
-            mesh,
-            a1=parse_field_spec(df["a1"], mesh, "diffusion.a1"),
-            a2=parse_field_spec(df["a2"], mesh, "diffusion.a2"),
-            d1=parse_field_spec(df["d1"], mesh, "diffusion.d1", on_surface=True),
-            d2=parse_field_spec(df["d2"], mesh, "diffusion.d2", on_surface=True),
-            beta=df.get("beta"), beta_gamma=df.get("beta_gamma"))
+            mesh, beta=df["beta"], beta_gamma=df["beta_gamma"],
+            **{k: parse_field_spec(df[k], mesh, f"diffusion.{k}",
+                                   on_surface=k.startswith("d"))
+               for k in ("a1", "a2", "d1", "d2")})
     except ValueError as exc:
         raise ConfigError(f"diffusion: {exc}")
 
-    pt = dict(raw["potentials"])
-    R_bound = float(pt.pop("R_bound", 10.0))
-    p0 = float(pt.pop("p0", 0.0))
-    fields = {}
-    for name, spec in pt.items():
-        on_surf = name.startswith("q")
-        fields[name] = parse_field_spec(spec, mesh, f"potentials.{name}",
-                                        on_surface=on_surf)
+    pt = dict(typed["potentials"])
+    R_bound, p0 = pt.pop("R_bound"), pt.pop("p0")
+    fields = {name: parse_field_spec(spec, mesh, f"potentials.{name}",
+                                     on_surface=name.startswith("q"))
+              for name, spec in pt.items()}
     try:
         potentials = PotentialSet.from_values(mesh, R_bound=R_bound, p0=p0,
                                               **fields)
@@ -333,49 +382,42 @@ def load_config(path: str | None = None, overrides: dict | None = None
             f"(min p21 {potentials.p21.min():.3g}, min q21 "
             f"{potentials.q21.min():.3g}, p0 {p0:.3g})")
 
-    nl = raw["nonlinearity"]
+    nl = typed["nonlinearity"]
     try:
-        box = (float(nl.get("y_max", 8.0)), float(nl.get("z_max", 8.0)))
-        nl_f = make_power_nonlinearity(int(nl["d"]), int(nl["delta"]), box)
-        nl_g = make_power_nonlinearity(int(nl.get("d_surf", nl["d"])),
-                                       int(nl.get("delta_surf", nl["delta"])),
-                                       box)
+        box = (nl["y_max"], nl["z_max"])
+        nl_f = make_power_nonlinearity(nl["d"], nl["delta"], box)
+        nl_g = make_power_nonlinearity(
+            nl["d"] if nl["d_surf"] is None else nl["d_surf"],
+            nl["delta"] if nl["delta_surf"] is None else nl["delta_surf"], box)
     except ValueError as exc:
         raise ConfigError(f"nonlinearity: {exc}")
 
-    ic = raw["initial"]
+    ic = typed["initial"]
     init = InitialData.from_values(
         mesh,
         y0=parse_field_spec(ic["y0"], mesh, "initial.y0"),
         z0=parse_field_spec(ic["z0"], mesh, "initial.z0"),
-        y0_gamma=(parse_field_spec(ic["y0_gamma"], mesh, "initial.y0_gamma",
-                                   on_surface=True)
-                  if "y0_gamma" in ic else None),
-        z0_gamma=(parse_field_spec(ic["z0_gamma"], mesh, "initial.z0_gamma",
-                                   on_surface=True)
-                  if "z0_gamma" in ic else None))
+        **{k: parse_field_spec(ic[k], mesh, f"initial.{k}", on_surface=True)
+           for k in ("y0_gamma", "z0_gamma") if ic[k] is not None})
 
-    sv = raw["solver"]
-    dt = float(sv["dt"])
-    t_end = float(sv["t_end"])
+    dt, t_end = typed["solver"]["dt"], typed["solver"]["t_end"]
     if dt <= 0 or t_end <= 0:
         raise ConfigError("solver: dt and t_end must be positive")
     if regions.t1 > t_end + 1e-12:
         raise ConfigError(
             f"regions: window end t1={regions.t1} exceeds solver t_end={t_end}")
+    if typed["positivity"]["t_end"] <= 0:
+        raise ConfigError("positivity.t_end: must be positive")
 
-    cl = dict(raw["carleman"])
-    if cl.get("lambda1") is not None and float(cl["lambda1"]) < 1.0:
+    cl = typed["carleman"]
+    if cl["lambda1"] < 1.0:
         raise ConfigError("carleman: lambda1 must be >= 1")
-    eps = float(cl.get("epsilon", 0.5))
-    if not (0.0 < eps < 1.0):
+    if not (0.0 < cl["epsilon"] < 1.0):
         raise ConfigError("carleman: epsilon must lie in (0, 1)")
 
     return RunConfig(
         raw=raw, mesh=mesh, regions=regions, diffusion=diffusion,
         potentials=potentials, nl_f=nl_f, nl_g=nl_g, init=init,
-        dt=dt, t_end=t_end, seed=int(raw.get("seed", 0)),
-        carleman=cl, inverse=dict(raw["inverse"]),
-        stability=dict(raw["stability"]),
-        assumptions=dict(raw["assumptions"]),
-        positivity=dict(raw.get("positivity", {})))
+        dt=dt, t_end=t_end, seed=typed["seed"], carleman=cl,
+        inverse=typed["inverse"], stability=typed["stability"],
+        assumptions=typed["assumptions"], positivity=typed["positivity"])

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from bulksurf.cli import main
+from bulksurf.config import load_config
 
 SMALL_CONFIG = {
     "mesh": {"n_r": 8, "n_theta": 16},
@@ -176,11 +177,56 @@ def test_removed_stability_mode_is_refused(tmp_path, capsys):
     ({"stability": {"n_draw": 3}}, "stability.n_draw"),
     ({"carleman": {"sources": {"f3": "1"}}}, "carleman.sources.f3"),
     ({"inverse": {"guess": {"p11": 0.5}}}, "inverse.guess.p11"),
+    ({"inverse": {"truth": {"p11": {"base": 1.0, "amplitude": 0.1}}}},
+     "inverse.truth.p11"),
 ])
 def test_unknown_config_key_is_refused(tmp_path, capsys, extra, key):
     cfg = write_config(tmp_path, extra)
     assert run_cli("simulate", cfg, tmp_path / "out") == 1
     assert f"{key}: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("positivity", {"positivity": {"draws": 0}},
+     "positivity.draws: must be at least 1"),
+    ("stability", {"stability": {"n_draws": 0}},
+     "stability.n_draws: must be at least 1"),
+    ("carleman-verify", {"carleman": {"n_test_fields": 0}},
+     "carleman.n_test_fields: must be at least 1"),
+    ("gradcheck", {"inverse": {"gradcheck_points": 0}},
+     "inverse.gradcheck_points: must be at least 1"),
+    ("positivity", {"positivity": {"t_end": -1}},
+     "positivity.t_end: must be positive"),
+    ("positivity", {"positivity": {"draws": "x"}},
+     "positivity.draws: expected a number"),
+    ("positivity", {"positivity": {"draws": 2.5}},
+     "positivity.draws: expected an integer"),
+    ("simulate", {"nonlinearity": {"y_max": None}},
+     "nonlinearity.y_max: expected a number"),
+    ("simulate", {"mesh": {"n_r": True}}, "mesh.n_r: expected a number"),
+    ("carleman-verify", {"carleman": {"tau_list": [0, "1"]}},
+     "carleman.tau_list[1]: expected a number"),
+    ("simulate", {"stability": [1]}, "stability: expected a map"),
+    ("gradcheck", {"inverse": {"free": ["p13", "bogus"]}},
+     "inverse.free: expected distinct names among p13, p21, q13, q21"),
+    ("gradcheck", {"inverse": {"free": []}}, "inverse.free: expected distinct"),
+    ("gradcheck", {"inverse": {"truth": {"p21": {"base": 1.0}}}},
+     "inverse.truth.p21.amplitude: missing"),
+])
+def test_bad_config_value_is_refused(tmp_path, capsys, command, extra, message):
+    cfg = write_config(tmp_path, extra)
+    assert run_cli(command, cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: {message}"), err
+
+
+def test_added_truth_entry_follows_the_defaults(tmp_path):
+    # the order of the truth entries fixes the order of the random draws
+    cfg = write_config(tmp_path, {"inverse": {
+        "free": ["p21", "q21"],
+        "truth": {"p21": {"base": 1.5, "amplitude": 0.1}}}})
+    assert list(load_config(cfg).inverse["truth"]) == ["p13", "q21", "p21"]
+    assert run_cli("gradcheck", cfg, tmp_path / "out") == 0
 
 
 # Each bad expression, through each entry point, must end in a configuration
@@ -233,3 +279,13 @@ def test_seed_env_override(tmp_path, monkeypatch):
     with open(out1 / "config_echo.json") as fh:
         echo = json.load(fh)
     assert echo["seed"] == 99
+
+
+def test_stability_pairs_each_draw_with_its_half_scale_response(tmp_path):
+    # p21 just above the p0 floor: draws that push it below are redrawn
+    cfg = write_config(tmp_path, {"potentials": {"p21": 0.3007}})
+    out = tmp_path / "out"
+    assert run_cli("stability", cfg, out) == 0
+    summary = read_summary(out)
+    assert summary["n_rejected"] > 0
+    assert summary["checks"]["linear_response"]

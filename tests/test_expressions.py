@@ -95,18 +95,15 @@ def test_ordinary_powers_pass(expr):
     check_expression(expr, {"exp": None, "x1": None, "x2": None}, "diffusion.a1")
 
 
-def _string_evaluations(path: pathlib.Path) -> set:
-    """(file, top-level function) of each eval/exec/sympify call in a module."""
+def _calls(path: pathlib.Path, match) -> set:
+    """(file, top-level function) of each call in a module that ``match`` takes."""
     found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and scope == "<module>":
             scope = node.name
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name in ("eval", "exec", "sympify"):
-                found.add((path.name, scope))
+        if isinstance(node, ast.Call) and match(node):
+            found.add((path.name, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -114,8 +111,24 @@ def _string_evaluations(path: pathlib.Path) -> set:
     return found
 
 
-def test_strings_are_evaluated_only_after_the_whitelist():
+def _callee(call: ast.Call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def _package_calls(match) -> set:
     src = pathlib.Path(bulksurf.__file__).parent
-    found = set().union(*map(_string_evaluations, sorted(src.glob("*.py"))))
+    return set().union(*(_calls(path, match) for path in sorted(src.glob("*.py"))))
+
+
+def test_strings_are_evaluated_only_after_the_whitelist():
+    found = _package_calls(lambda c: _callee(c) in ("eval", "exec", "sympify"))
     assert found == {("config.py", "compile_expression"),
                      ("fields.py", "sympy_expr")}
+
+
+def test_config_defaults_live_only_in_default_config():
+    # a two-argument .get on a config section would keep a second default;
+    # the one left reads the keyword potentials of PotentialSet.from_values
+    found = _package_calls(lambda c: _callee(c) == "get" and len(c.args) == 2)
+    assert found == {("model.py", "PotentialSet")}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,31 @@ def test_stability_linear_response(problem, truth):
         assert r2["delta_norm"] == pytest.approx(0.5 * r1["delta_norm"],
                                                  rel=1e-12)
         assert r2["obs_norm"] == pytest.approx(0.5 * r1["obs_norm"], rel=0.10)
+
+
+def test_stability_half_scale_response_matches_a_half_scale_ensemble(
+        problem, truth):
+    # with no rejection both ensembles draw the same shapes, and
+    # 0.5 * (scale * shape) is (scale / 2) * shape bit for bit
+    full = stability_ensemble(problem, truth, n_draws=3,
+                              perturbation_scale=1e-3, seed=9)
+    half = stability_ensemble(problem, truth, n_draws=3,
+                              perturbation_scale=5e-4, seed=9)
+    assert full.n_rejected == half.n_rejected == 0
+    assert [r["obs_norm_half_scale"] for r in full.records] == \
+        [r["obs_norm"] for r in half.records]
+
+
+def test_stability_half_scale_response_is_the_draws_own(problem, truth):
+    # p21 just above the p0 floor: draws that push it below are redrawn, so
+    # a second ensemble at half the scale would pair other perturbations
+    near_floor = replace(truth, p21=np.full_like(truth.p21, 0.3007))
+    report = stability_ensemble(problem, near_floor, n_draws=6,
+                                perturbation_scale=1e-3, seed=2)
+    assert report.n_rejected > 0
+    for rec in report.records:
+        assert rec["obs_norm_half_scale"] / rec["obs_norm"] == \
+            pytest.approx(0.5, abs=1e-3)
 
 
 def test_stability_midtime_identities(problem, truth):
