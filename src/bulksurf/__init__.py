@@ -22,7 +22,6 @@ from .forward import (
     ReactionSet,
     SemilinearSystem,
     SolverError,
-    SystemState,
     Trajectory,
     observe,
 )
@@ -44,7 +43,7 @@ __all__ = [
     "SparseOp", "assemble_bulk_diffusion", "assemble_surface_diffusion",
     "conormal_flux",
     "ObservationRecord", "ReactionSet", "SemilinearSystem", "SolverError",
-    "SystemState", "Trajectory", "observe",
+    "Trajectory", "observe",
     "CarlemanConfig", "DiffusionPair", "carleman_ratio", "shifted_ratio",
     "CoefficientVector", "InverseProblem", "build_patch_basis",
     "simulate_twin", "stability_ensemble",

@@ -26,6 +26,16 @@ from .forward import Trajectory, window_nodes
 
 _EXP_CLAMP = -700.0   # exponents below this evaluate to exact zero
 
+# Closed-form test fields of the carleman-verify ratio sweep; T0 and W stand
+# for the window start and width.  carleman.n_test_fields takes the first ones.
+TEST_FIELDS = {
+    "radial": "sin(pi*(t - T0)/W)*(1 - x1**2 - x2**2)",
+    "skew": "sin(pi*(t - T0)/W)*(1 + x1/3 + x2**2/5)",
+    "offcenter": "sin(pi*(t - T0)/W)*exp(-8*((x1 - 0.4)**2 + x2**2))",
+    "angular": "sin(pi*(t - T0)/W)*(1 + (x1**2 - x2**2)/2)",
+    "time_shift": "sin(2*pi*(t - T0)/W)*(1 + x2/4) + 1",
+}
+
 
 def _gamma_max(t0: float, t1: float) -> float:
     """max of gamma(t) = (t - t0)(t1 - t), reached at t = (t0 + t1) / 2."""
@@ -57,10 +67,6 @@ class CarlemanConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if not (self.t0 < self.t1):
             raise ValueError("need t0 < t1")
-
-    @property
-    def gamma_max(self) -> float:
-        return _gamma_max(self.t0, self.t1)
 
 
 def eta0_and_gradient(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,13 +127,17 @@ def weight_property_margins(cfg: CarlemanConfig, times: np.ndarray,
     """Empirical constants of the weight inequalities on a sample grid.
 
     The weights depend on x only through eta0(x), so the spatial samples are
-    eta0 values in [0, sup eta0].  Passes iff every empirical constant is
-    finite and inf xi * (t1-t0)^2 / 4 >= 1.
+    eta0 values in [0, sup eta0].  ``alpha_time_minimum_margin`` is
+    min alpha(t, .) / alpha(theta, .) - 1: alpha is smallest at the window
+    midpoint theta.  Passes iff every empirical constant is finite,
+    inf xi * (t1-t0)^2 / 4 >= 1, sup xi / xi^3 (scaled) <= 1 and the alpha
+    margin is >= 0, each up to rounding.
     """
     times = np.asarray(times, dtype=float)
     if times.min() <= cfg.t0 or times.max() >= cfg.t1:
         raise ValueError("sample times must lie strictly inside (t0, t1)")
     alpha, xi, dlog = weight_tables(cfg, eta_values, times)
+    alpha_theta = weight_tables(cfg, eta_values, [0.5 * (cfg.t0 + cfg.t1)])[0][0]
     dalpha = -alpha * dlog
     dxi = -xi * dlog
     s, tau = cfg.s, cfg.tau
@@ -147,10 +157,12 @@ def weight_property_margins(cfg: CarlemanConfig, times: np.ndarray,
         "sup_xi_over_xi3": float(np.max(xi / xi**3) * 16.0 / window2**2),
         "sup_c_quotient": float(np.max(c_quot / (s * xi**2))),
         "sup_d_quotient": float(np.max(d_quot / (s * xi**3))),
+        "alpha_time_minimum_margin": float(np.min(alpha / alpha_theta - 1.0)),
     }
     finite = all(np.isfinite(v) for v in report.values())
     report["passed"] = bool(finite and report["inf_xi_times_window"] >= 1.0 - 1e-12
-                            and report["sup_xi_over_xi3"] <= 1.0 + 1e-12)
+                            and report["sup_xi_over_xi3"] <= 1.0 + 1e-12
+                            and report["alpha_time_minimum_margin"] >= -1e-12)
     return report
 
 
@@ -430,14 +442,6 @@ def shifted_ratio(traj: Trajectory, sources: dict, cfg: CarlemanConfig,
 
 # --- weight invariant checks ------------------------------------------------
 
-def alpha_time_minimum_margin(cfg: CarlemanConfig, times: np.ndarray,
-                              eta_values: np.ndarray) -> float:
-    """min over the grid of alpha(t, .) - alpha(theta, .), >= 0 pointwise."""
-    theta = 0.5 * (cfg.t0 + cfg.t1)
-    alpha, _, _ = weight_tables(cfg, eta_values, np.append(times, theta))
-    return float(np.min(alpha[:-1] - alpha[-1]))
-
-
 def weight_vanishing_report(cfg: CarlemanConfig, dt: float) -> dict:
     """Raw clamped weight e^{-2 s alpha} xi^k at the first/last interior nodes.
 
@@ -450,12 +454,3 @@ def weight_vanishing_report(cfg: CarlemanConfig, dt: float) -> dict:
                 for k in (-3.0, 0.0, 4.0))
     return {"max_endpoint_weight": worst, "passed": bool(worst < 1e-300)}
 
-
-def sum_identity_residual(cfg: CarlemanConfig, t: float, xy: np.ndarray) -> float:
-    """alpha + xi - e^{2 lam}/gamma, zero in exact arithmetic.
-
-    e^{2 lam}/gamma is xi at eta = 2 (outside the range of eta0).
-    """
-    w = weights(t, xy, cfg)
-    _, target, _ = weight_tables(cfg, 2.0, [t])
-    return float(np.abs(w["alpha"] + w["xi"] - target[0]).max())

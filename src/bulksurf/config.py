@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .carleman import TEST_FIELDS
 from .geometry import Mesh, RegionSet, build_polar_mesh, build_regions
 from .inverse import _COEFF_NAMES
 from .model import (
@@ -338,6 +339,9 @@ def load_config(path: str | None = None, overrides: dict | None = None
                 user = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config {path} is not valid JSON: {exc}")
+        if not isinstance(user, dict):
+            raise ConfigError(f"config {path}: expected a JSON object at the "
+                              f"top level, got {type(user).__name__}")
         raw = _merge(DEFAULT_CONFIG, user)
     if overrides:
         raw = _merge(raw, overrides)
@@ -414,6 +418,12 @@ def load_config(path: str | None = None, overrides: dict | None = None
         raise ConfigError("carleman: lambda1 must be >= 1")
     if not (0.0 < cl["epsilon"] < 1.0):
         raise ConfigError("carleman: epsilon must lie in (0, 1)")
+    if cl["n_test_fields"] > len(TEST_FIELDS):
+        raise ConfigError(f"carleman.n_test_fields: at most {len(TEST_FIELDS)} "
+                          f"test fields exist, got {cl['n_test_fields']}")
+    if typed["stability"]["scale"] <= 0:
+        raise ConfigError(f"stability.scale: must be positive, got "
+                          f"{typed['stability']['scale']!r}")
 
     return RunConfig(
         raw=raw, mesh=mesh, regions=regions, diffusion=diffusion,

@@ -12,38 +12,20 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import Mesh, RegionSet
+from .geometry import Mesh, RegionSet, build_polar_mesh
 from .model import DiffusionSpec, InitialData, Nonlinearity, PotentialSet
 from .operators import assemble_bulk_diffusion, assemble_surface_diffusion
 
 
 class SolverError(RuntimeError):
     """Numerical failure inside a solve (singular system, NaN state)."""
-
-
-@dataclass(frozen=True)
-class SystemState:
-    y: np.ndarray
-    z: np.ndarray
-    y_gamma: np.ndarray
-    z_gamma: np.ndarray
-    t: float
-
-    def validate(self, mesh: Mesh) -> None:
-        for name, arr, n in (("y", self.y, mesh.n_cells), ("z", self.z, mesh.n_cells),
-                             ("y_gamma", self.y_gamma, mesh.n_theta),
-                             ("z_gamma", self.z_gamma, mesh.n_theta)):
-            if arr.shape != (n,):
-                raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite values")
 
 
 @dataclass
@@ -56,7 +38,6 @@ class Trajectory:
     y_gamma: np.ndarray  # (n_nodes, n_theta)
     z_gamma: np.ndarray
     dt: float
-    sources: dict | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -68,10 +49,10 @@ class Trajectory:
             raise ValueError(f"time {t} outside trajectory range")
         return k
 
-    def state(self, k: int) -> SystemState:
-        return SystemState(self.y[k].copy(), self.z[k].copy(),
-                           self.y_gamma[k].copy(), self.z_gamma[k].copy(),
-                           float(self.times[k]))
+    def state(self, k: int) -> InitialData:
+        """A copy of the state at times[k], to restart a solve from there."""
+        return InitialData(self.y[k].copy(), self.z[k].copy(),
+                           self.y_gamma[k].copy(), self.z_gamma[k].copy())
 
 
 @dataclass
@@ -297,29 +278,26 @@ class SemilinearSystem:
 
     def solve(self, init: InitialData, t_end: float, dt: float,
               sources=None, reactions: ReactionSet | None = None,
-              t_start: float = 0.0,
-              init_state: SystemState | None = None) -> Trajectory:
-        """Integrate from t_start to t_end; returns all intermediate states.
+              t_start: float = 0.0) -> Trajectory:
+        """Integrate ``init`` from t_start to t_end; returns all intermediate states.
 
-        ``init_state`` overrides ``init`` when restarting mid-trajectory.
         The four tables of the result are views of one packed array.
         """
         srcs = _normalize_sources(sources, self.mesh)
-        if init_state is not None:
-            state = init_state
-        else:
-            state = SystemState(init.y0, init.z0, init.y0_gamma, init.z0_gamma,
-                                t_start)
-        state.validate(self.mesh)
         n_steps = max(0, math.ceil((t_end - t_start) / dt - 1e-9)) if t_end > t_start else 0
 
         X = np.empty((n_steps + 1, self.n_dof))
-        for block, values in zip(self.blocks, (state.y, state.z,
-                                               state.y_gamma, state.z_gamma)):
+        for name, block in zip(("y0", "z0", "y0_gamma", "z0_gamma"), self.blocks):
+            values = np.asarray(getattr(init, name))
+            n = block.stop - block.start
+            if values.shape != (n,):
+                raise ValueError(f"{name} has shape {values.shape}, expected ({n},)")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} contains non-finite values")
             X[0, block] = values
         times = t_start + dt * np.arange(n_steps + 1)
         lu = self.factorization(dt) if n_steps else None
-        t = state.t
+        t = t_start
         for k in range(n_steps):
             try:
                 self.step_imex(X[k], t, dt, out=X[k + 1], sources=srcs,
@@ -329,7 +307,7 @@ class SemilinearSystem:
             t = t + dt
         sy, sz, syg, szg = self.blocks
         return Trajectory(times=times, y=X[:, sy], z=X[:, sz], y_gamma=X[:, syg],
-                          z_gamma=X[:, szg], dt=float(dt), sources=sources)
+                          z_gamma=X[:, szg], dt=float(dt))
 
 
 def window_nodes(traj: Trajectory, t0: float, t1: float) -> np.ndarray:
@@ -366,45 +344,27 @@ def mass_series(traj: Trajectory, mesh: Mesh) -> np.ndarray:
     return traj.y @ mesh.cell_areas + traj.y_gamma @ mesh.surface_weights
 
 
-def write_checkpoints(traj: Trajectory, path: str) -> None:
-    """Persist per-node state snapshots, as one compressed npz file, for
-    later adjoint/restart use."""
-    np.savez_compressed(path, times=traj.times, y=traj.y, z=traj.z,
-                        y_gamma=traj.y_gamma, z_gamma=traj.z_gamma, dt=traj.dt)
-
-
-def load_checkpoints(path: str) -> Trajectory:
-    """Rehydrate a trajectory saved with ``write_checkpoints``."""
-    data = np.load(path)
-    return Trajectory(times=data["times"], y=data["y"], z=data["z"],
-                      y_gamma=data["y_gamma"], z_gamma=data["z_gamma"],
-                      dt=float(data["dt"]))
-
-
 # --- manufactured-solution verification -----------------------------------
 
 def manufactured_problem(mesh: Mesh, diffusion: DiffusionSpec,
-                         potentials: PotentialSet, y_expr: str, z_expr: str,
-                         nl_f: Nonlinearity | None = None,
-                         nl_g: Nonlinearity | None = None,
-                         nl_f_expr=None, nl_g_expr=None):
-    """Compensating sources so that (y_expr, z_expr) solves the full system.
+                         potentials: PotentialSet, y_expr: str, z_expr: str):
+    """Compensating sources so that (y_expr, z_expr) solves the linear system.
 
-    Nonlinearities must be given as sympy expression builders
-    (``nl_f_expr(Y, Z) -> expr``) when active; potentials must be spatially
-    constant for the symbolic source to be exact.
+    The system has no nonlinearity, so p13 and q13 do not enter; the other
+    potentials and the diffusivities must be spatially constant for the
+    symbolic sources to be exact.  Returns the
+    initial data, the sources and ``exact_state(t)`` as an InitialData.
     """
     import sympy as sym
 
     from .fields import T as SYM_T
-    from .fields import TH as SYM_TH
-    from .fields import SpaceTimeField, divergence_a_grad, surface_divergence_d_grad
+    from .fields import (CircleField, SpaceTimeField, divergence_a_grad,
+                         surface_divergence_d_grad)
 
     Y = SpaceTimeField(y_expr)
     Z = SpaceTimeField(z_expr)
     pot = {name: float(np.asarray(getattr(potentials, name)).ravel()[0])
-           for name in ("p11", "p12", "p13", "p21", "p22",
-                        "q11", "q12", "q13", "q21", "q22")}
+           for name in ("p11", "p12", "p21", "p22", "q11", "q12", "q21", "q22")}
     for name in pot:
         arr = getattr(potentials, name)
         if np.ptp(arr) != 0:
@@ -413,56 +373,48 @@ def manufactured_problem(mesh: Mesh, diffusion: DiffusionSpec,
     a2 = float(diffusion.a2[0])
     d1 = float(diffusion.d1[0])
     d2 = float(diffusion.d2[0])
-    for nm, arr in (("a1", diffusion.a1), ("a2", diffusion.a2),
-                    ("d1", diffusion.d1), ("d2", diffusion.d2)):
+    for arr in (diffusion.a1, diffusion.a2, diffusion.d1, diffusion.d2):
         if np.ptp(arr) != 0:
             raise ValueError("manufactured sources need constant diffusivities")
 
     R = mesh.R_domain
-    f_term = nl_f_expr(Y.expr, Z.expr) if nl_f_expr is not None else 0
     src_f1 = (sym.diff(Y.expr, SYM_T) - divergence_a_grad(a1, Y.expr)
-              - pot["p11"] * Y.expr - pot["p12"] * Z.expr - pot["p13"] * f_term)
+              - pot["p11"] * Y.expr - pot["p12"] * Z.expr)
     src_f2 = (sym.diff(Z.expr, SYM_T) - divergence_a_grad(a2, Z.expr)
               - pot["p21"] * Y.expr - pot["p22"] * Z.expr)
 
     Yg, Zg = Y.on_circle(R), Z.on_circle(R)
-    g_term = nl_g_expr(Yg.expr, Zg.expr) if nl_g_expr is not None else 0
     src_g1 = (sym.diff(Yg.expr, SYM_T) - surface_divergence_d_grad(d1, Yg.expr, R)
               + a1 * Y.normal_derivative_expr(R)
-              - pot["q11"] * Yg.expr - pot["q12"] * Zg.expr - pot["q13"] * g_term)
+              - pot["q11"] * Yg.expr - pot["q12"] * Zg.expr)
     src_g2 = (sym.diff(Zg.expr, SYM_T) - surface_divergence_d_grad(d2, Zg.expr, R)
               + a2 * Z.normal_derivative_expr(R)
               - pot["q21"] * Yg.expr - pot["q22"] * Zg.expr)
 
     xy = mesh.cell_xy
     th = mesh.surface_theta
-    sf1 = SpaceTimeField(src_f1)
-    sf2 = SpaceTimeField(src_f2)
-    g1_fn = sym.lambdify((SYM_T, SYM_TH), src_g1, modules="numpy")
-    g2_fn = sym.lambdify((SYM_T, SYM_TH), src_g2, modules="numpy")
-
+    sf1, sf2 = SpaceTimeField(src_f1), SpaceTimeField(src_f2)
+    sg1, sg2 = CircleField(src_g1), CircleField(src_g2)
     sources = {
         "f1": lambda t: sf1.value(t, xy),
         "f2": lambda t: sf2.value(t, xy),
-        "g1": lambda t: np.broadcast_to(np.asarray(g1_fn(t, th), dtype=float), th.shape).copy(),
-        "g2": lambda t: np.broadcast_to(np.asarray(g2_fn(t, th), dtype=float), th.shape).copy(),
+        "g1": lambda t: sg1.value(t, th),
+        "g2": lambda t: sg2.value(t, th),
     }
 
     def exact_state(t):
-        return SystemState(Y.value(t, xy), Z.value(t, xy),
-                           Yg.value(t, th), Zg.value(t, th), t)
+        return InitialData(y0=Y.value(t, xy), z0=Z.value(t, xy),
+                           y0_gamma=Yg.value(t, th), z0_gamma=Zg.value(t, th))
 
-    init = InitialData(y0=Y.value(0.0, xy), z0=Z.value(0.0, xy),
-                       y0_gamma=Yg.value(0.0, th), z0_gamma=Zg.value(0.0, th))
-    return init, sources, exact_state
+    return exact_state(0.0), sources, exact_state
 
 
-def _state_error(mesh: Mesh, state: SystemState, exact: SystemState) -> float:
+def _state_error(mesh: Mesh, state: InitialData, exact: InitialData) -> float:
     e = 0.0
-    e += np.dot(mesh.cell_areas, (state.y - exact.y) ** 2)
-    e += np.dot(mesh.cell_areas, (state.z - exact.z) ** 2)
-    e += np.dot(mesh.surface_weights, (state.y_gamma - exact.y_gamma) ** 2)
-    e += np.dot(mesh.surface_weights, (state.z_gamma - exact.z_gamma) ** 2)
+    e += np.dot(mesh.cell_areas, (state.y0 - exact.y0) ** 2)
+    e += np.dot(mesh.cell_areas, (state.z0 - exact.z0) ** 2)
+    e += np.dot(mesh.surface_weights, (state.y0_gamma - exact.y0_gamma) ** 2)
+    e += np.dot(mesh.surface_weights, (state.z0_gamma - exact.z0_gamma) ** 2)
     return float(np.sqrt(e))
 
 
@@ -470,8 +422,7 @@ _MMS_Y = "(exp(-t)*(1 - x1**2 - x2**2) + 1) * (1 + x1/4)"
 _MMS_Z = "(exp(-t/2)*(1 - (x1**2 + x2**2)/2)) * (1 + x2/4) + 1"
 
 
-def mms_convergence(levels, t_end: float = 0.4, potentials_const=None,
-                    y_expr: str = _MMS_Y, z_expr: str = _MMS_Z) -> dict:
+def mms_convergence(levels, t_end: float = 0.4, potentials_const=None) -> dict:
     """Refinement study against a smooth manufactured solution.
 
     Each level is (n_r, n_theta, dt).  When the mesh varies across levels the
@@ -484,33 +435,22 @@ def mms_convergence(levels, t_end: float = 0.4, potentials_const=None,
     meshes_vary = len({(nr, nt) for nr, nt, _ in levels}) > 1
     errors = []
     for n_r, n_theta, dt in levels:
-        mesh = build_mesh_cached(n_r, n_theta)
+        mesh = build_polar_mesh(n_r, n_theta)
         diffusion = DiffusionSpec.from_values(mesh)
         pot = PotentialSet.from_values(mesh, **(potentials_const or {}))
         init, sources, exact_state = manufactured_problem(
-            mesh, diffusion, pot, y_expr, z_expr)
+            mesh, diffusion, pot, _MMS_Y, _MMS_Z)
         system = SemilinearSystem(mesh, diffusion, pot)
         traj = system.solve(init, t_end, dt, sources=sources)
         if meshes_vary:
-            errors.append(_state_error(mesh, traj.state(traj.n_nodes - 1),
+            errors.append(_state_error(mesh, traj.state(-1),
                                        exact_state(traj.times[-1])))
         else:
             ref = system.solve(init, t_end, min(l[2] for l in levels) / 8,
                                sources=sources)
-            errors.append(_state_error(mesh, traj.state(traj.n_nodes - 1),
-                                       ref.state(ref.n_nodes - 1)))
+            errors.append(_state_error(mesh, traj.state(-1), ref.state(-1)))
     orders = [float(np.log2(errors[i] / errors[i + 1]))
               for i in range(len(errors) - 1)]
     return {"levels": list(levels), "errors": errors, "orders": orders,
             "mode": "spatial" if meshes_vary else "temporal"}
 
-
-_mesh_cache: dict[tuple, Mesh] = {}
-
-
-def build_mesh_cached(n_r: int, n_theta: int, R: float = 1.0) -> Mesh:
-    key = (n_r, n_theta, R)
-    if key not in _mesh_cache:
-        from .geometry import build_polar_mesh
-        _mesh_cache[key] = build_polar_mesh(n_r, n_theta, R)
-    return _mesh_cache[key]

@@ -34,7 +34,6 @@ class Mesh:
     surface_nodes: np.ndarray     # (n_theta,) arc-length positions R*theta_j
     surface_weights: np.ndarray   # (n_theta,) arc lengths
     trace_map: np.ndarray         # (n_theta,) flat index of adjacent bulk cell
-    outward_normal: np.ndarray    # (n_theta, 2) unit vectors (cos, sin)
 
     # face connectivity for divergence-form operators; geom = length/distance
     faces_a: np.ndarray = field(repr=False, default=None)
@@ -50,10 +49,6 @@ class Mesh:
     @property
     def dr(self) -> float:
         return self.R_domain / self.n_r
-
-    @property
-    def dtheta(self) -> float:
-        return 2.0 * np.pi / self.n_theta
 
     @property
     def cell_r(self) -> np.ndarray:
@@ -72,15 +67,6 @@ class Mesh:
     @property
     def surface_theta(self) -> np.ndarray:
         return self.surface_nodes / self.R_domain
-
-    @property
-    def surface_xy(self) -> np.ndarray:
-        th = self.surface_theta
-        return self.R_domain * np.column_stack([np.cos(th), np.sin(th)])
-
-    def flat_index(self, ring: int, sector: int) -> int:
-        """Flat index of cell (ring, sector); ring is 1-based."""
-        return (ring - 1) * self.n_theta + sector % self.n_theta
 
     def bulk_l2(self, u: np.ndarray) -> float:
         return float(np.sqrt(np.dot(self.cell_areas, u * u)))
@@ -102,10 +88,6 @@ class RegionSet:
     rho_prime: float
     rho_dprime: float
     rho_omega: float
-
-    @property
-    def window(self) -> tuple[float, float, float]:
-        return (self.t0, self.t1, self.theta)
 
 
 def build_polar_mesh(n_r: int, n_theta: int, R_domain: float = 1.0) -> Mesh:
@@ -142,7 +124,6 @@ def build_polar_mesh(n_r: int, n_theta: int, R_domain: float = 1.0) -> Mesh:
     surface_nodes = R_domain * theta_centers
     surface_weights = np.full(n_theta, R_domain * dth)
     trace_map = (n_r - 1) * n_theta + np.arange(n_theta)
-    outward_normal = np.column_stack([np.cos(theta_centers), np.sin(theta_centers)])
 
     # interior faces: radial (between rings i, i+1) and angular (periodic in j)
     fa, fb, fg = [], [], []
@@ -178,7 +159,6 @@ def build_polar_mesh(n_r: int, n_theta: int, R_domain: float = 1.0) -> Mesh:
         surface_nodes=surface_nodes,
         surface_weights=surface_weights,
         trace_map=trace_map,
-        outward_normal=outward_normal,
         faces_a=faces_a,
         faces_b=faces_b,
         faces_geom=faces_geom,

@@ -235,15 +235,9 @@ class InverseProblem:
             parts.append(w)
         return np.concatenate(parts)
 
-    def objective(self, coeffs: CoefficientVector, data: ObservationRecord,
-                  reg_weight: float = 0.0,
-                  prior: CoefficientVector | None = None) -> float:
-        traj = self.simulate(coeffs)
-        J = self._misfit(self.observation(traj), data)
-        if reg_weight > 0 and prior is not None:
-            d = coeffs.pack() - prior.pack()
-            J += 0.5 * reg_weight * float(np.dot(self._reg_weights(coeffs), d * d))
-        return J
+    def objective(self, coeffs: CoefficientVector, data: ObservationRecord) -> float:
+        """The observation misfit, without regularisation."""
+        return self._misfit(self.observation(self.simulate(coeffs)), data)
 
     def objective_and_gradient(self, coeffs: CoefficientVector,
                                data: ObservationRecord, reg_weight: float = 0.0,
@@ -320,24 +314,23 @@ class InverseProblem:
 
     def reconstruct(self, data: ObservationRecord,
                     initial_guess: CoefficientVector, max_iter: int = 100,
-                    tolerance: float = 1e-10, reg_weight: float = 0.0,
-                    prior: CoefficientVector | None = None) -> dict:
+                    tolerance: float = 1e-10, reg_weight: float = 0.0) -> dict:
         """Bound-constrained quasi-Newton descent from the initial guess.
 
-        The history records accepted iterates only, so the objective column
-        is nonincreasing; a line-search failure flags the result and returns
+        ``reg_weight`` pulls toward the projected initial guess.  The history
+        records accepted iterates only, so the objective column is
+        nonincreasing; a line-search failure flags the result and returns
         the best iterate found.
         """
         from scipy.optimize import minimize
 
         guess = initial_guess.project()
-        prior = prior if prior is not None else guess
         evals: list[tuple[np.ndarray, float, float]] = []
         history: list[dict] = []
 
         def fun(x):
             c = guess.unpack(x)
-            J, g = self.objective_and_gradient(c, data, reg_weight, prior)
+            J, g = self.objective_and_gradient(c, data, reg_weight, guess)
             evals.append((x.copy(), J, float(np.linalg.norm(g))))
             return J, g
 
@@ -428,8 +421,7 @@ def _smooth_surf_shape(mesh: Mesh, rng) -> np.ndarray:
 def stability_ensemble(problem: InverseProblem,
                        reference_coeffs: CoefficientVector,
                        n_draws: int = 20, perturbation_scale: float = 1e-3,
-                       seed: int = 0,
-                       max_resample: int = 50) -> StabilityReport:
+                       seed: int = 0) -> StabilityReport:
     """Empirical Lipschitz-stability records for coefficient perturbations.
 
     Each draw perturbs (p13, p21, q13, q21) by smooth fields of sup norm
@@ -440,8 +432,12 @@ def stability_ensemble(problem: InverseProblem,
     first-step time derivatives are recorded per draw, and so is
     ``obs_norm_half_scale``, the observation norm for the same draw's
     perturbation times 0.5 (admissible whenever the draw is: the admissible
-    set is convex).
+    set is convex).  A draw that leaves the admissible set is redrawn, up to
+    50 times in all.
     """
+    if perturbation_scale <= 0:
+        raise ValueError(
+            f"perturbation_scale must be positive, got {perturbation_scale}")
     mesh, regions = problem.mesh, problem.regions
     rng = np.random.default_rng(seed)
 
@@ -467,15 +463,14 @@ def stability_ensemble(problem: InverseProblem,
     # isolates d/dt of the difference at theta+ (a coarse step would
     # fold in an O(dt * a/dr^2) boundary-coupling error)
     dt_fine = problem.dt / 64.0
-    x_theta = np.concatenate([state_theta.y, state_theta.z,
-                              state_theta.y_gamma, state_theta.z_gamma])
+    x_theta = np.concatenate([state_theta.y0, state_theta.z0,
+                              state_theta.y0_gamma, state_theta.z0_gamma])
     s_ref = system_ref.step_imex(x_theta, theta, dt_fine)
     sy, sz, syg, szg = system_ref.blocks
 
     def response_norm(system):
         """Observation norm on (theta, t1) of ``system`` minus the reference."""
-        traj = system.solve(problem.init, t1, problem.dt, t_start=theta,
-                            init_state=state_theta)
+        traj = system.solve(state_theta, t1, problem.dt, t_start=theta)
         n = min(ref_tail.n_nodes, traj.n_nodes)
         diff = Trajectory(
             times=traj.times[:n], dt=traj.dt, y=traj.y[:n] - ref_tail.y[:n],
@@ -488,7 +483,7 @@ def stability_ensemble(problem: InverseProblem,
     n_rejected = 0
     draws_done = 0
     attempts = 0
-    while draws_done < n_draws and attempts < n_draws + max_resample:
+    while draws_done < n_draws and attempts < n_draws + 50:
         attempts += 1
         a1 = perturbation_scale * _smooth_bulk_shape(mesh, rng)
         a2 = perturbation_scale * _smooth_bulk_shape(mesh, rng)
@@ -509,11 +504,6 @@ def stability_ensemble(problem: InverseProblem,
 
         delta = math.sqrt(mesh.bulk_l2(a2) ** 2 + mesh.surface_l2(l2) ** 2) \
             + math.sqrt(mesh.bulk_l2(a1) ** 2 + mesh.surface_l2(l1) ** 2)
-        if delta == 0.0:
-            records.append({"delta_norm": 0.0, "obs_norm": 0.0,
-                            "ratio": float("nan"), "skipped": True})
-            draws_done += 1
-            continue
 
         system_pert = system_ref.with_potentials(pot_pert)
         obs_norm = response_norm(system_pert)
@@ -543,19 +533,14 @@ def stability_ensemble(problem: InverseProblem,
         ratio = delta / obs_norm if obs_norm > 0 else float("inf")
         records.append({"delta_norm": delta, "obs_norm": obs_norm,
                         "ratio": ratio, "obs_norm_half_scale": obs_half,
-                        "skipped": False, **ident})
+                        **ident})
         draws_done += 1
 
     if not records:
         raise SolverError("stability ensemble: every draw was rejected")
-    ratios = [r["ratio"] for r in records
-              if not r.get("skipped") and np.isfinite(r["ratio"])]
-    if ratios:
-        max_ratio = float(np.max(ratios))
-        med_ratio = float(np.median(ratios))
-    else:
-        # all draws indeterminate (e.g. zero perturbation scale)
-        max_ratio = med_ratio = float("nan")
+    ratios = [r["ratio"] for r in records]
+    max_ratio = float(np.max(ratios))
+    med_ratio = float(np.median(ratios))
     return StabilityReport(
         records=records, max_ratio=max_ratio, median_ratio=med_ratio,
         spread=max_ratio / med_ratio, n_rejected=n_rejected, seed=seed)

@@ -143,7 +143,6 @@ class Nonlinearity:
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     partials: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     lipschitz_bound: float
-    range_box: tuple[float, float] = (1.0, 1.0)
 
     def __call__(self, y, z):
         return self.evaluate(y, z)
@@ -181,13 +180,15 @@ def make_power_nonlinearity(d: int, delta: int,
     if delta > 0:
         lip += delta * y_max ** d * z_max ** (delta - 1)
     return Nonlinearity(kind=f"power({d},{delta})", evaluate=evaluate,
-                        partials=partials, lipschitz_bound=float(lip),
-                        range_box=(float(y_max), float(z_max)))
+                        partials=partials, lipschitz_bound=float(lip))
 
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial quadruple (y0, z0, y0_gamma, z0_gamma)."""
+    """State quadruple (y0, z0, y0_gamma, z0_gamma) that a solve starts from.
+
+    ``Trajectory.state`` returns one to restart a solve mid-trajectory.
+    """
 
     y0: np.ndarray
     z0: np.ndarray
@@ -205,12 +206,6 @@ class InitialData:
         z0_gamma = z0[mesh.trace_map].copy() if z0_gamma is None else _as_field(z0_gamma, ns)
         return cls(y0=y0, z0=z0, y0_gamma=y0_gamma, z0_gamma=z0_gamma)
 
-    def trace_mismatch(self, mesh: Mesh) -> tuple[float, float]:
-        """Max |bulk boundary cell - surface node| for y and z."""
-        dy = float(np.abs(self.y0[mesh.trace_map] - self.y0_gamma).max())
-        dz = float(np.abs(self.z0[mesh.trace_map] - self.z0_gamma).max())
-        return dy, dz
-
 
 @dataclass
 class CheckReport:
@@ -221,22 +216,14 @@ class CheckReport:
     violations: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "margins": {k: float(v) for k, v in self.margins.items()},
-            "violations": {k: [int(i) for i in v] for k, v in self.violations.items()},
-            "details": self.details,
-        }
 
-
-def _record(report: CheckReport, name: str, margin_field: np.ndarray,
-            max_listed: int = 20) -> None:
+def _record(report: CheckReport, name: str, margin_field: np.ndarray) -> None:
+    """Record the minimum margin; on a violation, list up to 20 failing indices."""
     m = float(margin_field.min())
     report.margins[name] = m
     if m < 0:
         bad = np.flatnonzero(margin_field < 0)
-        report.violations[name] = bad[:max_listed].tolist()
+        report.violations[name] = bad[:20].tolist()
         report.passed = False
 
 

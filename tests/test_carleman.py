@@ -7,7 +7,6 @@ from bulksurf.carleman import (
     CarlemanConfig,
     DiffusionPair,
     WeightEvaluator,
-    alpha_time_minimum_margin,
     carleman_ratio,
     default_s1,
     eta0_and_gradient,
@@ -15,7 +14,6 @@ from bulksurf.carleman import (
     shifted_ratio,
     sigma,
     sigma_bounds_report,
-    sum_identity_residual,
     weight_property_margins,
     weight_vanishing_report,
     weighted_norms,
@@ -69,12 +67,6 @@ def test_weights_outside_window_rejected():
     cfg = cfg_small()
     with pytest.raises(ValueError):
         weights(0.1, np.array([[0.0, 0.0]]), cfg)
-
-
-def test_sum_identity_exact(mesh):
-    cfg = cfg_small()
-    for t in (0.25, 0.5, 0.71):
-        assert sum_identity_residual(cfg, t, mesh.cell_xy) < 1e-10 / cfg.gamma_max
 
 
 def test_weight_derivatives_against_complex_step(mesh):
@@ -140,9 +132,10 @@ def test_sigma_values(mesh):
 
 def test_alpha_minimal_at_theta():
     cfg = cfg_small()
-    margin = alpha_time_minimum_margin(cfg, np.linspace(0.21, 0.79, 61),
-                                       np.linspace(0, 1, 21))
-    assert margin >= 0.0
+    rep = weight_property_margins(cfg, np.linspace(0.21, 0.79, 61),
+                                  np.linspace(0, 1, 21))
+    assert rep["alpha_time_minimum_margin"] >= 0.0
+    assert rep["passed"]
 
 
 def test_weight_vanishing_at_endpoints():

@@ -212,12 +212,26 @@ def test_unknown_config_key_is_refused(tmp_path, capsys, extra, key):
     ("gradcheck", {"inverse": {"free": []}}, "inverse.free: expected distinct"),
     ("gradcheck", {"inverse": {"truth": {"p21": {"base": 1.0}}}},
      "inverse.truth.p21.amplitude: missing"),
+    ("carleman-verify", {"carleman": {"n_test_fields": 9}},
+     "carleman.n_test_fields: at most 5 test fields exist, got 9"),
+    ("stability", {"stability": {"scale": 0}},
+     "stability.scale: must be positive"),
 ])
 def test_bad_config_value_is_refused(tmp_path, capsys, command, extra, message):
     cfg = write_config(tmp_path, extra)
     assert run_cli(command, cfg, tmp_path / "out") == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"configuration error: {message}"), err
+
+
+@pytest.mark.parametrize("top", ["[1]", "3", "null", '"simulate"'])
+def test_non_object_config_file_is_refused(tmp_path, capsys, top):
+    path = tmp_path / "config.json"
+    path.write_text(top)
+    assert run_cli("simulate", str(path), tmp_path / "out") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"configuration error: config {path}: expected a JSON object"), err
 
 
 def test_added_truth_entry_follows_the_defaults(tmp_path):

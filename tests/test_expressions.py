@@ -132,3 +132,33 @@ def test_config_defaults_live_only_in_default_config():
     # the one left reads the keyword potentials of PotentialSet.from_values
     found = _package_calls(lambda c: _callee(c) == "get" and len(c.args) == 2)
     assert found == {("model.py", "PotentialSet")}
+
+
+def _names_used(tree) -> set:
+    """Every name a module reads: names, attributes and string constants."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_defined_name_has_a_caller():
+    # a function, method, property or class that neither the package (its
+    # re-exports aside) nor an acceptance criterion names is dead code;
+    # dunders are called by Python itself
+    src = pathlib.Path(bulksurf.__file__).parent
+    acceptance = pathlib.Path(__file__).with_name("test_acceptance.py")
+    defined, used = set(), _names_used(ast.parse(acceptance.read_text()))
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= {(path.name, node.name) for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))}
+        if path.name != "__init__.py":
+            used |= _names_used(tree)
+    assert sorted((f, n) for f, n in defined if n not in used) == []

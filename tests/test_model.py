@@ -81,8 +81,9 @@ def test_power_guards():
 def test_initial_data_trace_defaults(mesh):
     r2 = mesh.cell_r**2
     init = InitialData.from_values(mesh, y0=1.0 - r2, z0=0.5)
-    dy, dz = init.trace_mismatch(mesh)
-    assert dy == 0.0 and dz == 0.0  # defaults copy the outer ring
+    # the defaults copy the outer ring
+    np.testing.assert_array_equal(init.y0_gamma, init.y0[mesh.trace_map])
+    np.testing.assert_array_equal(init.z0_gamma, init.z0[mesh.trace_map])
 
 
 def test_assumption_I_zero_margin_case(mesh):

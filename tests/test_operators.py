@@ -8,7 +8,6 @@ from bulksurf.operators import (
     assemble_surface_diffusion,
     conormal_flux,
     green_identity_residual,
-    conormal_sign_report,
     conormal_identity_residual,
     operator_invariant_report,
     surface_divergence_residual,
@@ -96,7 +95,7 @@ def test_bulk_harmonic_function(mesh16):
     op = assemble_bulk_diffusion(mesh, np.ones(mesh.n_cells))
     xy = mesh.cell_xy
     u = xy[:, 0]
-    ug = mesh.surface_xy[:, 0]
+    ug = np.cos(mesh.surface_theta)
     out = op.apply(u, ug)
     mask = (mesh.cell_r > 0.2) & (mesh.cell_r < 0.9)
     assert np.abs(out[mask]).max() <= 1e-2
@@ -169,7 +168,7 @@ def test_conormal_flux_linear_field():
     for n in (16, 32):
         mesh = build_polar_mesh(n, 2 * n, 1.0)
         y = mesh.cell_xy[:, 0]
-        yg = mesh.surface_xy[:, 0]
+        yg = np.cos(mesh.surface_theta)
         flux = conormal_flux(mesh, np.ones(mesh.n_cells), y, yg)
         assert np.abs(flux - np.cos(mesh.surface_theta)).max() < 1e-12
 
@@ -245,21 +244,3 @@ def test_conormal_identity_rejects_indefinite():
         conormal_identity_residual(np.array([[1.0, 0.0], [0.0, -1.0]]),
                                   np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
-
-def test_conormal_bound_isotropic(mesh16):
-    a = np.ones(mesh16.n_theta)
-    rep = conormal_sign_report(a, beta=1.0, c=2.0)
-    assert rep["passed"]
-    assert rep["min_margin_conormal"] == 0.0
-
-    rep3 = conormal_sign_report(3 * a, beta=1.0, c=2.0)
-    assert rep3["passed"]
-    assert rep3["min_margin_conormal"] == pytest.approx(4.0)
-
-
-def test_conormal_bound_random_band(mesh16):
-    rng = np.random.default_rng(12)
-    beta = 0.7
-    a = rng.uniform(beta, 2 * beta, mesh16.n_theta)
-    rep = conormal_sign_report(a, beta=beta, c=2.0)
-    assert rep["passed"]
