@@ -30,7 +30,11 @@ class SolverError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Uniformly spaced states; row k of each table is the state at times[k]."""
+    """Uniformly spaced states; row k of each table is the state at times[k].
+
+    A solve of a block of k states gives tables with a draw axis after the
+    time axis, ``(n_nodes, k, n_cells)``.
+    """
 
     times: np.ndarray
     y: np.ndarray        # (n_nodes, n_cells)
@@ -242,6 +246,10 @@ class SemilinearSystem:
                   lu: spla.SuperLU | None = None) -> np.ndarray:
         """One IMEX step of the packed state ``x`` at time ``t``.
 
+        ``x`` is one state ``(n_dof,)`` or a block ``(k, n_dof)`` of states
+        that share this system; the fields are ``x[..., block]``, so the
+        potentials, the mass and the sources broadcast over the block, and
+        one solve on the ``(n_dof, k)`` transpose advances every column.
         Writes the state at ``t + dt`` into ``out`` (a new array when None)
         and returns it.  ``sources`` must already be normalized callables;
         ``lu`` is ``factorization(dt)``, looked up when not given.
@@ -255,20 +263,20 @@ class SemilinearSystem:
             lu = self.factorization(dt)
         pot = self.potentials
         sy, sz, syg, szg = self.blocks
-        y, z, yg, zg = x[sy], x[sz], x[syg], x[szg]
-        E = np.zeros(self.n_dof)
+        y, z, yg, zg = x[..., sy], x[..., sz], x[..., syg], x[..., szg]
+        E = np.zeros(x.shape)
         if self.nl_f is not None:
-            E[sy] += pot.p13 * self.nl_f(y, z)
+            E[..., sy] += pot.p13 * self.nl_f(y, z)
         if self.nl_g is not None:
-            E[syg] += pot.q13 * self.nl_g(yg, zg)
+            E[..., syg] += pot.q13 * self.nl_g(yg, zg)
         if reactions is not None:
             for block, rate in zip(self.blocks, reactions.rates(y, z, yg, zg)):
-                E[block] += rate
+                E[..., block] += rate
         if sources is not None:
             for block, key in zip(self.blocks, ("f1", "f2", "g1", "g2")):
                 if sources[key] is not None:
-                    E[block] += sources[key](t)
-        x_new = lu.solve(self.mass * (x / dt + E))
+                    E[..., block] += sources[key](t)
+        x_new = lu.solve((self.mass * (x / dt + E)).T).T
         if not np.isfinite(x_new).all():
             raise SolverError(f"non-finite state after step at t={t:.6g}")
         if out is None:
@@ -281,20 +289,24 @@ class SemilinearSystem:
               t_start: float = 0.0) -> Trajectory:
         """Integrate ``init`` from t_start to t_end; returns all intermediate states.
 
-        The four tables of the result are views of one packed array.
+        ``init`` holds one state, or a block of k states when every field
+        has a leading axis of length k; the block shares one LU and is
+        advanced in one step per time node.  The four tables of the result
+        are views of one packed array.
         """
         srcs = _normalize_sources(sources, self.mesh)
         n_steps = max(0, math.ceil((t_end - t_start) / dt - 1e-9)) if t_end > t_start else 0
 
-        X = np.empty((n_steps + 1, self.n_dof))
+        lead = np.shape(init.y0)[:1] if np.ndim(init.y0) == 2 else ()
+        X = np.empty((n_steps + 1, *lead, self.n_dof))
         for name, block in zip(("y0", "z0", "y0_gamma", "z0_gamma"), self.blocks):
             values = np.asarray(getattr(init, name))
-            n = block.stop - block.start
-            if values.shape != (n,):
-                raise ValueError(f"{name} has shape {values.shape}, expected ({n},)")
+            shape = (*lead, block.stop - block.start)
+            if values.shape != shape:
+                raise ValueError(f"{name} has shape {values.shape}, expected {shape}")
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} contains non-finite values")
-            X[0, block] = values
+            X[0, ..., block] = values
         times = t_start + dt * np.arange(n_steps + 1)
         lu = self.factorization(dt) if n_steps else None
         t = t_start
@@ -306,8 +318,8 @@ class SemilinearSystem:
                 raise SolverError(f"step {k + 1} (t={times[k]:.6g}): {exc}") from exc
             t = t + dt
         sy, sz, syg, szg = self.blocks
-        return Trajectory(times=times, y=X[:, sy], z=X[:, sz], y_gamma=X[:, syg],
-                          z_gamma=X[:, szg], dt=float(dt))
+        return Trajectory(times=times, y=X[..., sy], z=X[..., sz],
+                          y_gamma=X[..., syg], z_gamma=X[..., szg], dt=float(dt))
 
 
 def window_nodes(traj: Trajectory, t0: float, t1: float) -> np.ndarray:

@@ -1,10 +1,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from bulksurf.cli import main
-from bulksurf.config import load_config
+import bulksurf.forward
+from bulksurf.cli import main, write_csv
+from bulksurf.config import compile_expression, load_config
+from bulksurf.forward import ReactionSet
+from bulksurf.model import InitialData
+from bulksurf.positivity import negative_part_energy_monotone, positivity_experiment
 
 SMALL_CONFIG = {
     "mesh": {"n_r": 8, "n_theta": 16},
@@ -99,6 +104,55 @@ def test_positivity_command(tmp_path):
     assert summary["checks"]["minimum_nonnegative"]
     assert summary["checks"]["negative_energy_monotone"]
     assert os.path.exists(out / "energy.csv")
+
+
+def test_positivity_draws_share_one_factorization(tmp_path, monkeypatch):
+    splu = bulksurf.forward.spla.splu
+    calls = []
+    monkeypatch.setattr(bulksurf.forward.spla, "splu",
+                        lambda *a, **k: calls.append(1) or splu(*a, **k))
+    cfg = write_config(tmp_path, {"positivity": {"draws": 5}})
+    assert run_cli("positivity", cfg, tmp_path / "out") == 0
+    assert len(calls) == 1
+    summary = read_summary(tmp_path / "out")
+    assert summary["matrix_check"]["offdiag_nonpositive"]
+    assert "matrix_check" not in summary["checks"]
+
+
+def test_positivity_block_matches_one_draw_runs(tmp_path):
+    # the CLI advances the draws as one block; a loop of one-draw
+    # experiments on the same random stream writes the same bytes
+    cfg_path = write_config(tmp_path, {"positivity": {"draws": 4}})
+    assert run_cli("positivity", cfg_path, tmp_path / "out") == 0
+    cfg = load_config(cfg_path)
+    pz = cfg.positivity
+    reactions = ReactionSet(
+        **{k: compile_expression(spec, ("u", "v"), k)
+           for k, spec in pz["reactions"].items()},
+        lipschitz_bound=pz["lipschitz_bound"])
+    rng = np.random.default_rng(cfg.seed)
+    nb, ns = cfg.mesh.n_cells, cfg.mesh.n_theta
+    draw_rows, energy_rows = [], None
+    for d in range(4):
+        init = InitialData(rng.random(nb), rng.random(nb), rng.random(ns),
+                           rng.random(ns))
+        out = positivity_experiment(cfg.mesh, cfg.diffusion, init, reactions,
+                                    t_end=pz["t_end"], dt=cfg.dt)
+        scale = max(abs(out["trajectory"].y).max(), 1.0)
+        ok = out["min_value"] >= -1e-10 * scale
+        assert negative_part_energy_monotone(out["trajectory"], cfg.mesh)["passed"]
+        draw_rows.append((d, out["min_value"], float(np.max(out["E_y"])),
+                          float(np.max(out["E_z"])), int(ok)))
+        if energy_rows is None:
+            energy_rows = [(t, out["E_y"][k], out["E_z"][k], out["min_series"][k])
+                           for k, t in enumerate(out["energy_times"])]
+    write_csv(str(tmp_path / "draws.csv"),
+              ["draw", "min_value", "max_E_y", "max_E_z", "passed"], draw_rows)
+    write_csv(str(tmp_path / "energy.csv"),
+              ["t", "E_neg_y", "E_neg_z", "min_over_fields"], energy_rows)
+    for name in ("draws.csv", "energy.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == \
+            (tmp_path / name).read_bytes()
 
 
 def test_carleman_verify_command(tmp_path):

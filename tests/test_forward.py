@@ -317,3 +317,77 @@ def test_mms_temporal_order():
     out = mms_convergence(levels, t_end=0.4)
     assert out["mode"] == "temporal"
     assert min(out["orders"]) >= 0.9
+
+
+def _block_problem(k=3):
+    """Both nonlinearities, clipped reactions and time-dependent sources,
+    with a block of k random initial states."""
+    mesh = build_polar_mesh(4, 8, 1.0)
+    nb, ns = mesh.n_cells, mesh.n_theta
+    diffusion = DiffusionSpec.from_values(mesh, a1=1.0 + 0.3 * mesh.cell_r,
+                                          d2=2.0)
+    pot = PotentialSet.from_values(
+        mesh, p11=-0.3, p12=0.2, p13=0.5, p21=0.4, p22=-0.1,
+        q11=0.1, q12=-0.2, q13=0.3, q21=0.25, q22=-0.15)
+    system = SemilinearSystem(
+        mesh, diffusion, pot, nl_f=make_power_nonlinearity(1, 1, (2.0, 2.0)),
+        nl_g=make_power_nonlinearity(2, 0, (2.0, 2.0)))
+    reactions = ReactionSet(f1=lambda y, z: 0.1 * z,
+                            f2=lambda y, z: 0.2 * y - 0.05 * z,
+                            g1=lambda yg, zg: 0.3 * zg * zg,
+                            g2=lambda yg, zg: 0.1 * yg,
+                            lipschitz_bound=1.0, clip=True)
+    sources = {"f1": lambda t: np.cos(3 * t) * mesh.cell_r,
+               "f2": 0.1 * mesh.cell_xy[:, 0],
+               "g1": lambda t: t * np.sin(mesh.surface_theta)}
+    rng = np.random.default_rng(12)
+    init = InitialData(*(rng.standard_normal((k, n)) for n in (nb, nb, ns, ns)))
+    return system, reactions, sources, init
+
+
+def test_block_solve_equals_column_solves():
+    system, reactions, sources, init = _block_problem(k=4)
+    block = system.solve(init, t_end=0.1, dt=0.01, sources=sources,
+                         reactions=reactions)
+    assert block.y.shape == (11, 4, system.mesh.n_cells)
+    for j in range(4):
+        column = system.solve(
+            InitialData(init.y0[j], init.z0[j], init.y0_gamma[j],
+                        init.z0_gamma[j]),
+            t_end=0.1, dt=0.01, sources=sources, reactions=reactions)
+        for name in ("y", "z", "y_gamma", "z_gamma"):
+            np.testing.assert_array_equal(getattr(block, name)[:, j],
+                                          getattr(column, name))
+
+
+def test_block_solve_matches_dense_reference():
+    # the dense oracle of test_solve_matches_dense_reference, on 3 columns
+    system, reactions, sources, init = _block_problem(k=3)
+    mesh, pot = system.mesh, system.potentials
+    nb, ns = mesh.n_cells, mesh.n_theta
+    dt = 0.01
+    traj = system.solve(init, t_end=10 * dt, dt=dt, sources=sources,
+                        reactions=reactions)
+    S = system.implicit_matrix(dt).toarray()
+    x = np.concatenate([init.y0, init.z0, init.y0_gamma, init.z0_gamma], axis=1)
+    for k in range(10):
+        t = k * dt
+        y, z = x[:, :nb], x[:, nb:2 * nb]
+        yg, zg = x[:, 2 * nb:2 * nb + ns], x[:, 2 * nb + ns:]
+        yp, zp, ygp, zgp = (np.maximum(v, 0.0) for v in (y, z, yg, zg))
+        E = np.concatenate([
+            pot.p13 * y * z + 0.1 * zp + np.cos(3 * t) * mesh.cell_r,
+            0.2 * yp - 0.05 * zp + 0.1 * mesh.cell_xy[:, 0],
+            pot.q13 * yg**2 + 0.3 * zgp**2 + t * np.sin(mesh.surface_theta),
+            0.1 * ygp], axis=1)
+        x = np.linalg.solve(S, (system.mass * (x / dt + E)).T).T
+        got = np.concatenate([traj.y[k + 1], traj.z[k + 1],
+                              traj.y_gamma[k + 1], traj.z_gamma[k + 1]], axis=1)
+        for j in range(3):
+            assert np.linalg.norm(got[j] - x[j]) <= 1e-12 * np.linalg.norm(x[j])
+
+
+def test_block_solve_refuses_a_ragged_block():
+    system, _, _, init = _block_problem(k=3)
+    with pytest.raises(ValueError, match=r"z0 has shape \(2, 32\), expected \(3, 32\)"):
+        system.solve(replace(init, z0=init.z0[:2]), t_end=0.02, dt=0.01)

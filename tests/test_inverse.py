@@ -3,10 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bulksurf.forward
+from bulksurf.forward import SolverError
 from bulksurf.geometry import build_polar_mesh, build_regions
 from bulksurf.inverse import (
     InverseProblem,
     build_patch_basis,
+    first_step_difference,
     simulate_twin,
     stability_ensemble,
 )
@@ -273,6 +276,52 @@ def test_stability_midtime_identities(problem, truth):
         assert rec["u_rel_err"] <= tol
         assert rec["v_gamma_rel_err"] <= tol
         assert rec["u_gamma_rel_err"] <= tol
+
+
+def test_stability_identity_difference_matches_two_lu_quotient(problem, truth):
+    # the first-step difference solved on the reference LU against the
+    # difference of two separately factorized steps, at the identity's step
+    system = problem.system_for(truth)
+    traj = system.solve(problem.init, problem.t_end, problem.dt)
+    k = traj.index_at(problem.regions.theta)
+    state = traj.state(k)
+    x = np.concatenate([state.y0, state.z0, state.y0_gamma, state.z0_gamma])
+    dt = problem.dt / 64.0
+    s_ref = system.step_imex(x, traj.times[k], dt)
+    f = problem.nl_f(state.y0, state.z0)
+    g = problem.nl_g(state.y0_gamma, state.z0_gamma)
+    pot = system.potentials
+    rng = np.random.default_rng(3)
+    nb, ns = problem.mesh.n_cells, problem.mesh.n_theta
+    for _ in range(3):
+        a1, a2 = rng.uniform(-1e-3, 1e-3, (2, nb))
+        l1, l2 = rng.uniform(-1e-3, 1e-3, (2, ns))
+        pert = system.with_potentials(pot.with_fields(
+            p13=pot.p13 + a1, p21=pot.p21 + a2, q13=pot.q13 + l1,
+            q21=pot.q21 + l2))
+        quotient = (pert.step_imex(x, traj.times[k], dt) - s_ref) / dt
+        derivative = first_step_difference(system, s_ref, dt, a1 * f, a2,
+                                           l1 * g, l2) / dt
+        for block in system.blocks:   # u0, v0, u0_g, v0_g
+            assert np.linalg.norm(derivative[block] - quotient[block]) <= \
+                1e-6 * np.linalg.norm(quotient[block])
+    # an update that never settles ends at the pass cap
+    with pytest.raises(SolverError, match="no fixed point"):
+        first_step_difference(system, s_ref, dt, np.full(nb, np.nan), a2,
+                              l1 * g, l2)
+
+
+def test_stability_factorization_count(problem, truth, monkeypatch):
+    splu = bulksurf.forward.spla.splu
+    calls = []
+    monkeypatch.setattr(bulksurf.forward.spla, "splu",
+                        lambda *a, **k: calls.append(1) or splu(*a, **k))
+    report = stability_ensemble(problem, truth, n_draws=3,
+                                perturbation_scale=1e-3, seed=9)
+    assert report.n_rejected == 0
+    # the reference at dt and dt/64, then each draw's full- and half-scale
+    # systems at dt; the identity reuses the reference's dt/64 LU
+    assert len(calls) == 2 + 2 * 3
 
 
 def test_stability_refuses_a_zero_scale(problem, truth):
