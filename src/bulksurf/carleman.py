@@ -15,7 +15,7 @@ magnitudes carry the shift as ``log_scale``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,39 +204,24 @@ class DiffusionPair:
                    op_surf=assemble_surface_diffusion(mesh, d))
 
 
-class WeightEvaluator:
-    """Weight tables over window-interior trajectory nodes, with the shift.
+def _window_weights(cfg: CarlemanConfig, mesh: Mesh, traj: Trajectory):
+    """Window nodes and their weight tables, with the common exponent shift.
 
-    ``W_bulk``/``W_surf`` and the weights built from them carry the common
-    factor e^{+2 s alpha_ref}; ``log_scale`` = -2 s alpha_ref restores
-    absolute magnitudes.
+    Returns (k_idx, W, sxi, log_scale): W = e^{-2 s (alpha - alpha_ref)} and
+    sxi = s xi on the (n_nodes, 1 + n_cells) grid, surface in column 0;
+    alpha_ref is the grid minimum of alpha, and log_scale = -2 s alpha_ref
+    restores absolute magnitudes.
     """
-
-    def __init__(self, cfg: CarlemanConfig, mesh: Mesh, traj: Trajectory):
-        self.cfg = cfg
-        self.k_idx = window_nodes(traj, cfg.t0, cfg.t1)
-        self.times = traj.times[self.k_idx]
-        self.dt = traj.dt
-
-        eta, _ = eta0_and_gradient(mesh.cell_xy)
-        alpha, xi, _ = weight_tables(cfg, np.append(0.0, eta), self.times)
-        self.alpha_surf, self.alpha_bulk = alpha[:, 0], alpha[:, 1:]
-        self.xi_surf, self.xi_bulk = xi[:, 0], xi[:, 1:]
-        self.alpha_ref = float(min(self.alpha_bulk.min(), self.alpha_surf.min()))
-        self.W_bulk = exp_weight(cfg.s, self.alpha_bulk, shift=self.alpha_ref)
-        self.W_surf = exp_weight(cfg.s, self.alpha_surf, shift=self.alpha_ref)
-
-    @property
-    def log_scale(self) -> float:
-        return -2.0 * self.cfg.s * self.alpha_ref
-
-    def surf_weight(self, power: float) -> np.ndarray:
-        """(shifted weight) * (s xi)^power on the surface, shape (n_times,)."""
-        return self.W_surf * (self.cfg.s * self.xi_surf) ** power
+    k_idx = window_nodes(traj, cfg.t0, cfg.t1)
+    eta, _ = eta0_and_gradient(mesh.cell_xy)
+    alpha, xi, _ = weight_tables(cfg, np.append(0.0, eta), traj.times[k_idx])
+    alpha_ref = float(alpha.min())
+    return (k_idx, exp_weight(cfg.s, alpha, shift=alpha_ref), cfg.s * xi,
+            -2.0 * cfg.s * alpha_ref)
 
 
 def _grad_quadrature(mesh: Mesh, z: np.ndarray, z_gamma: np.ndarray,
-                     w_cell: np.ndarray, w_surf: np.ndarray) -> float:
+                     w_cell: np.ndarray, w_surf: float) -> float:
     """Face-based quadrature of int w |grad z|^2 including boundary faces."""
     du = z[mesh.faces_a] - z[mesh.faces_b]
     wf = 0.5 * (w_cell[mesh.faces_a] + w_cell[mesh.faces_b])
@@ -247,77 +232,64 @@ def _grad_quadrature(mesh: Mesh, z: np.ndarray, z_gamma: np.ndarray,
     return total
 
 
-def _surf_grad_quadrature(mesh: Mesh, zg: np.ndarray, w: np.ndarray) -> float:
-    ds = mesh.surface_weights[0]
-    du = np.roll(zg, -1) - zg
-    wf = 0.5 * (w + np.roll(w, -1))
-    return float(np.sum(wf * du**2 / ds))
+def _energy(terms: dict) -> float:
+    """I(tau): the four bulk terms, then the five surface terms."""
+    return ((terms["bulk_time"] + terms["bulk_elliptic"]
+             + terms["bulk_gradient"] + terms["bulk_zeroth"])
+            + (terms["surf_time"] + terms["surf_elliptic"]
+               + terms["surf_gradient"] + terms["surf_zeroth"]
+               + terms["surf_conormal"]))
 
 
-@dataclass
-class WeightedNorms:
-    i_omega: float
-    i_gamma: float
-    log_scale: float
-    terms: dict = field(default_factory=dict)
-
-    @property
-    def total(self) -> float:
-        return self.i_omega + self.i_gamma
-
-
-def _window_pass(tau: float, zb: np.ndarray, zg: np.ndarray,
+def _window_pass(tau: float, zb: np.ndarray, zg: np.ndarray, dt: float,
                  cfg: CarlemanConfig, mesh: Mesh, pair: DiffusionPair,
-                 ev: WeightEvaluator, omega: np.ndarray | None = None
-                 ) -> tuple[WeightedNorms, dict]:
-    """Walk the window nodes once for weighted_norms and carleman_ratio.
+                 window: tuple, omega: np.ndarray | None = None) -> dict:
+    """The nine weighted-norm terms of (zb, zg), one walk over the window.
 
-    Returns the weighted norms of (zb, zg) and, given the observation cells
-    ``omega``, the right-hand-side terms of carleman_ratio (else zeros).
+    Bulk terms carry (s xi)^{tau-1}, lam^2 (s xi)^{tau+1}, lam^4 (s xi)^{tau+3};
+    surface terms carry lam-powers (1, lam, lam^3) plus the lam (s xi)^{tau+1}
+    conormal-flux term.  Endpoint nodes are excluded (the weight vanishes
+    faster than any polynomial there).  Given the observation cells
+    ``omega``, the right-hand-side terms of carleman_ratio come too.
     """
-    lam, dt = cfg.lam, ev.dt
+    k_idx, W, sxi, _ = window
+    lam = cfg.lam
     areas, ds = mesh.cell_areas, mesh.surface_weights
-
-    w_te_s = ev.surf_weight(tau - 1.0)
-    w_gr_s = ev.surf_weight(tau + 1.0)
-    w_z_s = ev.surf_weight(tau + 3.0)
-    w_res_s = ev.surf_weight(tau)
 
     t_time = t_ell = t_grad = t_zero = 0.0
     s_time = s_ell = s_grad = s_zero = s_con = 0.0
     obs = res_b = res_s = 0.0
-    for row, k in enumerate(ev.k_idx):
-        # bulk weights row by row: an (n_nodes, n_cells) table per power
-        # would add about 8 MB each to the peak memory at 64x128
-        W, sxi = ev.W_bulk[row], cfg.s * ev.xi_bulk[row]
-        w_te_b = W * sxi ** (tau - 1.0)
-        w_gr_b = W * sxi ** (tau + 1.0)
-        w_z_b = W * sxi ** (tau + 3.0)
+    for row, k in enumerate(k_idx):
+        # weights row by row: an (n_nodes, n_cells) table per power would
+        # add about 8 MB each to the peak memory at 64x128
+        w_te = W[row] * sxi[row] ** (tau - 1.0)
+        w_gr = W[row] * sxi[row] ** (tau + 1.0)
+        w_z = W[row] * sxi[row] ** (tau + 3.0)
         dtz = (zb[k + 1] - zb[k - 1]) / (2.0 * dt)
         dtzg = (zg[k + 1] - zg[k - 1]) / (2.0 * dt)
         div_b = pair.op_bulk.apply(zb[k], zg[k])
         div_s = pair.op_surf.apply(zg[k])
         flux = conormal_flux(mesh, pair.a, zb[k], zg[k])
-        w_gr_s_row = np.full(mesh.n_theta, w_gr_s[row])
+        dzg = np.roll(zg[k], -1) - zg[k]
 
-        t_time += dt * float(np.dot(areas, w_te_b * dtz**2))
-        t_ell += dt * float(np.dot(areas, w_te_b * div_b**2))
+        t_time += dt * float(np.dot(areas, w_te[1:] * dtz**2))
+        t_ell += dt * float(np.dot(areas, w_te[1:] * div_b**2))
         t_grad += dt * lam**2 * _grad_quadrature(mesh, zb[k], zg[k],
-                                                 w_gr_b, w_gr_s_row)
-        t_zero += dt * lam**4 * float(np.dot(areas, w_z_b * zb[k]**2))
+                                                 w_gr[1:], w_gr[0])
+        t_zero += dt * lam**4 * float(np.dot(areas, w_z[1:] * zb[k]**2))
 
-        s_time += dt * float(np.dot(ds, w_te_s[row] * dtzg**2))
-        s_ell += dt * float(np.dot(ds, w_te_s[row] * div_s**2))
-        s_grad += dt * lam * _surf_grad_quadrature(mesh, zg[k], w_gr_s_row)
-        s_zero += dt * lam**3 * float(np.dot(ds, w_z_s[row] * zg[k]**2))
-        s_con += dt * lam * float(np.dot(ds, w_gr_s[row] * flux**2))
+        s_time += dt * float(np.dot(ds, w_te[0] * dtzg**2))
+        s_ell += dt * float(np.dot(ds, w_te[0] * div_s**2))
+        s_grad += dt * lam * float(np.sum(w_gr[0] * dzg**2 / ds[0]))
+        s_zero += dt * lam**3 * float(np.dot(ds, w_z[0] * zg[k]**2))
+        s_con += dt * lam * float(np.dot(ds, w_gr[0] * flux**2))
 
         if omega is not None:
             obs += dt * lam**4 * float(
-                np.dot(areas[omega], w_z_b[omega] * zb[k][omega] ** 2))
-            w_res_b = W * sxi ** tau
-            res_b += dt * float(np.dot(areas, w_res_b * (dtz - div_b)**2))
-            res_s += dt * float(np.dot(ds, w_res_s[row]
+                np.dot(areas[omega], w_z[1:][omega] * zb[k][omega] ** 2))
+            w_res = W[row] * sxi[row] ** tau
+            res_b += dt * float(np.dot(areas, w_res[1:] * (dtz - div_b)**2))
+            res_s += dt * float(np.dot(ds, w_res[0]
                                        * (dtzg - div_s + flux)**2))
 
     terms = {
@@ -327,32 +299,20 @@ def _window_pass(tau: float, zb: np.ndarray, zg: np.ndarray,
         "surf_gradient": s_grad, "surf_zeroth": s_zero,
         "surf_conormal": s_con,
     }
-    norms = WeightedNorms(
-        i_omega=t_time + t_ell + t_grad + t_zero,
-        i_gamma=s_time + s_ell + s_grad + s_zero + s_con,
-        log_scale=ev.log_scale, terms=terms)
-    return norms, {"observation": obs, "bulk_residual": res_b,
-                   "surface_residual": res_s}
+    if omega is not None:
+        terms.update(observation=obs, bulk_residual=res_b,
+                     surface_residual=res_s)
+    return terms
 
 
-def weighted_norms(tau: float, traj: Trajectory, cfg: CarlemanConfig,
-                   mesh: Mesh, pair: DiffusionPair, which: str = "z",
-                   evaluator: WeightEvaluator | None = None) -> WeightedNorms:
-    """Weighted space-time energies of one field pair over the window.
-
-    Bulk terms carry (s xi)^{tau-1}, lam^2 (s xi)^{tau+1}, lam^4 (s xi)^{tau+3};
-    surface terms carry lam-powers (1, lam, lam^3) plus the lam (s xi)^{tau+1}
-    conormal-flux term.  Endpoint nodes are excluded (the weight vanishes
-    faster than any polynomial there).  Values share the evaluator's shift.
-    """
-    ev = evaluator or WeightEvaluator(cfg, mesh, traj)
-    if which == "z":
-        zb, zg = traj.z, traj.z_gamma
-    elif which == "y":
-        zb, zg = traj.y, traj.y_gamma
+def _ratio_record(lhs: float, rhs: float, log_scale: float, parts: dict) -> dict:
+    """An estimate's two sides and their ratio (inf or nan when rhs is 0)."""
+    if rhs > 0:
+        ratio = lhs / rhs
     else:
-        raise ValueError("which must be 'y' or 'z'")
-    return _window_pass(tau, zb, zg, cfg, mesh, pair, ev)[0]
+        ratio = math.inf if lhs > 0 else math.nan
+    return {"lhs": lhs, "rhs": rhs, "ratio": ratio, "log_scale": log_scale,
+            "parts": parts}
 
 
 def carleman_ratio(tau: float, traj: Trajectory, cfg: CarlemanConfig,
@@ -363,17 +323,12 @@ def carleman_ratio(tau: float, traj: Trajectory, cfg: CarlemanConfig,
     weighted residual terms of the heat operators.  Both sides share one
     exponent shift, so the ratio is shift-invariant.
     """
-    ev = WeightEvaluator(cfg, mesh, traj)
-    norms, parts = _window_pass(tau, traj.z, traj.z_gamma, cfg, mesh, pair, ev,
-                                regions.omega)
-    lhs = norms.total
-    rhs = sum(parts.values())
-    if rhs > 0:
-        ratio = lhs / rhs
-    else:
-        ratio = math.inf if lhs > 0 else math.nan
-    return {"lhs": lhs, "rhs": rhs, "ratio": ratio, "log_scale": ev.log_scale,
-            "parts": {**parts, **norms.terms}}
+    window = _window_weights(cfg, mesh, traj)
+    parts = _window_pass(tau, traj.z, traj.z_gamma, traj.dt, cfg, mesh, pair,
+                         window, regions.omega)
+    rhs = sum(parts[key] for key in
+              ("observation", "bulk_residual", "surface_residual"))
+    return _ratio_record(_energy(parts), rhs, window[3], parts)
 
 
 def shifted_ratio(traj: Trajectory, sources: dict, cfg: CarlemanConfig,
@@ -383,8 +338,10 @@ def shifted_ratio(traj: Trajectory, sources: dict, cfg: CarlemanConfig,
 
     lhs = lam^{-4+eps} [I(-3) of the y pair] + [I(0) of the z pair];
     rhs = s^4 lam^{4+eps} observation(z) + s^{-3} lam^{-4+eps} xi^{-3}
-    weighted (f1, g1) terms + lam^{2 eps} (f2, g2) terms.  Refuses to run
-    unless p21 and q21 sit above the coercivity floor.
+    weighted (f1, g1) terms + lam^{2 eps} (f2, g2) terms.  ``sources`` maps
+    f1, f2 (per cell) and g1, g2 (per surface node) to time-independent
+    arrays; a missing key is zero.  Refuses to run unless p21 and q21 sit
+    above the coercivity floor.
     """
     floor = potentials.p0
     if floor <= 0 or potentials.p21.min() < floor or potentials.q21.min() < floor:
@@ -392,52 +349,38 @@ def shifted_ratio(traj: Trajectory, sources: dict, cfg: CarlemanConfig,
             "shifted estimate needs p21, q21 >= p0 > 0 "
             f"(floor {floor}, min p21 {potentials.p21.min():.3g}, "
             f"min q21 {potentials.q21.min():.3g})")
+    src = {}
+    for key, n in (("f1", mesh.n_cells), ("f2", mesh.n_cells),
+                   ("g1", mesh.n_theta), ("g2", mesh.n_theta)):
+        val = sources.get(key)
+        src[key] = np.zeros(n) if val is None else np.asarray(val, dtype=float)
+        if src[key].shape != (n,):
+            raise ValueError(
+                f"source {key} has shape {src[key].shape}, expected ({n},)")
 
-    ev = WeightEvaluator(cfg, mesh, traj)
-    eps, lam, s = cfg.epsilon, cfg.lam, cfg.s
-    n_y = weighted_norms(-3.0, traj, cfg, mesh, pair1, "y", evaluator=ev)
-    n_z = weighted_norms(0.0, traj, cfg, mesh, pair2, "z", evaluator=ev)
-    lhs = lam ** (-4.0 + eps) * n_y.total + n_z.total
+    k_idx, W, sxi, log_scale = window = _window_weights(cfg, mesh, traj)
+    eps, lam, dt = cfg.epsilon, cfg.lam, traj.dt
+    norms_y = _energy(_window_pass(-3.0, traj.y, traj.y_gamma, dt, cfg, mesh,
+                                   pair1, window))
+    norms_z = _energy(_window_pass(0.0, traj.z, traj.z_gamma, dt, cfg, mesh,
+                                   pair2, window))
+    lhs = lam ** (-4.0 + eps) * norms_y + norms_z
 
-    dt = ev.dt
-    areas, ds = mesh.cell_areas, mesh.surface_weights
-    from .forward import _normalize_sources
-    srcs = _normalize_sources(sources or {}, mesh)
-
-    def src_at(key, t, n):
-        fn = srcs.get(key) if srcs else None
-        return np.zeros(n) if fn is None else np.asarray(fn(t), dtype=float)
-
-    xi_m3_b = ev.W_bulk * ev.xi_bulk ** (-3.0)
-    xi_m3_s = ev.W_surf * ev.xi_surf ** (-3.0)
-    xi4_b = ev.W_bulk * ev.xi_bulk ** 4.0
-    obs = f1_term = g1_term = f2_term = g2_term = 0.0
-    cells = regions.omega
-    for row, k in enumerate(ev.k_idx):
-        t = float(ev.times[row])
-        obs += dt * float(np.dot(areas[cells],
-                                 xi4_b[row][cells] * traj.z[k][cells] ** 2))
-        f1 = src_at("f1", t, mesh.n_cells)
-        g1 = src_at("g1", t, mesh.n_theta)
-        f2 = src_at("f2", t, mesh.n_cells)
-        g2 = src_at("g2", t, mesh.n_theta)
-        f1_term += dt * float(np.dot(areas, xi_m3_b[row] * f1**2))
-        g1_term += dt * float(np.dot(ds, xi_m3_s[row] * g1**2))
-        f2_term += dt * float(np.dot(areas, ev.W_bulk[row] * f2**2))
-        g2_term += dt * float(np.dot(ds, ev.W_surf[row] * g2**2))
-
-    rhs = (s**4 * lam ** (4.0 + eps) * obs
-           + s ** (-3.0) * lam ** (-4.0 + eps) * (f1_term + g1_term)
-           + lam ** (2.0 * eps) * (f2_term + g2_term))
-    if rhs > 0:
-        ratio = lhs / rhs
-    else:
-        ratio = math.inf if lhs > 0 else math.nan
-    return {"lhs": lhs, "rhs": rhs, "ratio": ratio, "log_scale": ev.log_scale,
-            "parts": {"observation": s**4 * lam ** (4.0 + eps) * obs,
-                      "f1_g1": s ** (-3.0) * lam ** (-4.0 + eps) * (f1_term + g1_term),
-                      "f2_g2": lam ** (2.0 * eps) * (f2_term + g2_term),
-                      "norms_y": n_y.total, "norms_z": n_z.total}}
+    # s^4 xi^4 = sxi^4 and s^-3 xi^-3 = sxi^-3; column 0 of a table is the
+    # surface, so bulk cell i sits in column 1 + i
+    areas, ds, cells = mesh.cell_areas, mesh.surface_weights, regions.omega
+    z_obs = traj.z[np.ix_(k_idx, cells)]
+    obs = np.sum((W[:, 1 + cells] * sxi[:, 1 + cells] ** 4.0 * z_obs**2)
+                 @ areas[cells])
+    src1 = np.append(ds @ src["g1"] ** 2, areas * src["f1"] ** 2)
+    src2 = np.append(ds @ src["g2"] ** 2, areas * src["f2"] ** 2)
+    parts = {"observation": lam ** (4.0 + eps) * dt * float(obs),
+             "f1_g1": lam ** (-4.0 + eps) * dt
+             * float(np.sum((W * sxi ** -3.0) @ src1)),
+             "f2_g2": lam ** (2.0 * eps) * dt * float(np.sum(W @ src2))}
+    rhs = parts["observation"] + parts["f1_g1"] + parts["f2_g2"]
+    parts.update(norms_y=norms_y, norms_z=norms_z)
+    return _ratio_record(lhs, rhs, log_scale, parts)
 
 
 # --- weight invariant checks ------------------------------------------------

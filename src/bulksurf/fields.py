@@ -64,7 +64,7 @@ class SpaceTimeField:
     def on_circle(self, R: float = 1.0) -> "CircleField":
         """Restriction to the circle of radius R, parametrized by angle."""
         sub = self.expr.subs({X1: R * sp.cos(TH), X2: R * sp.sin(TH)})
-        return CircleField(sub, R=R)
+        return CircleField(sub)
 
     def normal_derivative_expr(self, R: float = 1.0):
         """Symbolic d_nu f on the circle of radius R, as a (t, theta) expr."""
@@ -73,11 +73,10 @@ class SpaceTimeField:
 
 
 class CircleField:
-    """Scalar field g(t, theta) on the circle of radius R, with its value."""
+    """Scalar field g(t, theta) on a circle, parametrized by angle."""
 
-    def __init__(self, expr, R: float = 1.0):
+    def __init__(self, expr):
         self.expr = sympy_expr(expr)
-        self.R = float(R)
         self._value = _lambdify((T, TH), self.expr)
 
     def value(self, t, theta):

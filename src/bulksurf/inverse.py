@@ -485,10 +485,7 @@ def stability_ensemble(problem: InverseProblem,
     t1 = regions.t1
     state_theta = ref_traj.state(k_theta)
     pot_ref = system_ref.potentials
-    ref_tail = Trajectory(
-        times=ref_traj.times[k_theta:], dt=ref_traj.dt,
-        y=ref_traj.y[k_theta:], z=ref_traj.z[k_theta:],
-        y_gamma=ref_traj.y_gamma[k_theta:], z_gamma=ref_traj.z_gamma[k_theta:])
+    ref_obs = observe(ref_traj, regions, mesh, t0=theta, t1=t1)
 
     f_theta = problem.nl_f(ref_traj.y[k_theta], ref_traj.z[k_theta])
     g_theta = problem.nl_g(ref_traj.y_gamma[k_theta], ref_traj.z_gamma[k_theta])
@@ -505,19 +502,13 @@ def stability_ensemble(problem: InverseProblem,
     def response_norm(system):
         """Observation norm on (theta, t1) of ``system`` minus the reference."""
         traj = system.solve(state_theta, t1, problem.dt, t_start=theta)
-        n = min(ref_tail.n_nodes, traj.n_nodes)
-        diff = Trajectory(
-            times=traj.times[:n], dt=traj.dt, y=traj.y[:n] - ref_tail.y[:n],
-            z=traj.z[:n] - ref_tail.z[:n],
-            y_gamma=traj.y_gamma[:n] - ref_tail.y_gamma[:n],
-            z_gamma=traj.z_gamma[:n] - ref_tail.z_gamma[:n])
-        return observe(diff, regions, mesh, t0=theta, t1=t1).norm()
+        obs = observe(traj, regions, mesh, t0=theta, t1=t1)
+        return replace(obs, values=obs.values - ref_obs.values).norm()
 
     records = []
     n_rejected = 0
-    draws_done = 0
     attempts = 0
-    while draws_done < n_draws and attempts < n_draws + 50:
+    while len(records) < n_draws and attempts < n_draws + 50:
         attempts += 1
         a1 = perturbation_scale * _smooth_bulk_shape(mesh, rng)
         a2 = perturbation_scale * _smooth_bulk_shape(mesh, rng)
@@ -569,7 +560,6 @@ def stability_ensemble(problem: InverseProblem,
         records.append({"delta_norm": delta, "obs_norm": obs_norm,
                         "ratio": ratio, "obs_norm_half_scale": obs_half,
                         **ident})
-        draws_done += 1
 
     if not records:
         raise SolverError("stability ensemble: every draw was rejected")

@@ -209,21 +209,17 @@ class InitialData:
 
 @dataclass
 class CheckReport:
-    """Outcome of an assumption validator: flags, margins, violating cells."""
+    """Outcome of an assumption validator: the flag and the minimum margins."""
 
     passed: bool
     margins: dict = field(default_factory=dict)
-    violations: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
 
 
 def _record(report: CheckReport, name: str, margin_field: np.ndarray) -> None:
-    """Record the minimum margin; on a violation, list up to 20 failing indices."""
+    """Record the minimum margin; a negative one fails the report."""
     m = float(margin_field.min())
     report.margins[name] = m
     if m < 0:
-        bad = np.flatnonzero(margin_field < 0)
-        report.violations[name] = bad[:20].tolist()
         report.passed = False
 
 
@@ -242,9 +238,6 @@ def validate_assumption_I(pot: PotentialSet, pot_tilde: PotentialSet,
     Report-only: never raises on violation.
     """
     rep = CheckReport(passed=True)
-    rep.details["r"] = float(r)
-    rep.details["p0"] = float(p0)
-
     _record(rep, "y0_tilde >= r", init_tilde.y0 - r)
     _record(rep, "y0_gamma_tilde >= r", init_tilde.y0_gamma - r)
     _record(rep, "z0_tilde >= 0", init_tilde.z0)
@@ -271,9 +264,7 @@ def validate_assumption_II(nl_f: Nonlinearity, nl_g: Nonlinearity,
     """Check the mid-time nondegeneracy of f and g along a reference solve.
 
     Reports min |f(y~, z~)(theta, .)| over bulk cells and the surface
-    analogue for g, pass iff both >= r1; also samples the partial-derivative
-    bound along the trajectory and the discrete time derivative of f, g
-    (boundedness only).
+    analogue for g, pass iff both >= r1.
     """
     if not (traj_tilde.times[0] - 1e-12 <= theta <= traj_tilde.times[-1] + 1e-12):
         raise ValueError(
@@ -282,24 +273,9 @@ def validate_assumption_II(nl_f: Nonlinearity, nl_g: Nonlinearity,
         )
     rep = CheckReport(passed=True)
     k = traj_tilde.index_at(theta)
-    rep.details["theta_node"] = float(traj_tilde.times[k])
 
     f_th = nl_f(traj_tilde.y[k], traj_tilde.z[k])
     g_th = nl_g(traj_tilde.y_gamma[k], traj_tilde.z_gamma[k])
     _record(rep, "|f| >= r1 at theta", np.abs(f_th) - r1)
     _record(rep, "|g| >= r1 at theta", np.abs(g_th) - r1)
-    rep.details["min_abs_f_theta"] = float(np.abs(f_th).min())
-    rep.details["min_abs_g_theta"] = float(np.abs(g_th).min())
-
-    fy, fz = nl_f.partials(traj_tilde.y, traj_tilde.z)
-    gy, gz = nl_g.partials(traj_tilde.y_gamma, traj_tilde.z_gamma)
-    rep.details["sampled_partial_bound_f"] = float((np.abs(fy) + np.abs(fz)).max())
-    rep.details["sampled_partial_bound_g"] = float((np.abs(gy) + np.abs(gz)).max())
-
-    f_all = nl_f(traj_tilde.y, traj_tilde.z)
-    g_all = nl_g(traj_tilde.y_gamma, traj_tilde.z_gamma)
-    if f_all.shape[0] > 1:
-        dt = traj_tilde.dt
-        rep.details["sup_dt_f_sampled"] = float(np.abs(np.diff(f_all, axis=0) / dt).max())
-        rep.details["sup_dt_g_sampled"] = float(np.abs(np.diff(g_all, axis=0) / dt).max())
     return rep

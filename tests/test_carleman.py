@@ -6,7 +6,6 @@ import pytest
 from bulksurf.carleman import (
     CarlemanConfig,
     DiffusionPair,
-    WeightEvaluator,
     carleman_ratio,
     default_s1,
     eta0_and_gradient,
@@ -16,7 +15,6 @@ from bulksurf.carleman import (
     sigma_bounds_report,
     weight_property_margins,
     weight_vanishing_report,
-    weighted_norms,
     weights,
 )
 from bulksurf.decomposition import field_to_trajectory, mn_decomposition
@@ -167,23 +165,23 @@ def smooth_traj(mesh):
     return field_to_trajectory(f, mesh, _time_grid())
 
 
-def test_weighted_norms_zero_field(mesh, pair):
+def test_weighted_norms_zero_field(mesh, pair, regions):
     zero = field_to_trajectory(SpaceTimeField("0"), mesh, _time_grid())
-    norms = weighted_norms(0.0, zero, cfg_small(), mesh, pair)
-    assert norms.total == 0.0
+    parts = carleman_ratio(0.0, zero, cfg_small(), mesh, pair, regions)["parts"]
+    assert len(parts) == 12 and all(v == 0.0 for v in parts.values())
 
 
-def test_weighted_norms_quadratic_scaling(mesh, pair, smooth_traj):
+def test_weighted_norms_quadratic_scaling(mesh, pair, regions, smooth_traj):
     cfg = cfg_small()
-    n1 = weighted_norms(0.0, smooth_traj, cfg, mesh, pair)
+    n1 = carleman_ratio(0.0, smooth_traj, cfg, mesh, pair, regions)
     doubled = field_to_trajectory(
         SpaceTimeField("2*(sin(pi*(t - 0.2)/0.6) * (1 + x1/3 + x2**2/5))"),
         mesh, _time_grid())
-    n2 = weighted_norms(0.0, doubled, cfg, mesh, pair)
-    for key in n1.terms:
-        if n1.terms[key] > 0:
-            assert n2.terms[key] / n1.terms[key] == pytest.approx(4.0, rel=1e-10)
-    assert n2.total / n1.total == pytest.approx(4.0, rel=1e-10)
+    n2 = carleman_ratio(0.0, doubled, cfg, mesh, pair, regions)
+    for key, val in n1["parts"].items():
+        if val > 0:
+            assert n2["parts"][key] / val == pytest.approx(4.0, rel=1e-10)
+    assert n2["lhs"] / n1["lhs"] == pytest.approx(4.0, rel=1e-10)
 
 
 def _independent_nodes(traj, cfg, mesh):
@@ -274,12 +272,13 @@ def _independent_norm_terms(tau, traj, cfg, mesh, pair, which="z"):
 
 
 @pytest.mark.parametrize("tau", [-3.0, 0.0, 2.0])
-def test_weighted_norms_vs_independent_quadrature(mesh, pair, smooth_traj, tau):
+def test_weighted_norms_vs_independent_quadrature(mesh, pair, regions,
+                                                  smooth_traj, tau):
     cfg = cfg_small()
-    norms = weighted_norms(tau, smooth_traj, cfg, mesh, pair)
+    parts = carleman_ratio(tau, smooth_traj, cfg, mesh, pair, regions)["parts"]
     indep = _independent_norm_terms(tau, smooth_traj, cfg, mesh, pair)
     for key, val in indep.items():
-        assert norms.terms[key] == pytest.approx(val, rel=1e-10, abs=0.0), key
+        assert parts[key] == pytest.approx(val, rel=1e-10, abs=0.0), key
 
 
 # --- decomposition identities ------------------------------------------------
@@ -430,6 +429,15 @@ def test_shifted_ratio_guards_p21_floor(mesh, regions, linear_system_run):
     cfg = cfg_small(epsilon=0.5)
     with pytest.raises(ValueError, match="p21"):
         shifted_ratio(traj, sources, cfg, mesh, pair1, pair1, regions, bad_pot)
+
+
+def test_shifted_ratio_refuses_a_misshapen_source(mesh, regions,
+                                                 linear_system_run):
+    pot, sources, traj = linear_system_run
+    pair = DiffusionPair.from_fields(mesh, 1.0, 1.0)
+    with pytest.raises(ValueError, match="source f1 has shape"):
+        shifted_ratio(traj, {**sources, "f1": np.ones(1)}, cfg_small(), mesh,
+                      pair, pair, regions, pot)
 
 
 def test_shifted_ratio_zero_everything(mesh, regions):

@@ -96,6 +96,14 @@ def test_p0_floor_violation_is_named(tmp_path, capsys):
     assert "p21 below p0 floor" in err
 
 
+def test_shifted_verify_without_p0_floor_is_refused(tmp_path, capsys):
+    # p21 = 2.0 sits above any floor; what fails is the floor p0 = 0 itself
+    cfg = write_config(tmp_path, {"potentials": {"p0": 0.0}})
+    assert run_cli("shifted-verify", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "p0" in err and "p21 below" not in err
+
+
 def test_positivity_command(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -134,31 +134,78 @@ def test_config_defaults_live_only_in_default_config():
     assert found == {("model.py", "PotentialSet")}
 
 
-def _names_used(tree) -> set:
-    """Every name a module reads: names, attributes and string constants."""
+def _attributes_read(tree) -> set:
+    """Attribute names a module reads, and its string constants (getattr).
+
+    An attribute only assigned, directly or through a subscript
+    (``rep.details[k] = v``), is not read.
+    """
+    stored_into = {id(node.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Subscript)
+                   and not isinstance(node.ctx, ast.Load)}
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in stored_into):
             used.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             used.add(node.value)
     return used
 
 
+def _names_used(tree) -> set:
+    """Every name a module reads: names, attributes and string constants."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | _attributes_read(tree))
+
+
+def _defined_and_used(defines, reads) -> tuple[set, set]:
+    """What ``defines(file_name, tree)`` finds in the package modules, and
+    what ``reads(tree)`` finds in the package (its re-exports aside) and in
+    the acceptance criteria."""
+    src = pathlib.Path(bulksurf.__file__).parent
+    acceptance = pathlib.Path(__file__).with_name("test_acceptance.py")
+    defined, used = set(), reads(ast.parse(acceptance.read_text()))
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= defines(path.name, tree)
+        if path.name != "__init__.py":
+            used |= reads(tree)
+    return defined, used
+
+
 def test_every_defined_name_has_a_caller():
     # a function, method, property or class that neither the package (its
     # re-exports aside) nor an acceptance criterion names is dead code;
     # dunders are called by Python itself
-    src = pathlib.Path(bulksurf.__file__).parent
-    acceptance = pathlib.Path(__file__).with_name("test_acceptance.py")
-    defined, used = set(), _names_used(ast.parse(acceptance.read_text()))
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        defined |= {(path.name, node.name) for node in ast.walk(tree)
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not (node.name.startswith("__") and node.name.endswith("__"))}
-        if path.name != "__init__.py":
-            used |= _names_used(tree)
+    defined, used = _defined_and_used(lambda file_name, tree: {
+        (file_name, node.name) for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))},
+        _names_used)
     assert sorted((f, n) for f, n in defined if n not in used) == []
+
+
+def _attributes(file_name, tree) -> set:
+    """(file, "Class.name") of each dataclass field and self.name store."""
+    found = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            found |= {(file_name, f"{cls.name}.{stmt.target.id}")
+                      for stmt in cls.body if isinstance(stmt, ast.AnnAssign)}
+        found |= {(file_name, f"{cls.name}.{node.attr}")
+                  for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return found
+
+
+def test_every_attribute_is_read():
+    # a dataclass field or instance attribute that the package and the
+    # acceptance criteria only ever write is dead state
+    defined, used = _defined_and_used(_attributes, _attributes_read)
+    unread = sorted((f, a) for f, a in defined if a.split(".")[1] not in used)
+    assert unread == []
