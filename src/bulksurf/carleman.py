@@ -80,6 +80,13 @@ def gamma_value(t, cfg: CarlemanConfig):
     return (t - cfg.t0) * (cfg.t1 - t)
 
 
+def weight_factors(cfg: CarlemanConfig, eta) -> tuple:
+    """The spatial factors of the weights: alpha = (K - E) / gamma and
+    xi = E / gamma, with E = e^{lam eta} and K = e^{2 lam sup eta0}."""
+    E = np.exp(cfg.lam * np.asarray(eta, dtype=float))
+    return math.exp(2.0 * cfg.lam) - E, E
+
+
 def weight_tables(cfg: CarlemanConfig, eta, times) -> tuple:
     """alpha, xi and dlog gamma = gamma'/gamma on the (times x eta) grid.
 
@@ -89,9 +96,8 @@ def weight_tables(cfg: CarlemanConfig, eta, times) -> tuple:
     eta = np.asarray(eta, dtype=float)
     tt = np.asarray(times, dtype=float).reshape((-1,) + (1,) * eta.ndim)
     gamma = gamma_value(tt, cfg)
-    K = math.exp(2.0 * cfg.lam)
-    E = np.exp(cfg.lam * eta)
-    return (K - E) / gamma, E / gamma, (cfg.t0 + cfg.t1 - 2.0 * tt) / gamma
+    num_alpha, E = weight_factors(cfg, eta)
+    return num_alpha / gamma, E / gamma, (cfg.t0 + cfg.t1 - 2.0 * tt) / gamma
 
 
 def weights(t: float, xy: np.ndarray, cfg: CarlemanConfig) -> dict:
@@ -204,32 +210,118 @@ class DiffusionPair:
                    op_surf=assemble_surface_diffusion(mesh, d))
 
 
-def _window_weights(cfg: CarlemanConfig, mesh: Mesh, traj: Trajectory):
-    """Window nodes and their weight tables, with the common exponent shift.
+# Terms of one field pair's weighted norm I(tau), in the order of the parts
+# records: name -> (power of s xi in its weight, relative to tau; power of
+# lam).  Bulk terms carry (s xi)^{tau-1}, lam^2 (s xi)^{tau+1}, lam^4
+# (s xi)^{tau+3}; surface terms carry lam-powers (1, lam, lam^3) plus the
+# lam (s xi)^{tau+1} conormal-flux term.
+_NORM_TERMS = {
+    "bulk_time": (-1.0, 0.0), "bulk_elliptic": (-1.0, 0.0),
+    "bulk_gradient": (1.0, 2.0), "bulk_zeroth": (3.0, 4.0),
+    "surf_time": (-1.0, 0.0), "surf_elliptic": (-1.0, 0.0),
+    "surf_gradient": (1.0, 1.0), "surf_zeroth": (3.0, 3.0),
+    "surf_conormal": (1.0, 1.0),
+}
+# the norm terms that have a bulk row (bulk_gradient has a surface part too)
+_NORM_BULK = [0, 1, 2, 3]
+# carleman_ratio's right-hand side: observation, then the residuals
+_RHS_TERMS = {"observation": (3.0, 4.0), "bulk_residual": (0.0, 0.0),
+              "surface_residual": (0.0, 0.0)}
 
-    Returns (k_idx, W, sxi, log_scale): W = e^{-2 s (alpha - alpha_ref)} and
-    sxi = s xi on the (n_nodes, 1 + n_cells) grid, surface in column 0;
-    alpha_ref is the grid minimum of alpha, and log_scale = -2 s alpha_ref
-    restores absolute magnitudes.
+
+def _gradient_energy(mesh: Mesh, z: np.ndarray, z_gamma: np.ndarray):
+    """Face energies geom |du|^2, half to each side: per cell, and the
+    surface total, so that int w |grad z|^2 = w_cells . cells + w_surf surf
+    (interior faces and the boundary faces to the matched surface nodes)."""
+    e = mesh.faces_geom * (z[mesh.faces_a] - z[mesh.faces_b]) ** 2
+    e_bnd = mesh.bnd_geom * (z_gamma - z[mesh.bnd_cells]) ** 2
+    n = mesh.n_cells
+    cells = 0.5 * (np.bincount(mesh.faces_a, e, n)
+                   + np.bincount(mesh.faces_b, e, n)
+                   + np.bincount(mesh.bnd_cells, e_bnd, n))
+    return cells, 0.5 * float(np.sum(e_bnd))
+
+
+def _pair_quantities(zb: np.ndarray, zg: np.ndarray, k: int, dt: float,
+                     mesh: Mesh, pair: DiffusionPair,
+                     obs_areas: np.ndarray | None = None) -> tuple:
+    """Surface numbers and bulk rows of the nine norm terms at node k.
+
+    The surface numbers come one per term (0 where a term has none), the
+    bulk rows (cell quadrature weights included) for the terms _NORM_BULK.
+    Given ``obs_areas``, the cell areas on the observation cells and 0
+    elsewhere, the three right-hand-side terms of carleman_ratio follow.
     """
-    k_idx = window_nodes(traj, cfg.t0, cfg.t1)
-    eta, _ = eta0_and_gradient(mesh.cell_xy)
-    alpha, xi, _ = weight_tables(cfg, np.append(0.0, eta), traj.times[k_idx])
-    alpha_ref = float(alpha.min())
-    return (k_idx, exp_weight(cfg.s, alpha, shift=alpha_ref), cfg.s * xi,
-            -2.0 * cfg.s * alpha_ref)
+    areas, ds = mesh.cell_areas, mesh.surface_weights
+    z, z_g = zb[k], zg[k]
+    dtz = (zb[k + 1] - zb[k - 1]) / (2.0 * dt)
+    dtzg = (zg[k + 1] - zg[k - 1]) / (2.0 * dt)
+    div_b = pair.op_bulk.apply(z, z_g)
+    div_s = pair.op_surf.apply(z_g)
+    flux = conormal_flux(mesh, pair.a, z, z_g)
+    dzg = np.roll(z_g, -1) - z_g
+    grad_cells, grad_surf = _gradient_energy(mesh, z, z_g)
+    z2 = z**2
+
+    surf = [0.0, 0.0, grad_surf, 0.0, ds @ dtzg**2, ds @ div_s**2,
+            np.sum(dzg**2) / ds[0], ds @ z_g**2, ds @ flux**2]
+    bulk = [areas * dtz**2, areas * div_b**2, grad_cells, areas * z2]
+    if obs_areas is not None:
+        surf += [0.0, 0.0, ds @ (dtzg - div_s + flux) ** 2]
+        bulk += [obs_areas * z2, areas * (dtz - div_b) ** 2]
+    return surf, bulk
 
 
-def _grad_quadrature(mesh: Mesh, z: np.ndarray, z_gamma: np.ndarray,
-                     w_cell: np.ndarray, w_surf: float) -> float:
-    """Face-based quadrature of int w |grad z|^2 including boundary faces."""
-    du = z[mesh.faces_a] - z[mesh.faces_b]
-    wf = 0.5 * (w_cell[mesh.faces_a] + w_cell[mesh.faces_b])
-    total = float(np.dot(mesh.faces_geom * wf, du**2))
-    dub = z_gamma - z[mesh.bnd_cells]
-    wb = 0.5 * (w_cell[mesh.bnd_cells] + w_surf)
-    total += float(np.dot(mesh.bnd_geom * wb, dub**2))
-    return total
+def _window_sums(traj: Trajectory, cfgs: list, mesh: Mesh, powers,
+                 bulk_terms: list, quantities) -> list:
+    """Weighted window sums of every term at every config, in one walk.
+
+    ``quantities(k)`` gives node k's surface numbers q (one per term) and
+    the bulk rows b of the terms ``bulk_terms``; term j at a config is
+
+        dt sum_k ( w_j[k, surface] q_j(k) + sum_i w_j[k, i] b_j(k)_i ),
+        w_j = e^{-2 s (alpha - alpha_ref)} (s xi)^{powers[j]},
+
+    over the window nodes k, where alpha_ref, the minimum of alpha over the
+    window grid, makes every config's weights finite (the estimates are
+    ratios, so they do not depend on it).  Endpoint nodes are excluded: the
+    weight vanishes faster than any polynomial there.  alpha = (K - E) /
+    gamma costs one row per node and config; (s xi)^m = (s E)^m gamma^{-m}
+    takes its spatial powers once per config.  Returns (sums, log_scale)
+    per config, log_scale = -2 s alpha_ref.
+    """
+    if len({(cfg.t0, cfg.t1) for cfg in cfgs}) > 1:
+        raise ValueError("the configs of one sweep must share the window (t0, t1)")
+    if not cfgs:
+        return []
+    k_idx = window_nodes(traj, cfgs[0].t0, cfgs[0].t1)
+    eta = np.append(0.0, eta0_and_gradient(mesh.cell_xy)[0])   # surface first
+    powers = np.asarray(powers, dtype=float)
+    walks = []
+    for cfg in cfgs:
+        num_alpha, E = weight_factors(cfg, eta)
+        gamma = gamma_value(traj.times[k_idx], cfg)
+        spatial = [(cfg.s * E) ** m for m in powers]
+        walks.append({
+            "num_alpha": num_alpha, "gamma": gamma,
+            # the grid minimum of alpha: division is monotone in each operand
+            "alpha_ref": float(num_alpha.min() / gamma.max()),
+            "surf": np.array([row[0] for row in spatial]),
+            "bulk": np.stack([spatial[j][1:] for j in bulk_terms]),
+            "gamma_pow": gamma[:, None] ** -powers,
+            "sums": np.zeros(powers.size)})
+
+    for row, k in enumerate(k_idx):
+        surf, bulk = quantities(k)
+        surf, bulk = np.asarray(surf, dtype=float), np.stack(bulk)
+        for cfg, walk in zip(cfgs, walks):
+            w = exp_weight(cfg.s, walk["num_alpha"] / walk["gamma"][row],
+                           shift=walk["alpha_ref"])
+            vals = w[0] * walk["surf"] * surf
+            vals[bulk_terms] += (walk["bulk"] * bulk) @ w[1:]
+            walk["sums"] += vals * walk["gamma_pow"][row]
+    return [(traj.dt * walk["sums"], -2.0 * cfg.s * walk["alpha_ref"])
+            for cfg, walk in zip(cfgs, walks)]
 
 
 def _energy(terms: dict) -> float:
@@ -239,70 +331,6 @@ def _energy(terms: dict) -> float:
             + (terms["surf_time"] + terms["surf_elliptic"]
                + terms["surf_gradient"] + terms["surf_zeroth"]
                + terms["surf_conormal"]))
-
-
-def _window_pass(tau: float, zb: np.ndarray, zg: np.ndarray, dt: float,
-                 cfg: CarlemanConfig, mesh: Mesh, pair: DiffusionPair,
-                 window: tuple, omega: np.ndarray | None = None) -> dict:
-    """The nine weighted-norm terms of (zb, zg), one walk over the window.
-
-    Bulk terms carry (s xi)^{tau-1}, lam^2 (s xi)^{tau+1}, lam^4 (s xi)^{tau+3};
-    surface terms carry lam-powers (1, lam, lam^3) plus the lam (s xi)^{tau+1}
-    conormal-flux term.  Endpoint nodes are excluded (the weight vanishes
-    faster than any polynomial there).  Given the observation cells
-    ``omega``, the right-hand-side terms of carleman_ratio come too.
-    """
-    k_idx, W, sxi, _ = window
-    lam = cfg.lam
-    areas, ds = mesh.cell_areas, mesh.surface_weights
-
-    t_time = t_ell = t_grad = t_zero = 0.0
-    s_time = s_ell = s_grad = s_zero = s_con = 0.0
-    obs = res_b = res_s = 0.0
-    for row, k in enumerate(k_idx):
-        # weights row by row: an (n_nodes, n_cells) table per power would
-        # add about 8 MB each to the peak memory at 64x128
-        w_te = W[row] * sxi[row] ** (tau - 1.0)
-        w_gr = W[row] * sxi[row] ** (tau + 1.0)
-        w_z = W[row] * sxi[row] ** (tau + 3.0)
-        dtz = (zb[k + 1] - zb[k - 1]) / (2.0 * dt)
-        dtzg = (zg[k + 1] - zg[k - 1]) / (2.0 * dt)
-        div_b = pair.op_bulk.apply(zb[k], zg[k])
-        div_s = pair.op_surf.apply(zg[k])
-        flux = conormal_flux(mesh, pair.a, zb[k], zg[k])
-        dzg = np.roll(zg[k], -1) - zg[k]
-
-        t_time += dt * float(np.dot(areas, w_te[1:] * dtz**2))
-        t_ell += dt * float(np.dot(areas, w_te[1:] * div_b**2))
-        t_grad += dt * lam**2 * _grad_quadrature(mesh, zb[k], zg[k],
-                                                 w_gr[1:], w_gr[0])
-        t_zero += dt * lam**4 * float(np.dot(areas, w_z[1:] * zb[k]**2))
-
-        s_time += dt * float(np.dot(ds, w_te[0] * dtzg**2))
-        s_ell += dt * float(np.dot(ds, w_te[0] * div_s**2))
-        s_grad += dt * lam * float(np.sum(w_gr[0] * dzg**2 / ds[0]))
-        s_zero += dt * lam**3 * float(np.dot(ds, w_z[0] * zg[k]**2))
-        s_con += dt * lam * float(np.dot(ds, w_gr[0] * flux**2))
-
-        if omega is not None:
-            obs += dt * lam**4 * float(
-                np.dot(areas[omega], w_z[1:][omega] * zb[k][omega] ** 2))
-            w_res = W[row] * sxi[row] ** tau
-            res_b += dt * float(np.dot(areas, w_res[1:] * (dtz - div_b)**2))
-            res_s += dt * float(np.dot(ds, w_res[0]
-                                       * (dtzg - div_s + flux)**2))
-
-    terms = {
-        "bulk_time": t_time, "bulk_elliptic": t_ell,
-        "bulk_gradient": t_grad, "bulk_zeroth": t_zero,
-        "surf_time": s_time, "surf_elliptic": s_ell,
-        "surf_gradient": s_grad, "surf_zeroth": s_zero,
-        "surf_conormal": s_con,
-    }
-    if omega is not None:
-        terms.update(observation=obs, bulk_residual=res_b,
-                     surface_residual=res_s)
-    return terms
 
 
 def _ratio_record(lhs: float, rhs: float, log_scale: float, parts: dict) -> dict:
@@ -315,6 +343,36 @@ def _ratio_record(lhs: float, rhs: float, log_scale: float, parts: dict) -> dict
             "parts": parts}
 
 
+def _norm_parts(sums, lam: float, terms: dict) -> dict:
+    """Window sums of ``terms`` times their powers of lam, as floats."""
+    return {name: float(val * lam**lam_pow)
+            for val, (name, (_, lam_pow)) in zip(sums, terms.items())}
+
+
+def carleman_sweep(tau: float, traj: Trajectory, cfgs: list, mesh: Mesh,
+                   pair: DiffusionPair, regions: RegionSet) -> list:
+    """carleman_ratio at each config of ``cfgs``, from one walk of the window.
+
+    The field quantities at each window node (sparse applies, fluxes,
+    gradient energies) are computed once and weighted for every config.
+    """
+    terms = {**_NORM_TERMS, **_RHS_TERMS}
+    n = len(_NORM_TERMS)
+    obs_areas = np.zeros(mesh.n_cells)
+    obs_areas[regions.omega] = mesh.cell_areas[regions.omega]
+    sums = _window_sums(
+        traj, cfgs, mesh, [tau + p for p, _ in terms.values()],
+        _NORM_BULK + [n, n + 1],   # observation and bulk_residual
+        lambda k: _pair_quantities(traj.z, traj.z_gamma, k, traj.dt, mesh,
+                                   pair, obs_areas))
+    records = []
+    for cfg, (vals, log_scale) in zip(cfgs, sums):
+        parts = _norm_parts(vals, cfg.lam, terms)
+        rhs = sum(parts[key] for key in _RHS_TERMS)
+        records.append(_ratio_record(_energy(parts), rhs, log_scale, parts))
+    return records
+
+
 def carleman_ratio(tau: float, traj: Trajectory, cfg: CarlemanConfig,
                    mesh: Mesh, pair: DiffusionPair, regions: RegionSet) -> dict:
     """Left/right sides of the single-pair weighted estimate, constant-free.
@@ -323,12 +381,74 @@ def carleman_ratio(tau: float, traj: Trajectory, cfg: CarlemanConfig,
     weighted residual terms of the heat operators.  Both sides share one
     exponent shift, so the ratio is shift-invariant.
     """
-    window = _window_weights(cfg, mesh, traj)
-    parts = _window_pass(tau, traj.z, traj.z_gamma, traj.dt, cfg, mesh, pair,
-                         window, regions.omega)
-    rhs = sum(parts[key] for key in
-              ("observation", "bulk_residual", "surface_residual"))
-    return _ratio_record(_energy(parts), rhs, window[3], parts)
+    return carleman_sweep(tau, traj, [cfg], mesh, pair, regions)[0]
+
+
+def require_p0_floor(potentials) -> None:
+    """Refuse potentials that miss the one-observation estimate's
+    coercivity condition p21, q21 >= p0 > 0."""
+    if not potentials.stability_admissible():
+        raise ValueError(
+            "shifted estimate needs p21, q21 >= p0 > 0 "
+            f"(floor {potentials.p0}, min p21 {potentials.p21.min():.3g}, "
+            f"min q21 {potentials.q21.min():.3g})")
+
+
+def shifted_sweep(traj: Trajectory, sources: dict, cfgs: list, mesh: Mesh,
+                  pair1: DiffusionPair, pair2: DiffusionPair,
+                  regions: RegionSet, potentials) -> list:
+    """shifted_ratio at each config of ``cfgs``, from one walk of the window.
+
+    Each window node's quantities of the y pair (tau = -3), the z pair
+    (tau = 0), the observation and the sources are computed once and
+    weighted for every config.
+    """
+    require_p0_floor(potentials)
+    src = {}
+    for key, n in (("f1", mesh.n_cells), ("f2", mesh.n_cells),
+                   ("g1", mesh.n_theta), ("g2", mesh.n_theta)):
+        val = sources.get(key)
+        src[key] = np.zeros(n) if val is None else np.asarray(val, dtype=float)
+        if src[key].shape != (n,):
+            raise ValueError(
+                f"source {key} has shape {src[key].shape}, expected ({n},)")
+
+    # terms: the y pair's nine, the z pair's nine, then the observation
+    # (s^4 xi^4 = (s xi)^4), f1_g1 (s^-3 xi^-3 = (s xi)^-3) and f2_g2
+    offsets = [p for p, _ in _NORM_TERMS.values()]
+    powers = [p - 3.0 for p in offsets] + offsets + [4.0, -3.0, 0.0]
+    n = len(_NORM_TERMS)
+    bulk_terms = [*_NORM_BULK, *(n + j for j in _NORM_BULK), 2 * n, 2 * n + 1,
+                  2 * n + 2]
+    areas, ds, dt = mesh.cell_areas, mesh.surface_weights, traj.dt
+    obs_areas = np.zeros(mesh.n_cells)
+    obs_areas[regions.omega] = areas[regions.omega]
+    src_surf = [0.0, ds @ src["g1"] ** 2, ds @ src["g2"] ** 2]
+    src_bulk = [areas * src["f1"] ** 2, areas * src["f2"] ** 2]
+
+    def quantities(k):
+        surf_y, bulk_y = _pair_quantities(traj.y, traj.y_gamma, k, dt, mesh,
+                                          pair1)
+        surf_z, bulk_z = _pair_quantities(traj.z, traj.z_gamma, k, dt, mesh,
+                                          pair2)
+        return (surf_y + surf_z + src_surf,
+                bulk_y + bulk_z + [obs_areas * traj.z[k] ** 2, *src_bulk])
+
+    records = []
+    for cfg, (vals, log_scale) in zip(cfgs, _window_sums(
+            traj, cfgs, mesh, powers, bulk_terms, quantities)):
+        eps, lam = cfg.epsilon, cfg.lam
+        norms_y = _energy(_norm_parts(vals[:n], lam, _NORM_TERMS))
+        norms_z = _energy(_norm_parts(vals[n:2 * n], lam, _NORM_TERMS))
+        obs, f1g1, f2g2 = vals[2 * n:]
+        parts = {"observation": lam ** (4.0 + eps) * float(obs),
+                 "f1_g1": lam ** (-4.0 + eps) * float(f1g1),
+                 "f2_g2": lam ** (2.0 * eps) * float(f2g2)}
+        rhs = parts["observation"] + parts["f1_g1"] + parts["f2_g2"]
+        parts.update(norms_y=norms_y, norms_z=norms_z)
+        records.append(_ratio_record(lam ** (-4.0 + eps) * norms_y + norms_z,
+                                     rhs, log_scale, parts))
+    return records
 
 
 def shifted_ratio(traj: Trajectory, sources: dict, cfg: CarlemanConfig,
@@ -343,44 +463,8 @@ def shifted_ratio(traj: Trajectory, sources: dict, cfg: CarlemanConfig,
     arrays; a missing key is zero.  Refuses to run unless p21 and q21 sit
     above the coercivity floor.
     """
-    floor = potentials.p0
-    if floor <= 0 or potentials.p21.min() < floor or potentials.q21.min() < floor:
-        raise ValueError(
-            "shifted estimate needs p21, q21 >= p0 > 0 "
-            f"(floor {floor}, min p21 {potentials.p21.min():.3g}, "
-            f"min q21 {potentials.q21.min():.3g})")
-    src = {}
-    for key, n in (("f1", mesh.n_cells), ("f2", mesh.n_cells),
-                   ("g1", mesh.n_theta), ("g2", mesh.n_theta)):
-        val = sources.get(key)
-        src[key] = np.zeros(n) if val is None else np.asarray(val, dtype=float)
-        if src[key].shape != (n,):
-            raise ValueError(
-                f"source {key} has shape {src[key].shape}, expected ({n},)")
-
-    k_idx, W, sxi, log_scale = window = _window_weights(cfg, mesh, traj)
-    eps, lam, dt = cfg.epsilon, cfg.lam, traj.dt
-    norms_y = _energy(_window_pass(-3.0, traj.y, traj.y_gamma, dt, cfg, mesh,
-                                   pair1, window))
-    norms_z = _energy(_window_pass(0.0, traj.z, traj.z_gamma, dt, cfg, mesh,
-                                   pair2, window))
-    lhs = lam ** (-4.0 + eps) * norms_y + norms_z
-
-    # s^4 xi^4 = sxi^4 and s^-3 xi^-3 = sxi^-3; column 0 of a table is the
-    # surface, so bulk cell i sits in column 1 + i
-    areas, ds, cells = mesh.cell_areas, mesh.surface_weights, regions.omega
-    z_obs = traj.z[np.ix_(k_idx, cells)]
-    obs = np.sum((W[:, 1 + cells] * sxi[:, 1 + cells] ** 4.0 * z_obs**2)
-                 @ areas[cells])
-    src1 = np.append(ds @ src["g1"] ** 2, areas * src["f1"] ** 2)
-    src2 = np.append(ds @ src["g2"] ** 2, areas * src["f2"] ** 2)
-    parts = {"observation": lam ** (4.0 + eps) * dt * float(obs),
-             "f1_g1": lam ** (-4.0 + eps) * dt
-             * float(np.sum((W * sxi ** -3.0) @ src1)),
-             "f2_g2": lam ** (2.0 * eps) * dt * float(np.sum(W @ src2))}
-    rhs = parts["observation"] + parts["f1_g1"] + parts["f2_g2"]
-    parts.update(norms_y=norms_y, norms_z=norms_z)
-    return _ratio_record(lhs, rhs, log_scale, parts)
+    return shifted_sweep(traj, sources, [cfg], mesh, pair1, pair2, regions,
+                         potentials)[0]
 
 
 # --- weight invariant checks ------------------------------------------------

@@ -23,9 +23,10 @@ from .carleman import (
     TEST_FIELDS,
     CarlemanConfig,
     DiffusionPair,
-    carleman_ratio,
+    carleman_sweep,
     default_s1,
-    shifted_ratio,
+    require_p0_floor,
+    shifted_sweep,
     sigma_bounds_report,
     weight_property_margins,
     weight_vanishing_report,
@@ -37,8 +38,6 @@ from .config import (
     load_config,
     parse_field_spec,
 )
-from .decomposition import field_to_trajectory, mn_decomposition
-from .fields import SpaceTimeField, sympy_expr
 from .forward import ReactionSet, SemilinearSystem, SolverError, mass_series, observe
 from .inverse import (
     InverseProblem,
@@ -224,6 +223,10 @@ def _non_growth(ratios: list) -> bool:
 
 
 def _cmd_carleman_verify(run: _Runner) -> int:
+    # the symbolic layer loads sympy; no other subcommand needs it
+    from .decomposition import field_to_trajectory, mn_decomposition
+    from .fields import SpaceTimeField, sympy_expr
+
     cfg = run.cfg
     cl = cfg.carleman
     t0, t1 = cfg.regions.t0, cfg.regions.t1
@@ -273,19 +276,21 @@ def _cmd_carleman_verify(run: _Runner) -> int:
         trajs[name] = field_to_trajectory(SpaceTimeField(expr), cfg.mesh,
                                           times_traj)
 
-    jobs = [(name, lam, s) for name in names for lam, _, s in grid]
+    cfgs = [CarlemanConfig(lam=lam, s=s, t0=t0, t1=t1, epsilon=eps)
+            for lam, _, s in grid]
 
-    def run_point(job):
-        name, lam, s = job
-        c = CarlemanConfig(lam=lam, s=s, t0=t0, t1=t1, epsilon=eps)
-        out = carleman_ratio(0.0, trajs[name], c, cfg.mesh, pair, cfg.regions)
-        p = out["parts"]
-        return (name, 0.0, s, lam, out["lhs"], out["rhs"], out["ratio"],
-                out["log_scale"], p["observation"], p["bulk_residual"],
-                p["surface_residual"], p["bulk_zeroth"], p["bulk_gradient"],
-                p["surf_zeroth"], p["surf_conormal"])
+    def sweep_field(name):
+        outs = carleman_sweep(0.0, trajs[name], cfgs, cfg.mesh, pair,
+                              cfg.regions)
+        return [(name, 0.0, c.s, c.lam, out["lhs"], out["rhs"], out["ratio"],
+                 out["log_scale"], *(out["parts"][key] for key in (
+                     "observation", "bulk_residual", "surface_residual",
+                     "bulk_zeroth", "bulk_gradient", "surf_zeroth",
+                     "surf_conormal")))
+                for c, out in zip(cfgs, outs)]
 
-    rows = run.map(run_point, jobs)
+    rows = [row for field_rows in run.map(sweep_field, names)
+            for row in field_rows]
     run.csv("ratio_sweep.csv",
             ["field", "tau", "s", "lambda", "lhs", "rhs", "ratio", "log_scale",
              "observation", "bulk_residual", "surface_residual",
@@ -305,6 +310,7 @@ def _cmd_shifted_verify(run: _Runner) -> int:
         "s1_per_lambda": {str(lam): s1 for lam, s1, _ in grid},
         "p0": cfg.potentials.p0})
 
+    require_p0_floor(cfg.potentials)
     system = SemilinearSystem(cfg.mesh, cfg.diffusion, cfg.potentials)
     sources = {k: parse_field_spec(spec, cfg.mesh, f"carleman.sources.{k}",
                                    on_surface=k.startswith("g"))
@@ -314,18 +320,14 @@ def _cmd_shifted_verify(run: _Runner) -> int:
                                       cfg.diffusion.d1)
     pair2 = DiffusionPair.from_fields(cfg.mesh, cfg.diffusion.a2,
                                       cfg.diffusion.d2)
-
-    def run_point(job):
-        lam, s1, s = job
-        c = CarlemanConfig(lam=lam, s=s, t0=t0, t1=t1, epsilon=eps)
-        out = shifted_ratio(traj, sources, c, cfg.mesh, pair1, pair2,
-                            cfg.regions, cfg.potentials)
-        p = out["parts"]
-        return (s, lam, eps, out["lhs"], out["rhs"], out["ratio"],
-                out["log_scale"], p["observation"], p["f1_g1"], p["f2_g2"],
-                p["norms_y"], p["norms_z"])
-
-    rows = run.map(run_point, grid)
+    cfgs = [CarlemanConfig(lam=lam, s=s, t0=t0, t1=t1, epsilon=eps)
+            for lam, _, s in grid]
+    outs = shifted_sweep(traj, sources, cfgs, cfg.mesh, pair1, pair2,
+                         cfg.regions, cfg.potentials)
+    rows = [(c.s, c.lam, eps, out["lhs"], out["rhs"], out["ratio"],
+             out["log_scale"], *(out["parts"][key] for key in (
+                 "observation", "f1_g1", "f2_g2", "norms_y", "norms_z")))
+            for c, out in zip(cfgs, outs)]
     run.csv("shifted_sweep.csv",
             ["s", "lambda", "epsilon", "lhs", "rhs", "ratio", "log_scale",
              "observation", "f1_g1", "f2_g2", "norms_y", "norms_z"],

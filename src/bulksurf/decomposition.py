@@ -27,7 +27,7 @@ import numpy as np
 import sympy as sp
 
 from .carleman import CarlemanConfig
-from .fields import T, TH, X1, X2, SpaceTimeField, _lambdify, sympy_expr
+from .fields import T, TH, X1, X2, SpaceTimeField, lambdify_set, sympy_expr
 from .geometry import Mesh
 
 
@@ -64,10 +64,13 @@ def mn_decomposition(tau: float, z_field: SpaceTimeField, cfg: CarlemanConfig,
 
     ``a_expr`` is the isotropic bulk diffusivity as an (x1, x2) expression,
     ``d_expr`` the surface diffusivity as a theta expression.  Each component
-    is lambdified from its own symbolic expression (derivatives of psi are
-    taken symbolically), so the returned residuals measure how exactly the
-    splitting reproduces the weighted heat operators.  The grid is nine
-    times spread over the inner 70% of the window (t0, t1).
+    keeps its own symbolic expression (derivatives of psi are taken
+    symbolically); the five bulk components and f~ are evaluated by one
+    lambdified function, the five surface components and g by another, with
+    their common subexpressions computed once.  The components are still
+    summed only after evaluation, so the returned residuals measure how
+    exactly the printed splitting reproduces the weighted heat operators.
+    The grid is nine times spread over the inner 70% of the window (t0, t1).
     """
     if not isinstance(z_field, SpaceTimeField):
         raise TypeError("mn_decomposition needs a closed-form field, "
@@ -137,12 +140,12 @@ def mn_decomposition(tau: float, z_field: SpaceTimeField, cfg: CarlemanConfig,
     th = mesh.surface_theta[None, :]
 
     out = Decomposition(times=times)
-    for name, expr in bulk_parts.items():
-        out.components[name] = _lambdify((T, X1, X2), expr)(tt_b, x1, x2)
-    out.f_tilde = _lambdify((T, X1, X2), f_tilde)(tt_b, x1, x2)
-    for name, expr in surf_parts.items():
-        out.components[name] = _lambdify((T, TH), expr)(tt_b, th)
-    out.g = _lambdify((T, TH), g_sym)(tt_b, th)
+    *bulk_vals, out.f_tilde = lambdify_set(
+        (T, X1, X2), [*bulk_parts.values(), f_tilde])(tt_b, x1, x2)
+    *surf_vals, out.g = lambdify_set(
+        (T, TH), [*surf_parts.values(), g_sym])(tt_b, th)
+    out.components.update(zip(bulk_parts, bulk_vals))
+    out.components.update(zip(surf_parts, surf_vals))
 
     out.residual_bulk = _rel_residual(
         out.m_sum, out.f_tilde,

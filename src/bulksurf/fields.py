@@ -38,14 +38,22 @@ def sympy_expr(expr, where: str = "expression", variables=tuple(_SYMBOLS)):
     return sp.sympify(expr, locals=names)
 
 
+def _on_grid(out, vals) -> np.ndarray:
+    """A lambdified value as a float array of its arguments' broadcast shape."""
+    return np.broadcast_to(np.asarray(out, dtype=float),
+                           np.broadcast_shapes(*[np.shape(v) for v in vals])).copy()
+
+
 def _lambdify(args, expr):
     fn = sp.lambdify(args, expr, modules="numpy")
+    return lambda *vals: _on_grid(fn(*vals), vals)
 
-    def wrapped(*vals):
-        out = fn(*vals)
-        return np.broadcast_to(np.asarray(out, dtype=float),
-                               np.broadcast_shapes(*[np.shape(v) for v in vals])).copy()
-    return wrapped
+
+def lambdify_set(args, exprs):
+    """One numpy function of ``args`` that returns every expression of
+    ``exprs``; their common subexpressions are evaluated once."""
+    fn = sp.lambdify(args, list(exprs), modules="numpy", cse=True)
+    return lambda *vals: [_on_grid(out, vals) for out in fn(*vals)]
 
 
 class SpaceTimeField:

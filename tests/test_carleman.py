@@ -7,10 +7,12 @@ from bulksurf.carleman import (
     CarlemanConfig,
     DiffusionPair,
     carleman_ratio,
+    carleman_sweep,
     default_s1,
     eta0_and_gradient,
     exp_weight,
     shifted_ratio,
+    shifted_sweep,
     sigma,
     sigma_bounds_report,
     weight_property_margins,
@@ -348,13 +350,10 @@ def test_ratio_localized_field_observation_dominates(mesh, pair, regions):
     assert parts["observation"] > parts["bulk_residual"] + parts["surface_residual"]
 
 
-@pytest.mark.parametrize("tau", [-3.0, 0.0, 2.0])
-def test_ratio_rhs_vs_independent_quadrature(mesh, pair, regions, smooth_traj,
-                                             tau):
+def _independent_rhs_terms(tau, traj, cfg, mesh, pair, regions):
+    """Plain-loop requadrature of carleman_ratio's right-hand-side terms."""
     from bulksurf.operators import conormal_flux
 
-    cfg = cfg_small(lam=2.0)
-    traj = smooth_traj
     obs = res_b = res_s = 0.0
     ds = mesh.surface_weights[0]
     for k, W, xi, W_s, xi_s in _independent_nodes(traj, cfg, mesh):
@@ -371,15 +370,39 @@ def test_ratio_rhs_vs_independent_quadrature(mesh, pair, regions, smooth_traj,
             + conormal_flux(mesh, pair.a, z, zg)
         res_s += traj.dt * W_s * (cfg.s * xi_s) ** tau \
             * float(np.dot(mesh.surface_weights, Lzg**2))
-    out = carleman_ratio(tau, traj, cfg, mesh, pair, regions)
-    parts = out["parts"]
-    want = {"observation": obs, "bulk_residual": res_b,
-            "surface_residual": res_s,
-            **_independent_norm_terms(tau, traj, cfg, mesh, pair)}
-    for key, val in want.items():
-        assert parts[key] == pytest.approx(val, rel=1e-10, abs=0.0), key
-    assert out["lhs"] + out["rhs"] == pytest.approx(sum(want.values()),
-                                                    rel=1e-10, abs=0.0)
+    return {"observation": obs, "bulk_residual": res_b,
+            "surface_residual": res_s}
+
+
+# (lam, s) points far enough apart that weights mixed between two points
+# of one sweep would show
+_SWEEP_POINTS = [dict(lam=2.0), dict(lam=2.0, s=8.0), dict(lam=3.0, s=5.0)]
+
+
+@pytest.mark.parametrize("tau", [-3.0, 0.0, 2.0])
+def test_ratio_rhs_vs_independent_quadrature(mesh, pair, regions, smooth_traj,
+                                             tau):
+    cfgs = [cfg_small(**point) for point in _SWEEP_POINTS]
+    outs = carleman_sweep(tau, smooth_traj, cfgs, mesh, pair, regions)
+    for cfg, out in zip(cfgs, outs):
+        want = {**_independent_rhs_terms(tau, smooth_traj, cfg, mesh, pair,
+                                         regions),
+                **_independent_norm_terms(tau, smooth_traj, cfg, mesh, pair)}
+        for key, val in want.items():
+            assert out["parts"][key] == pytest.approx(val, rel=1e-10,
+                                                      abs=0.0), (cfg, key)
+        assert out["lhs"] + out["rhs"] == pytest.approx(
+            sum(want.values()), rel=1e-10, abs=0.0)
+    # a one-config call is the sweep's own point, bit for bit
+    assert carleman_ratio(tau, smooth_traj, cfgs[1], mesh, pair,
+                          regions) == outs[1]
+
+
+def test_sweep_refuses_configs_with_different_windows(mesh, pair, regions,
+                                                      smooth_traj):
+    with pytest.raises(ValueError, match="share the window"):
+        carleman_sweep(0.0, smooth_traj, [cfg_small(), cfg_small(t1=0.7)],
+                       mesh, pair, regions)
 
 
 @pytest.fixture(scope="module")
@@ -456,30 +479,35 @@ def test_shifted_ratio_parts_vs_independent_quadrature(mesh, regions,
                                                        linear_system_run):
     pot, sources, traj = linear_system_run
     pair = DiffusionPair.from_fields(mesh, 1.0, 1.0)
-    lam, eps = 2.0, 0.5
-    cfg = CarlemanConfig(lam=lam, s=default_s1(lam, 0.2, 0.8), t0=0.2, t1=0.8,
-                         epsilon=eps)
-    s = cfg.s
-    obs = f1g1 = f2g2 = 0.0
-    for k, W, xi, W_s, xi_s in _independent_nodes(traj, cfg, mesh):
-        for i in regions.omega:
-            obs += traj.dt * mesh.cell_areas[i] * W[i] * xi[i] ** 4 \
-                * traj.z[k][i] ** 2
-        f1g1 += traj.dt * (np.dot(mesh.cell_areas, W * xi**-3 * sources["f1"]**2)
-                           + W_s * xi_s**-3 * np.dot(mesh.surface_weights,
-                                                     sources["g1"]**2))
-        f2g2 += traj.dt * (np.dot(mesh.cell_areas, W * sources["f2"]**2)
-                           + W_s * np.dot(mesh.surface_weights,
-                                          sources["g2"]**2))
-    want = {
-        "observation": s**4 * lam ** (4 + eps) * obs,
-        "f1_g1": s**-3 * lam ** (-4 + eps) * f1g1,
-        "f2_g2": lam ** (2 * eps) * f2g2,
-        "norms_y": sum(_independent_norm_terms(-3.0, traj, cfg, mesh, pair,
-                                               "y").values()),
-        "norms_z": sum(_independent_norm_terms(0.0, traj, cfg, mesh,
-                                               pair).values()),
-    }
-    out = shifted_ratio(traj, sources, cfg, mesh, pair, pair, regions, pot)
-    for key, val in want.items():
-        assert out["parts"][key] == pytest.approx(val, rel=1e-10, abs=0.0), key
+    eps = 0.5
+    cfgs = [cfg_small(epsilon=eps, **point) for point in
+            [dict(lam=2.0, s=default_s1(2.0, 0.2, 0.8)), *_SWEEP_POINTS]]
+    outs = shifted_sweep(traj, sources, cfgs, mesh, pair, pair, regions, pot)
+    for cfg, out in zip(cfgs, outs):
+        lam, s = cfg.lam, cfg.s
+        obs = f1g1 = f2g2 = 0.0
+        for k, W, xi, W_s, xi_s in _independent_nodes(traj, cfg, mesh):
+            for i in regions.omega:
+                obs += traj.dt * mesh.cell_areas[i] * W[i] * xi[i] ** 4 \
+                    * traj.z[k][i] ** 2
+            f1g1 += traj.dt * (
+                np.dot(mesh.cell_areas, W * xi**-3 * sources["f1"]**2)
+                + W_s * xi_s**-3 * np.dot(mesh.surface_weights,
+                                          sources["g1"]**2))
+            f2g2 += traj.dt * (np.dot(mesh.cell_areas, W * sources["f2"]**2)
+                               + W_s * np.dot(mesh.surface_weights,
+                                              sources["g2"]**2))
+        want = {
+            "observation": s**4 * lam ** (4 + eps) * obs,
+            "f1_g1": s**-3 * lam ** (-4 + eps) * f1g1,
+            "f2_g2": lam ** (2 * eps) * f2g2,
+            "norms_y": sum(_independent_norm_terms(-3.0, traj, cfg, mesh,
+                                                   pair, "y").values()),
+            "norms_z": sum(_independent_norm_terms(0.0, traj, cfg, mesh,
+                                                   pair).values()),
+        }
+        for key, val in want.items():
+            assert out["parts"][key] == pytest.approx(val, rel=1e-10,
+                                                      abs=0.0), (cfg, key)
+    assert shifted_ratio(traj, sources, cfgs[0], mesh, pair, pair, regions,
+                         pot) == outs[0]

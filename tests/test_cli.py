@@ -1,13 +1,18 @@
 import json
 import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
+import bulksurf
 import bulksurf.forward
 from bulksurf.cli import main, write_csv
 from bulksurf.config import compile_expression, load_config
-from bulksurf.forward import ReactionSet
+from bulksurf.forward import ReactionSet, SemilinearSystem, window_nodes
+from bulksurf.operators import SparseOp
 from bulksurf.model import InitialData
 from bulksurf.positivity import negative_part_energy_monotone, positivity_experiment
 
@@ -96,12 +101,19 @@ def test_p0_floor_violation_is_named(tmp_path, capsys):
     assert "p21 below p0 floor" in err
 
 
-def test_shifted_verify_without_p0_floor_is_refused(tmp_path, capsys):
-    # p21 = 2.0 sits above any floor; what fails is the floor p0 = 0 itself
+def test_shifted_verify_without_p0_floor_is_refused(tmp_path, capsys,
+                                                    monkeypatch):
+    # p21 = 2.0 sits above any floor; what fails is the floor p0 = 0 itself,
+    # and it fails before the forward solve
+    solve = SemilinearSystem.solve
+    calls = []
+    monkeypatch.setattr(SemilinearSystem, "solve",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
     cfg = write_config(tmp_path, {"potentials": {"p0": 0.0}})
     assert run_cli("shifted-verify", cfg, tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert "p0" in err and "p21 below" not in err
+    assert calls == []
 
 
 def test_positivity_command(tmp_path):
@@ -182,6 +194,34 @@ def test_carleman_verify_command(tmp_path):
     assert header[:8] == ["field", "tau", "s", "lambda", "lhs", "rhs", "ratio",
                           "log_scale"]
     assert "observation" in header  # per-term breakdown present
+
+
+def test_carleman_verify_walks_each_field_once(tmp_path, monkeypatch):
+    # the sparse applies depend on the field alone: one bulk and one surface
+    # apply per window node and field, whatever the number of (lam, s) points
+    apply = SparseOp.apply
+    calls = []
+    monkeypatch.setattr(SparseOp, "apply",
+                        lambda *a: calls.append(1) or apply(*a))
+    path = write_config(tmp_path)
+    assert run_cli("carleman-verify", path, tmp_path / "out") == 0
+    cfg = load_config(path)
+    times = np.arange(0.0, cfg.t_end + cfg.dt / 2, cfg.dt)
+    n_window = len(window_nodes(types.SimpleNamespace(times=times, dt=cfg.dt),
+                                cfg.regions.t0, cfg.regions.t1))
+    n_fields = cfg.carleman["n_test_fields"]
+    assert 0 < len(calls) <= 2 * n_fields * n_window
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # only carleman-verify checks symbolic algebra; it loads sympy itself
+    code = ("import sys, bulksurf.cli; from bulksurf.config import load_config; "
+            "load_config(None); print('sympy' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(bulksurf.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_shifted_verify_command(tmp_path):
