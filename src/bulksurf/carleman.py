@@ -22,7 +22,7 @@ import numpy as np
 from .geometry import Mesh, RegionSet
 from .operators import SparseOp, assemble_bulk_diffusion, \
     assemble_surface_diffusion, conormal_flux
-from .forward import Trajectory, window_nodes
+from .forward import Trajectory, source_array, window_nodes
 
 _EXP_CLAMP = -700.0   # exponents below this evaluate to exact zero
 
@@ -55,7 +55,6 @@ class CarlemanConfig:
     s: float
     t0: float
     t1: float
-    tau: float = 0.0
     epsilon: float = 0.5
 
     def __post_init__(self):
@@ -146,14 +145,14 @@ def weight_property_margins(cfg: CarlemanConfig, times: np.ndarray,
     alpha_theta = weight_tables(cfg, eta_values, [0.5 * (cfg.t0 + cfg.t1)])[0][0]
     dalpha = -alpha * dlog
     dxi = -xi * dlog
-    s, tau = cfg.s, cfg.tau
+    s = cfg.s
 
-    c_quot = np.abs((tau / 2.0 - s * alpha) * dlog)
-    # d/dt[(tau/2 - s alpha) dlog gamma]; gamma'' = -2
+    # (tau/2 - s alpha) dlog gamma at tau = 0 and its d/dt; gamma'' = -2
+    c_quot = np.abs(s * alpha * dlog)
     gamma = gamma_value(times[:, None], cfg)
     dgamma = cfg.t0 + cfg.t1 - 2.0 * times[:, None]
     ddlog = (-2.0 * gamma - dgamma**2) / gamma**2
-    d_quot = np.abs(-s * dalpha * dlog + (tau / 2.0 - s * alpha) * ddlog)
+    d_quot = np.abs(-s * dalpha * dlog - s * alpha * ddlog)
 
     window2 = (cfg.t1 - cfg.t0) ** 2
     report = {
@@ -198,7 +197,6 @@ class DiffusionPair:
     """One (bulk, surface) diffusion pair with its assembled operators."""
 
     a: np.ndarray
-    d: np.ndarray
     op_bulk: SparseOp
     op_surf: SparseOp
 
@@ -206,7 +204,7 @@ class DiffusionPair:
     def from_fields(cls, mesh: Mesh, a, d) -> "DiffusionPair":
         a = np.asarray(a, dtype=float) if np.ndim(a) else np.full(mesh.n_cells, float(a))
         d = np.asarray(d, dtype=float) if np.ndim(d) else np.full(mesh.n_theta, float(d))
-        return cls(a=a, d=d, op_bulk=assemble_bulk_diffusion(mesh, a),
+        return cls(a=a, op_bulk=assemble_bulk_diffusion(mesh, a),
                    op_surf=assemble_surface_diffusion(mesh, d))
 
 
@@ -290,6 +288,7 @@ def _window_sums(traj: Trajectory, cfgs: list, mesh: Mesh, powers,
     takes its spatial powers once per config.  Returns (sums, log_scale)
     per config, log_scale = -2 s alpha_ref.
     """
+    require_unit_disk(mesh)
     if len({(cfg.t0, cfg.t1) for cfg in cfgs}) > 1:
         raise ValueError("the configs of one sweep must share the window (t0, t1)")
     if not cfgs:
@@ -384,6 +383,15 @@ def carleman_ratio(tau: float, traj: Trajectory, cfg: CarlemanConfig,
     return carleman_sweep(tau, traj, [cfg], mesh, pair, regions)[0]
 
 
+def require_unit_disk(mesh: Mesh) -> None:
+    """Refuse a mesh other than the unit disk, where the closed-form
+    weights hold: they take eta0 = 1 - |x|^2 = 0 on the boundary circle."""
+    if mesh.R_domain != 1.0:
+        raise ValueError(
+            "the Carleman weights are closed forms on the unit disk: "
+            f"mesh.radius must be 1.0, got {mesh.R_domain}")
+
+
 def require_p0_floor(potentials) -> None:
     """Refuse potentials that miss the one-observation estimate's
     coercivity condition p21, q21 >= p0 > 0."""
@@ -404,14 +412,8 @@ def shifted_sweep(traj: Trajectory, sources: dict, cfgs: list, mesh: Mesh,
     weighted for every config.
     """
     require_p0_floor(potentials)
-    src = {}
-    for key, n in (("f1", mesh.n_cells), ("f2", mesh.n_cells),
-                   ("g1", mesh.n_theta), ("g2", mesh.n_theta)):
-        val = sources.get(key)
-        src[key] = np.zeros(n) if val is None else np.asarray(val, dtype=float)
-        if src[key].shape != (n,):
-            raise ValueError(
-                f"source {key} has shape {src[key].shape}, expected ({n},)")
+    src = {key: source_array(key, sources.get(key), mesh)
+           for key in ("f1", "f2", "g1", "g2")}
 
     # terms: the y pair's nine, the z pair's nine, then the observation
     # (s^4 xi^4 = (s xi)^4), f1_g1 (s^-3 xi^-3 = (s xi)^-3) and f2_g2

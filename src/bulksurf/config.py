@@ -381,9 +381,12 @@ def load_config(path: str | None = None, overrides: dict | None = None
     except ValueError as exc:
         raise ConfigError(f"potentials: {exc}")
     if p0 > 0 and not potentials.stability_admissible():
+        # the negation, potential by potential, of stability_admissible
+        low = [name for name in ("p21", "q21")
+               if not getattr(potentials, name).min() >= p0]
         raise ConfigError(
-            f"potentials: p21 below p0 floor: stability admissibility fails "
-            f"(min p21 {potentials.p21.min():.3g}, min q21 "
+            f"potentials: {', '.join(low)} below p0 floor: stability "
+            f"admissibility fails (min p21 {potentials.p21.min():.3g}, min q21 "
             f"{potentials.q21.min():.3g}, p0 {p0:.3g})")
 
     nl = typed["nonlinearity"]

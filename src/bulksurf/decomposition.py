@@ -21,7 +21,7 @@ not the chain rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -33,22 +33,10 @@ from .geometry import Mesh
 
 @dataclass
 class Decomposition:
-    """Componentwise evaluation of the M/N splittings on a space-time grid."""
+    """Relative residuals of the M/N splittings on a space-time grid."""
 
-    times: np.ndarray
-    components: dict = field(default_factory=dict)   # name -> (nt, n) array
-    f_tilde: np.ndarray | None = None
-    g: np.ndarray | None = None
-    residual_bulk: float = 0.0
-    residual_surface: float = 0.0
-
-    @property
-    def m_sum(self) -> np.ndarray:
-        return sum(self.components[k] for k in ("M11", "M12", "M21", "M22", "M23"))
-
-    @property
-    def n_sum(self) -> np.ndarray:
-        return sum(self.components[k] for k in ("N11", "N12", "N21", "N22", "N23"))
+    residual_bulk: float
+    residual_surface: float
 
 
 def _rel_residual(total: np.ndarray, target: np.ndarray, parts: list) -> float:
@@ -139,23 +127,15 @@ def mn_decomposition(tau: float, z_field: SpaceTimeField, cfg: CarlemanConfig,
     x1, x2 = xy[:, 0][None, :], xy[:, 1][None, :]
     th = mesh.surface_theta[None, :]
 
-    out = Decomposition(times=times)
-    *bulk_vals, out.f_tilde = lambdify_set(
+    *bulk_vals, f_vals = lambdify_set(
         (T, X1, X2), [*bulk_parts.values(), f_tilde])(tt_b, x1, x2)
-    *surf_vals, out.g = lambdify_set(
+    *surf_vals, g_vals = lambdify_set(
         (T, TH), [*surf_parts.values(), g_sym])(tt_b, th)
-    out.components.update(zip(bulk_parts, bulk_vals))
-    out.components.update(zip(surf_parts, surf_vals))
-
-    out.residual_bulk = _rel_residual(
-        out.m_sum, out.f_tilde,
-        [out.components[k] for k in ("M11", "M12", "M21", "M22", "M23")]
-        + [out.f_tilde])
-    out.residual_surface = _rel_residual(
-        out.n_sum, out.g,
-        [out.components[k] for k in ("N11", "N12", "N21", "N22", "N23")]
-        + [out.g])
-    return out
+    return Decomposition(
+        residual_bulk=_rel_residual(sum(bulk_vals), f_vals,
+                                    [*bulk_vals, f_vals]),
+        residual_surface=_rel_residual(sum(surf_vals), g_vals,
+                                       [*surf_vals, g_vals]))
 
 
 def field_to_trajectory(z_field: SpaceTimeField, mesh: Mesh,

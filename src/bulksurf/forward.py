@@ -66,7 +66,6 @@ class ObservationRecord:
     values: np.ndarray        # (n_times, n_omega_cells)
     cell_indices: np.ndarray
     time_indices: np.ndarray
-    times: np.ndarray
     cell_weights: np.ndarray  # cell areas restricted to omega
     dt: float
 
@@ -103,24 +102,27 @@ class ReactionSet:
         return out
 
 
+def source_array(key: str, val, mesh: Mesh) -> np.ndarray:
+    """Source ``key`` as an array checked against its size: f1, f2 per cell,
+    g1, g2 per surface node; None is the zero source."""
+    n = mesh.n_theta if key.startswith("g") else mesh.n_cells
+    arr = np.zeros(n) if val is None else np.asarray(val, dtype=float)
+    if arr.shape != (n,):
+        raise ValueError(f"source {key} has shape {arr.shape}, expected ({n},)")
+    return arr
+
+
 def _normalize_sources(sources, mesh: Mesh):
     """Turn a {f1,f2,g1,g2} spec of arrays/callables into callables of t."""
     if sources is None:
         return None
-    sizes = {"f1": mesh.n_cells, "f2": mesh.n_cells,
-             "g1": mesh.n_theta, "g2": mesh.n_theta}
     out = {}
-    for key, n in sizes.items():
+    for key in ("f1", "f2", "g1", "g2"):
         val = sources.get(key)
-        if val is None:
-            out[key] = None
-        elif callable(val):
+        if val is None or callable(val):
             out[key] = val
         else:
-            arr = np.asarray(val, dtype=float)
-            if arr.shape != (n,):
-                raise ValueError(f"source {key} has shape {arr.shape}, expected ({n},)")
-            out[key] = (lambda a: (lambda t: a))(arr)
+            out[key] = (lambda a: (lambda t: a))(source_array(key, val, mesh))
     return out
 
 
@@ -346,7 +348,6 @@ def observe(traj: Trajectory, regions: RegionSet, mesh: Mesh,
     cells = regions.omega
     dz = (traj.z[k_idx + 1][:, cells] - traj.z[k_idx - 1][:, cells]) / (2 * traj.dt)
     return ObservationRecord(values=dz, cell_indices=cells, time_indices=k_idx,
-                             times=traj.times[k_idx],
                              cell_weights=mesh.cell_areas[cells], dt=traj.dt)
 
 
@@ -463,6 +464,6 @@ def mms_convergence(levels, t_end: float = 0.4, potentials_const=None) -> dict:
             errors.append(_state_error(mesh, traj.state(-1), ref.state(-1)))
     orders = [float(np.log2(errors[i] / errors[i + 1]))
               for i in range(len(errors) - 1)]
-    return {"levels": list(levels), "errors": errors, "orders": orders,
+    return {"errors": errors, "orders": orders,
             "mode": "spatial" if meshes_vary else "temporal"}
 

@@ -77,17 +77,12 @@ class Mesh:
 
 @dataclass(frozen=True)
 class RegionSet:
-    """Nested observation regions (concentric disks) and the time window."""
+    """The observation disk omega and the time window."""
 
-    omega_prime: np.ndarray   # cell indices with r < rho_prime
-    omega_dprime: np.ndarray  # cell indices with r < rho_dprime
     omega: np.ndarray         # cell indices with r < rho_omega
     t0: float
     t1: float
     theta: float
-    rho_prime: float
-    rho_dprime: float
-    rho_omega: float
 
 
 def build_polar_mesh(n_r: int, n_theta: int, R_domain: float = 1.0) -> Mesh:
@@ -175,7 +170,8 @@ def build_regions(
     t0: float,
     t1: float,
 ) -> RegionSet:
-    """Build nested observation disks omega' < omega'' < omega and the window."""
+    """Build the observation disk omega and the window; the nested disks
+    omega' < omega'' < omega are checked, but only omega is kept."""
     if not (0.0 < rho_prime < rho_dprime < rho_omega < mesh.R_domain):
         raise ValueError(
             "region radii must satisfy 0 < rho_prime < rho_dprime < rho_omega "
@@ -185,28 +181,17 @@ def build_regions(
     if not (0.0 < t0 < t1):
         raise ValueError(f"time window must satisfy 0 < t0 < t1, got ({t0}, {t1})")
 
+    # the radii are ordered, so a cell center in omega' lies in all three
     r = mesh.cell_r
-    omega_prime = np.flatnonzero(r < rho_prime)
-    omega_dprime = np.flatnonzero(r < rho_dprime)
-    omega = np.flatnonzero(r < rho_omega)
-    for name, idx, rho in (
-        ("omega_prime", omega_prime, rho_prime),
-        ("omega_dprime", omega_dprime, rho_dprime),
-        ("omega", omega, rho_omega),
-    ):
-        if idx.size == 0:
-            raise ValueError(
-                f"{name} (r < {rho}) contains no cell centers: mesh too coarse"
-            )
+    if not np.any(r < rho_prime):
+        raise ValueError(
+            f"omega_prime (r < {rho_prime}) contains no cell centers: "
+            "mesh too coarse"
+        )
 
     return RegionSet(
-        omega_prime=omega_prime,
-        omega_dprime=omega_dprime,
-        omega=omega,
+        omega=np.flatnonzero(r < rho_omega),
         t0=float(t0),
         t1=float(t1),
         theta=0.5 * (t0 + t1),
-        rho_prime=float(rho_prime),
-        rho_dprime=float(rho_dprime),
-        rho_omega=float(rho_omega),
     )

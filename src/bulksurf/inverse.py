@@ -10,7 +10,7 @@ the reverse sweep reuses the forward LU factorization via transposed solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,8 +40,6 @@ _MAX_DIFFERENCE_PASSES = 8
 class PatchBasis:
     """Piecewise-constant patches: radial x angular in the bulk, arcs on Gamma."""
 
-    n_patch_r: int
-    n_patch_theta: int
     n_arcs: int
     bulk: sp.csr_matrix       # (n_cells, n_bulk_patches) indicator
     surf: sp.csr_matrix       # (n_theta, n_arcs) indicator
@@ -50,7 +48,7 @@ class PatchBasis:
 
     @property
     def n_bulk(self) -> int:
-        return self.n_patch_r * self.n_patch_theta
+        return self.bulk.shape[1]
 
 
 def build_patch_basis(mesh: Mesh, n_patch_r: int = 4, n_patch_theta: int = 4,
@@ -75,8 +73,7 @@ def build_patch_basis(mesh: Mesh, n_patch_r: int = 4, n_patch_theta: int = 4,
     if (np.asarray(surf.sum(axis=0)).ravel() == 0).any():
         raise ValueError("empty surface arc: mesh too coarse for this arc count")
     return PatchBasis(
-        n_patch_r=n_patch_r, n_patch_theta=n_patch_theta, n_arcs=n_arcs,
-        bulk=bulk, surf=surf,
+        n_arcs=n_arcs, bulk=bulk, surf=surf,
         bulk_measure=bulk.T @ mesh.cell_areas,
         surf_measure=surf.T @ mesh.surface_weights)
 
@@ -398,8 +395,6 @@ class StabilityReport:
     median_ratio: float
     spread: float
     n_rejected: int
-    seed: int
-    label: str = "half-window variant"
 
 
 def _smooth_bulk_shape(mesh: Mesh, rng) -> np.ndarray:
@@ -568,4 +563,4 @@ def stability_ensemble(problem: InverseProblem,
     med_ratio = float(np.median(ratios))
     return StabilityReport(
         records=records, max_ratio=max_ratio, median_ratio=med_ratio,
-        spread=max_ratio / med_ratio, n_rejected=n_rejected, seed=seed)
+        spread=max_ratio / med_ratio, n_rejected=n_rejected)

@@ -139,7 +139,6 @@ class Nonlinearity:
     map need not be globally Lipschitz (powers y^d z^delta are not).
     """
 
-    kind: str
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     partials: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     lipschitz_bound: float
@@ -179,8 +178,8 @@ def make_power_nonlinearity(d: int, delta: int,
         lip += d * y_max ** (d - 1) * z_max ** delta
     if delta > 0:
         lip += delta * y_max ** d * z_max ** (delta - 1)
-    return Nonlinearity(kind=f"power({d},{delta})", evaluate=evaluate,
-                        partials=partials, lipschitz_bound=float(lip))
+    return Nonlinearity(evaluate=evaluate, partials=partials,
+                        lipschitz_bound=float(lip))
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,6 @@ def surface_divergence_residual(mesh: Mesh, X: np.ndarray, z: np.ndarray) -> flo
     divergence (X_{j+1/2} - X_{j-1/2})/ds against z telescopes against
     -X * (centered difference of z) exactly.
     """
-    ns = mesh.n_theta
     ds = mesh.surface_weights[0]
     divX = (X - np.roll(X, 1)) / ds
     dz_face = (np.roll(z, -1) - z) / ds
@@ -209,11 +208,8 @@ def conormal_identity_residual(A: np.ndarray, nu: np.ndarray,
 
 
 def operator_invariant_report(op: SparseOp) -> dict:
-    """Symmetry / constant-kernel / semidefiniteness diagnostics.
-
-    Semidefiniteness is probed by the Rayleigh quotients of three random
-    vectors drawn at seed 0.
-    """
+    """Symmetry and constant-kernel diagnostics, and the largest entry as
+    the scale for their tolerances (semidefiniteness is left to eigsh)."""
     T = op.matrix
     sym = abs(T - T.T)
     sym_max = float(sym.max()) if sym.nnz else 0.0
@@ -222,15 +218,9 @@ def operator_invariant_report(op: SparseOp) -> dict:
         row_sums = T @ ones + op.boundary @ np.ones(op.boundary.shape[1])
     else:
         row_sums = T @ ones
-    rng = np.random.default_rng(0)
-    rayleigh = []
-    for _ in range(3):
-        x = rng.standard_normal(op.dimension)
-        rayleigh.append(float(x @ (T @ x)) / float(x @ x))
     scale = float(abs(T).max())
     return {
         "symmetry_error": sym_max,
         "max_row_sum": float(np.abs(row_sums).max()),
-        "max_rayleigh": max(rayleigh),
         "scale": scale,
     }

@@ -30,14 +30,6 @@ class QPReport:
     def passed(self) -> bool:
         return self.f1_ok and self.f2_ok and self.g1_ok and self.g2_ok
 
-    def as_dict(self) -> dict:
-        d = {"f1_ok": self.f1_ok, "f2_ok": self.f2_ok,
-             "g1_ok": self.g1_ok, "g2_ok": self.g2_ok}
-        if self.worst_violation is not None:
-            fid, pt, val = self.worst_violation
-            d["worst_violation"] = {"function": fid, "at": float(pt), "value": float(val)}
-        return d
-
 
 def check_qp(reactions: ReactionSet, samples: np.ndarray) -> QPReport:
     """Evaluate the quasi-positivity sign conditions on a nonnegative grid.
@@ -97,7 +89,7 @@ def negative_part_energy(traj: Trajectory, mesh: Mesh) -> dict:
     areas, ds = mesh.cell_areas, mesh.surface_weights
     ey = _negative_square(traj.y, areas) + _negative_square(traj.y_gamma, ds)
     ez = _negative_square(traj.z, areas) + _negative_square(traj.z_gamma, ds)
-    return {"times": traj.times, "E_y": ey, "E_z": ez}
+    return {"E_y": ey, "E_z": ez}
 
 
 def negative_part_energy_monotone(traj: Trajectory, mesh: Mesh) -> dict:
@@ -105,20 +97,16 @@ def negative_part_energy_monotone(traj: Trajectory, mesh: Mesh) -> dict:
 
     tol is 1e-8 times the squared field scale, so identically nonnegative
     trajectories pass trivially and genuine growth is flagged.  For a block
-    trajectory every entry but ``times`` is per draw.
+    trajectory every entry is per draw.
     """
-    series = negative_part_energy(traj, mesh)
+    out = negative_part_energy(traj, mesh)
     scale = np.maximum(np.max([sup_abs(f) for f in
                                (traj.y, traj.z, traj.y_gamma, traj.z_gamma)],
                               axis=0), 1e-300)
     tol = 1e-8 * scale**2 * traj.dt
-    out = {"times": series["times"], "tol_per_step": tol}
     for key in ("E_y", "E_z"):
-        e = series[key]
-        growth = np.diff(e, axis=0).max(axis=0, initial=0.0)
-        out[key] = e
+        growth = np.diff(out[key], axis=0).max(axis=0, initial=0.0)
         out[f"{key}_monotone"] = growth <= tol
-        out[f"{key}_max_growth"] = growth
     out["passed"] = out["E_y_monotone"] & out["E_z_monotone"]
     return out
 
@@ -146,8 +134,7 @@ def positivity_experiment(mesh: Mesh, diffusion: DiffusionSpec,
     quasi-positivity check fails on the grid 0, 0.05, ..., 2 or the data has
     a negative component.  ``init`` may hold a block of draws (a leading
     draw axis on every field): they share one system and one LU, and
-    ``min_value``, ``min_series``, ``E_y`` and ``E_z`` then carry that
-    axis last.
+    ``min_value`` and ``min_series`` then carry that axis last.
     """
     qp = check_qp(reactions, np.linspace(0.0, 2.0, 41))
     if not qp.passed:
@@ -166,14 +153,9 @@ def positivity_experiment(mesh: Mesh, diffusion: DiffusionSpec,
     min_series = np.minimum.reduce([traj.y.min(axis=-1), traj.z.min(axis=-1),
                                     traj.y_gamma.min(axis=-1),
                                     traj.z_gamma.min(axis=-1)])
-    energy = negative_part_energy(traj, mesh)
     return {
-        "qp": qp.as_dict(),
         "min_value": min_series.min(axis=0),
         "min_series": min_series,
-        "energy_times": energy["times"],
-        "E_y": energy["E_y"],
-        "E_z": energy["E_z"],
         "matrix_check": implicit_offdiagonal_report(system, dt),
         "trajectory": traj,
     }

@@ -98,7 +98,7 @@ def test_weight_derivatives_against_complex_step(mesh):
 
 
 def test_weight_property_margins():
-    cfg = cfg_small(s=2.0, tau=-3.0)
+    cfg = cfg_small(s=2.0)
     times = np.linspace(0.21, 0.79, 97)
     eta = np.linspace(0.0, 1.0, 33)
     rep = weight_property_margins(cfg, times, eta)
@@ -156,9 +156,14 @@ def _time_grid(t_end=1.0, dt=0.01):
     return np.arange(0.0, t_end + dt / 2, dt)
 
 
+# the surface diffusivity of the test pairs; the plain-loop quadratures
+# below rebuild div_s from it
+D_SURF = 1.0
+
+
 @pytest.fixture(scope="module")
 def pair(mesh):
-    return DiffusionPair.from_fields(mesh, 1.0, 1.0)
+    return DiffusionPair.from_fields(mesh, 1.0, D_SURF)
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +225,8 @@ def _independent_surface_divergence(d, zg, ds):
 
 
 def _independent_norm_terms(tau, traj, cfg, mesh, pair, which="z"):
-    """Plain-loop requadrature of the nine weighted-norm terms."""
+    """Plain-loop requadrature of the nine weighted-norm terms (``pair``
+    has surface diffusivity D_SURF)."""
     from bulksurf.operators import conormal_flux
 
     zb, zgs = (traj.z, traj.z_gamma) if which == "z" else (traj.y, traj.y_gamma)
@@ -229,6 +235,7 @@ def _independent_norm_terms(tau, traj, cfg, mesh, pair, which="z"):
                                 "surf_gradient", "surf_zeroth",
                                 "surf_conormal")}
     ds = mesh.surface_weights[0]
+    d = np.full(mesh.n_theta, D_SURF)
     faces = list(zip(mesh.faces_a.tolist(), mesh.faces_b.tolist(),
                      mesh.faces_geom.tolist()))
     bnd = list(zip(mesh.bnd_cells.tolist(), mesh.bnd_geom.tolist()))
@@ -255,7 +262,7 @@ def _independent_norm_terms(tau, traj, cfg, mesh, pair, which="z"):
         out["bulk_gradient"] += traj.dt * cfg.lam**2 * grad
 
         dtzg = (zgs[k + 1] - zgs[k - 1]) / (2 * traj.dt)
-        div_s = _independent_surface_divergence(pair.d, zg, ds)
+        div_s = _independent_surface_divergence(d, zg, ds)
         out["surf_time"] += traj.dt * W_s * (cfg.s * xi_s) ** (tau - 1) \
             * float(np.dot(mesh.surface_weights, dtzg**2))
         out["surf_elliptic"] += traj.dt * W_s * (cfg.s * xi_s) ** (tau - 1) \
@@ -351,11 +358,13 @@ def test_ratio_localized_field_observation_dominates(mesh, pair, regions):
 
 
 def _independent_rhs_terms(tau, traj, cfg, mesh, pair, regions):
-    """Plain-loop requadrature of carleman_ratio's right-hand-side terms."""
+    """Plain-loop requadrature of carleman_ratio's right-hand-side terms
+    (``pair`` has surface diffusivity D_SURF)."""
     from bulksurf.operators import conormal_flux
 
     obs = res_b = res_s = 0.0
     ds = mesh.surface_weights[0]
+    d = np.full(mesh.n_theta, D_SURF)
     for k, W, xi, W_s, xi_s in _independent_nodes(traj, cfg, mesh):
         z, zg = traj.z[k], traj.z_gamma[k]
         for i in regions.omega:
@@ -366,7 +375,7 @@ def _independent_rhs_terms(tau, traj, cfg, mesh, pair, regions):
         res_b += traj.dt * float(np.sum(mesh.cell_areas * W
                                         * (cfg.s * xi) ** tau * Lz**2))
         Lzg = (traj.z_gamma[k + 1] - traj.z_gamma[k - 1]) / (2 * traj.dt) \
-            - _independent_surface_divergence(pair.d, zg, ds) \
+            - _independent_surface_divergence(d, zg, ds) \
             + conormal_flux(mesh, pair.a, z, zg)
         res_s += traj.dt * W_s * (cfg.s * xi_s) ** tau \
             * float(np.dot(mesh.surface_weights, Lzg**2))
@@ -403,6 +412,16 @@ def test_sweep_refuses_configs_with_different_windows(mesh, pair, regions,
     with pytest.raises(ValueError, match="share the window"):
         carleman_sweep(0.0, smooth_traj, [cfg_small(), cfg_small(t1=0.7)],
                        mesh, pair, regions)
+
+
+def test_sweep_refuses_a_disk_other_than_the_unit_disk():
+    # the closed-form weights take eta0 = 0 on the boundary circle |x| = 1
+    wide = build_polar_mesh(8, 16, 2.0)
+    traj = field_to_trajectory(SpaceTimeField("x1"), wide, _time_grid())
+    with pytest.raises(ValueError, match="mesh.radius must be 1.0, got 2.0"):
+        carleman_ratio(0.0, traj, cfg_small(), wide,
+                       DiffusionPair.from_fields(wide, 1.0, 1.0),
+                       build_regions(wide, 0.2, 0.3, 0.45, 0.2, 0.8))
 
 
 @pytest.fixture(scope="module")
@@ -478,7 +497,7 @@ def test_shifted_ratio_zero_everything(mesh, regions):
 def test_shifted_ratio_parts_vs_independent_quadrature(mesh, regions,
                                                        linear_system_run):
     pot, sources, traj = linear_system_run
-    pair = DiffusionPair.from_fields(mesh, 1.0, 1.0)
+    pair = DiffusionPair.from_fields(mesh, 1.0, D_SURF)
     eps = 0.5
     cfgs = [cfg_small(epsilon=eps, **point) for point in
             [dict(lam=2.0, s=default_s1(2.0, 0.2, 0.8)), *_SWEEP_POINTS]]

@@ -9,6 +9,7 @@ import pytest
 
 import bulksurf
 import bulksurf.forward
+import bulksurf.positivity
 from bulksurf.cli import main, write_csv
 from bulksurf.config import compile_expression, load_config
 from bulksurf.forward import ReactionSet, SemilinearSystem, window_nodes
@@ -101,6 +102,34 @@ def test_p0_floor_violation_is_named(tmp_path, capsys):
     assert "p21 below p0 floor" in err
 
 
+def test_p0_floor_violation_names_q21(tmp_path, capsys):
+    # p21 = 2.0 sits above the floor p0 = 0.3; q21 = 0.1 does not
+    cfg = write_config(tmp_path, {"potentials": {"q21": 0.1}})
+    assert run_cli("simulate", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "potentials: q21 below p0 floor" in err
+
+
+@pytest.mark.parametrize("command", ["carleman-verify", "shifted-verify"])
+def test_carleman_commands_refuse_a_non_unit_disk(tmp_path, capsys,
+                                                  monkeypatch, command):
+    # the Carleman weights are closed forms on the unit disk: a radius-2
+    # mesh is refused before any field is solved for or sampled
+    import bulksurf.decomposition as decomposition
+    calls = []
+    for owner, name in ((SemilinearSystem, "solve"),
+                        (decomposition, "field_to_trajectory"),
+                        (decomposition, "mn_decomposition")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, fn=fn, **k:
+                            calls.append(1) or fn(*a, **k))
+    cfg = write_config(tmp_path, {"mesh": {"radius": 2.0}})
+    assert run_cli(command, cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "mesh.radius must be 1.0, got 2.0" in err
+    assert calls == []
+
+
 def test_shifted_verify_without_p0_floor_is_refused(tmp_path, capsys,
                                                     monkeypatch):
     # p21 = 2.0 sits above any floor; what fails is the floor p0 = 0 itself,
@@ -124,6 +153,17 @@ def test_positivity_command(tmp_path):
     assert summary["checks"]["minimum_nonnegative"]
     assert summary["checks"]["negative_energy_monotone"]
     assert os.path.exists(out / "energy.csv")
+
+
+def test_positivity_computes_the_negative_part_energy_once(tmp_path,
+                                                           monkeypatch):
+    energy = bulksurf.positivity.negative_part_energy
+    calls = []
+    monkeypatch.setattr(bulksurf.positivity, "negative_part_energy",
+                        lambda *a, **k: calls.append(1) or energy(*a, **k))
+    cfg = write_config(tmp_path)
+    assert run_cli("positivity", cfg, tmp_path / "out") == 0
+    assert len(calls) == 1
 
 
 def test_positivity_draws_share_one_factorization(tmp_path, monkeypatch):
@@ -158,14 +198,17 @@ def test_positivity_block_matches_one_draw_runs(tmp_path):
                            rng.random(ns))
         out = positivity_experiment(cfg.mesh, cfg.diffusion, init, reactions,
                                     t_end=pz["t_end"], dt=cfg.dt)
-        scale = max(abs(out["trajectory"].y).max(), 1.0)
+        traj = out["trajectory"]
+        scale = max(abs(traj.y).max(), 1.0)
         ok = out["min_value"] >= -1e-10 * scale
-        assert negative_part_energy_monotone(out["trajectory"], cfg.mesh)["passed"]
-        draw_rows.append((d, out["min_value"], float(np.max(out["E_y"])),
-                          float(np.max(out["E_z"])), int(ok)))
+        mono = negative_part_energy_monotone(traj, cfg.mesh)
+        assert mono["passed"]
+        draw_rows.append((d, out["min_value"], float(np.max(mono["E_y"])),
+                          float(np.max(mono["E_z"])), int(ok)))
         if energy_rows is None:
-            energy_rows = [(t, out["E_y"][k], out["E_z"][k], out["min_series"][k])
-                           for k, t in enumerate(out["energy_times"])]
+            energy_rows = [(t, mono["E_y"][k], mono["E_z"][k],
+                            out["min_series"][k])
+                           for k, t in enumerate(traj.times)]
     write_csv(str(tmp_path / "draws.csv"),
               ["draw", "min_value", "max_E_y", "max_E_z", "passed"], draw_rows)
     write_csv(str(tmp_path / "energy.csv"),

@@ -135,10 +135,14 @@ def test_config_defaults_live_only_in_default_config():
 
 
 def _attributes_read(tree) -> set:
-    """Attribute names a module reads, and its string constants (getattr).
+    """Attribute names a module reads, and the names its getattr calls can.
 
     An attribute only assigned, directly or through a subscript
-    (``rep.details[k] = v``), is not read.
+    (``rep.details[k] = v``), is not read.  A string constant counts as a
+    name only where getattr takes it: as getattr's literal name argument, or
+    inside an all-string tuple, list or set literal (the name lists that
+    getattr loops walk); a dict key or subscript like ``cfg["d"]`` reads no
+    attribute.
     """
     stored_into = {id(node.value) for node in ast.walk(tree)
                    if isinstance(node, ast.Subscript)
@@ -148,13 +152,20 @@ def _attributes_read(tree) -> set:
         if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                 and id(node) not in stored_into):
             used.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            used.add(node.value)
+        elif (isinstance(node, (ast.Tuple, ast.List, ast.Set)) and node.elts
+              and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                      for e in node.elts)):
+            used |= {e.value for e in node.elts}
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            used.add(node.args[1].value)
     return used
 
 
 def _names_used(tree) -> set:
-    """Every name a module reads: names, attributes and string constants."""
+    """Every name a module reads: names, attributes and getattr names."""
     return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             | _attributes_read(tree))
 

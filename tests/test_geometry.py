@@ -64,9 +64,10 @@ def test_regions_nested_and_theta_midpoint():
     mesh = build_polar_mesh(16, 32, 1.0)
     reg = build_regions(mesh, 0.2, 0.3, 0.4, 0.2, 0.8)
     assert reg.theta == 0.5
-    sp, sd, so = map(set, (reg.omega_prime, reg.omega_dprime, reg.omega))
-    assert sp < sd < so
-    assert len(sp) > 0
+    # omega is the disk r < 0.4, and it holds the inner disks' cells
+    np.testing.assert_array_equal(reg.omega, np.flatnonzero(mesh.cell_r < 0.4))
+    inner = np.flatnonzero(mesh.cell_r < 0.2)
+    assert inner.size > 0 and set(inner) < set(reg.omega)
 
 
 def test_region_ordering_violation_rejected():
