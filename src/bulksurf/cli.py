@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -96,10 +95,9 @@ def write_json(path: str, obj) -> None:
 class _Runner:
     """Shared output plumbing for one subcommand invocation."""
 
-    def __init__(self, cfg: RunConfig, out_dir: str, threads: int):
+    def __init__(self, cfg: RunConfig, out_dir: str):
         self.cfg = cfg
         self.out = out_dir
-        self.threads = max(1, threads)
         os.makedirs(out_dir, exist_ok=True)
         self.checks: dict[str, bool] = {}
         lam1 = cfg.carleman["lambda1"]
@@ -126,12 +124,6 @@ class _Runner:
         for name, ok in self.checks.items():
             print(f"[{'PASS' if ok else 'FAIL'}] {name}")
         return 0 if all(self.checks.values()) else 1
-
-    def map(self, fn, items):
-        if self.threads == 1 or len(items) <= 1:
-            return [fn(x) for x in items]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(fn, items))
 
 
 def _s1(cfg: RunConfig, lam: float) -> float:
@@ -226,7 +218,7 @@ def _non_growth(ratios: list) -> bool:
 
 def _cmd_carleman_verify(run: _Runner) -> int:
     # the symbolic layer loads sympy; no other subcommand needs it
-    from .decomposition import field_to_trajectory, mn_decomposition
+    from .decomposition import field_to_trajectory, mn_decompositions
     from .fields import SpaceTimeField, sympy_expr
 
     cfg = run.cfg
@@ -257,13 +249,11 @@ def _cmd_carleman_verify(run: _Runner) -> int:
     dec_cfg = CarlemanConfig(lam=1.0, s=2.0, t0=t0, t1=t1, epsilon=eps)
     field = SpaceTimeField(
         f"sin(pi*(t - {t0})/{t1 - t0})*(1 + x1/2 + x2**2/3)")
-    dec_rows = []
-    worst = 0.0
-    for tau in tau_list:
-        dec = mn_decomposition(tau, field, dec_cfg, cfg.mesh,
-                               a_expr=a_expr, d_expr=d_expr)
-        dec_rows.append((tau, dec.residual_bulk, dec.residual_surface))
-        worst = max(worst, dec.residual_bulk, dec.residual_surface)
+    decs = mn_decompositions(tau_list, field, dec_cfg, cfg.mesh,
+                             a_expr=a_expr, d_expr=d_expr)
+    dec_rows = [(tau, dec.residual_bulk, dec.residual_surface)
+                for tau, dec in zip(tau_list, decs)]
+    worst = max([0.0, *(v for row in dec_rows for v in row[1:])])
     run.csv("decomposition.csv", ["tau", "residual_bulk", "residual_surface"],
             dec_rows)
     run.checks["decomposition_residuals"] = bool(worst <= 1e-8)
@@ -271,29 +261,27 @@ def _cmd_carleman_verify(run: _Runner) -> int:
     pair = DiffusionPair.from_fields(cfg.mesh, cfg.diffusion.a1,
                                      cfg.diffusion.d1)
     names = list(TEST_FIELDS)[:cl["n_test_fields"]]
+    # the sweep reads the nodes strictly inside (t0, t1) and their two
+    # neighbours: sample from the last node <= t0 to the first >= t1
     times_traj = np.arange(0.0, cfg.t_end + cfg.dt / 2, cfg.dt)
-    trajs = {}
+    first = np.searchsorted(times_traj, t0, side="right") - 1
+    last = np.searchsorted(times_traj, t1, side="left")
+    times_traj = times_traj[max(first, 0):last + 1]
+    cfgs = [CarlemanConfig(lam=lam, s=s, t0=t0, t1=t1, epsilon=eps)
+            for lam, _, s in grid]
+    rows = []
     for name in names:
         expr = TEST_FIELDS[name].replace("T0", repr(t0)).replace(
             "W", repr(t1 - t0))
-        trajs[name] = field_to_trajectory(SpaceTimeField(expr), cfg.mesh,
-                                          times_traj)
-
-    cfgs = [CarlemanConfig(lam=lam, s=s, t0=t0, t1=t1, epsilon=eps)
-            for lam, _, s in grid]
-
-    def sweep_field(name):
-        outs = carleman_sweep(0.0, trajs[name], cfgs, cfg.mesh, pair,
-                              cfg.regions)
-        return [(name, 0.0, c.s, c.lam, out["lhs"], out["rhs"], out["ratio"],
-                 out["log_scale"], *(out["parts"][key] for key in (
-                     "observation", "bulk_residual", "surface_residual",
-                     "bulk_zeroth", "bulk_gradient", "surf_zeroth",
-                     "surf_conormal")))
-                for c, out in zip(cfgs, outs)]
-
-    rows = [row for field_rows in run.map(sweep_field, names)
-            for row in field_rows]
+        traj = field_to_trajectory(SpaceTimeField(expr), cfg.mesh, times_traj,
+                                   cfg.dt)
+        outs = carleman_sweep(0.0, traj, cfgs, cfg.mesh, pair, cfg.regions)
+        rows += [(name, 0.0, c.s, c.lam, out["lhs"], out["rhs"], out["ratio"],
+                  out["log_scale"], *(out["parts"][key] for key in (
+                      "observation", "bulk_residual", "surface_residual",
+                      "bulk_zeroth", "bulk_gradient", "surf_zeroth",
+                      "surf_conormal")))
+                 for c, out in zip(cfgs, outs)]
     run.csv("ratio_sweep.csv",
             ["field", "tau", "s", "lambda", "lhs", "rhs", "ratio", "log_scale",
              "observation", "bulk_residual", "surface_residual",
@@ -319,7 +307,8 @@ def _cmd_shifted_verify(run: _Runner) -> int:
     sources = {k: parse_field_spec(spec, cfg.mesh, f"carleman.sources.{k}",
                                    on_surface=k.startswith("g"))
                for k, spec in cfg.carleman["sources"].items()}
-    traj = system.solve(cfg.init, cfg.t_end, cfg.dt, sources=sources)
+    # the sweep reads only the nodes strictly inside (t0, t1)
+    traj = system.solve(cfg.init, t1, cfg.dt, sources=sources)
     pair1 = DiffusionPair.from_fields(cfg.mesh, cfg.diffusion.a1,
                                       cfg.diffusion.d1)
     pair2 = DiffusionPair.from_fields(cfg.mesh, cfg.diffusion.a2,
@@ -501,7 +490,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=None, help="results directory")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     out_dir = args.out or os.environ.get("BULKSURF_OUT") or f"results-{args.command}"
@@ -518,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
-    runner = _Runner(cfg, out_dir, args.threads)
+    runner = _Runner(cfg, out_dir)
     try:
         return _COMMANDS[args.command](runner)
     except ConfigError as exc:

@@ -46,27 +46,33 @@ def _rel_residual(total: np.ndarray, target: np.ndarray, parts: list) -> float:
     return num / scale if scale > 0 else 0.0
 
 
-def mn_decomposition(tau: float, z_field: SpaceTimeField, cfg: CarlemanConfig,
-                     mesh: Mesh, a_expr=1, d_expr=1) -> Decomposition:
-    """Evaluate every component of the M/N splitting for a closed-form z.
+# the weight exponent of the decompositions, kept symbolic so that one
+# derivation serves every tau
+TAU = sp.Symbol("tau", real=True)
+
+
+def mn_decompositions(taus, z_field: SpaceTimeField, cfg: CarlemanConfig,
+                      mesh: Mesh, a_expr=1, d_expr=1) -> list:
+    """The M/N splitting residuals for a closed-form z at each tau of ``taus``.
 
     ``a_expr`` is the isotropic bulk diffusivity as an (x1, x2) expression,
     ``d_expr`` the surface diffusivity as a theta expression.  Each component
     keeps its own symbolic expression (derivatives of psi are taken
-    symbolically); the five bulk components and f~ are evaluated by one
-    lambdified function, the five surface components and g by another, with
-    their common subexpressions computed once.  The components are still
-    summed only after evaluation, so the returned residuals measure how
-    exactly the printed splitting reproduces the weighted heat operators.
-    The grid is nine times spread over the inner 70% of the window (t0, t1).
+    symbolically, with tau a symbol, so the derivation is done once); the
+    five bulk components and f~ are evaluated by one lambdified function of
+    (t, x1, x2, tau), the five surface components and g by another of
+    (t, theta, tau), with their common subexpressions computed once.  The
+    components are still summed only after evaluation, so the returned
+    residuals measure how exactly the printed splitting reproduces the
+    weighted heat operators.  The grid is nine times spread over the inner
+    70% of the window (t0, t1).
     """
     if not isinstance(z_field, SpaceTimeField):
         raise TypeError("mn_decomposition needs a closed-form field, "
                         "not a sampled trajectory")
     lam = sp.Float(cfg.lam)
     s = sp.Float(cfg.s)
-    tau_s = sp.Rational(tau) if float(tau).is_integer() else sp.Float(tau)
-    half_tau = tau_s / 2
+    half_tau = TAU / 2
     t0, t1 = sp.Float(cfg.t0), sp.Float(cfg.t1)
 
     a = sympy_expr(a_expr)
@@ -100,7 +106,7 @@ def mn_decomposition(tau: float, z_field: SpaceTimeField, cfg: CarlemanConfig,
                           + sp.diff(a * sp.diff(z, X2), X2))
     f_tilde = (sp.exp(-s * alpha) * xi**half_tau * Lz
                - lam * (s * xi + half_tau) * div_a_grad_eta * psi
-               + (lam**2 * tau_s**2 / 4 - s * lam**2 * xi * (1 - tau_s)) * sig * psi)
+               + (lam**2 * TAU**2 / 4 - s * lam**2 * xi * (1 - TAU)) * sig * psi)
 
     circle = {X1: sp.cos(TH), X2: sp.sin(TH)}
     psi_g = psi.subs(circle)
@@ -127,20 +133,34 @@ def mn_decomposition(tau: float, z_field: SpaceTimeField, cfg: CarlemanConfig,
     x1, x2 = xy[:, 0][None, :], xy[:, 1][None, :]
     th = mesh.surface_theta[None, :]
 
-    *bulk_vals, f_vals = lambdify_set(
-        (T, X1, X2), [*bulk_parts.values(), f_tilde])(tt_b, x1, x2)
-    *surf_vals, g_vals = lambdify_set(
-        (T, TH), [*surf_parts.values(), g_sym])(tt_b, th)
-    return Decomposition(
-        residual_bulk=_rel_residual(sum(bulk_vals), f_vals,
-                                    [*bulk_vals, f_vals]),
-        residual_surface=_rel_residual(sum(surf_vals), g_vals,
-                                       [*surf_vals, g_vals]))
+    bulk_fn = lambdify_set((T, X1, X2, TAU), [*bulk_parts.values(), f_tilde])
+    surf_fn = lambdify_set((T, TH, TAU), [*surf_parts.values(), g_sym])
+    out = []
+    for tau in taus:
+        *bulk_vals, f_vals = bulk_fn(tt_b, x1, x2, float(tau))
+        *surf_vals, g_vals = surf_fn(tt_b, th, float(tau))
+        out.append(Decomposition(
+            residual_bulk=_rel_residual(sum(bulk_vals), f_vals,
+                                        [*bulk_vals, f_vals]),
+            residual_surface=_rel_residual(sum(surf_vals), g_vals,
+                                           [*surf_vals, g_vals])))
+    return out
+
+
+def mn_decomposition(tau: float, z_field: SpaceTimeField, cfg: CarlemanConfig,
+                     mesh: Mesh, a_expr=1, d_expr=1) -> Decomposition:
+    """The M/N splitting residuals at one tau (see ``mn_decompositions``)."""
+    return mn_decompositions([tau], z_field, cfg, mesh, a_expr, d_expr)[0]
 
 
 def field_to_trajectory(z_field: SpaceTimeField, mesh: Mesh,
-                        times: np.ndarray) -> "Trajectory":
-    """Sample a closed-form field into a trajectory (z pair only)."""
+                        times: np.ndarray, dt: float | None = None) -> "Trajectory":
+    """Sample a closed-form field into a trajectory (z pair only).
+
+    ``dt`` is the grid step, ``times[1] - times[0]`` when not given; a grid
+    cut out of a longer one needs it, since that difference need not equal
+    the step bit for bit.  The y pair is a read-only zero view.
+    """
     from .forward import Trajectory
 
     times = np.asarray(times, dtype=float)
@@ -149,7 +169,6 @@ def field_to_trajectory(z_field: SpaceTimeField, mesh: Mesh,
     zg_field = z_field.on_circle(mesh.R_domain)
     z = np.stack([z_field.value(t, xy) for t in times])
     zg = np.stack([zg_field.value(t, th) for t in times])
-    zeros_b = np.zeros_like(z)
-    zeros_s = np.zeros_like(zg)
-    return Trajectory(times=times, y=zeros_b, z=z, y_gamma=zeros_s,
-                      z_gamma=zg, dt=float(times[1] - times[0]))
+    return Trajectory(times=times, y=np.broadcast_to(0.0, z.shape), z=z,
+                      y_gamma=np.broadcast_to(0.0, zg.shape), z_gamma=zg,
+                      dt=float(times[1] - times[0]) if dt is None else dt)

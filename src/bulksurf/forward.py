@@ -441,7 +441,7 @@ def mms_convergence(levels, t_end: float = 0.4, potentials_const=None) -> dict:
     Each level is (n_r, n_theta, dt).  When the mesh varies across levels the
     error is measured against the exact solution at t_end; when all levels
     share one mesh, a dt/8 reference run on that mesh isolates the temporal
-    order (self-convergence).  Returns errors and pairwise observed orders.
+    order (self-convergence).  Returns the pairwise observed orders.
     """
     if len(levels) < 3:
         raise ValueError("need at least 3 refinement levels")
@@ -464,6 +464,5 @@ def mms_convergence(levels, t_end: float = 0.4, potentials_const=None) -> dict:
             errors.append(_state_error(mesh, traj.state(-1), ref.state(-1)))
     orders = [float(np.log2(errors[i] / errors[i + 1]))
               for i in range(len(errors) - 1)]
-    return {"errors": errors, "orders": orders,
-            "mode": "spatial" if meshes_vary else "temporal"}
+    return {"orders": orders}
 

@@ -153,6 +153,9 @@ class InverseProblem:
     r1_floor: float = 0.05     # Assumption-II floor for |f|, |g| at theta
 
     def __post_init__(self):
+        if self.regions.t1 > self.t_end + 1e-12:
+            raise ValueError(f"window end t1={self.regions.t1} exceeds "
+                             f"t_end={self.t_end}")
         n_nodes = math.ceil(self.t_end / self.dt) + 1
         n_dof = 2 * (self.mesh.n_cells + self.mesh.n_theta)
         if n_nodes * n_dof > _MAX_CHECKPOINT_FLOATS:
@@ -202,7 +205,10 @@ class InverseProblem:
         return self._base_system.with_potentials(self.to_potentials(coeffs))
 
     def simulate(self, coeffs: CoefficientVector) -> Trajectory:
-        return self.system_for(coeffs).solve(self.init, self.t_end, self.dt)
+        """The solve up to the window end t1: the observation reads nothing
+        later."""
+        return self.system_for(coeffs).solve(self.init, self.regions.t1,
+                                             self.dt)
 
     def observation(self, traj: Trajectory) -> ObservationRecord:
         return observe(traj, self.regions, self.mesh)
@@ -241,9 +247,12 @@ class InverseProblem:
                                data: ObservationRecord, reg_weight: float = 0.0,
                                prior: CoefficientVector | None = None
                                ) -> tuple[float, np.ndarray]:
-        """Exact gradient of the discrete objective via the adjoint sweep."""
+        """Exact gradient of the discrete objective via the adjoint sweep.
+
+        The sweep starts at the window end t1, where ``simulate`` stops.
+        """
         system = self.system_for(coeffs)
-        traj = system.solve(self.init, self.t_end, self.dt)
+        traj = system.solve(self.init, self.regions.t1, self.dt)
         rec = self.observation(traj)
         J = self._misfit(rec, data)
 
@@ -471,7 +480,7 @@ def stability_ensemble(problem: InverseProblem,
     rng = np.random.default_rng(seed)
 
     system_ref = problem.system_for(reference_coeffs)
-    ref_traj = system_ref.solve(problem.init, problem.t_end, problem.dt)
+    ref_traj = system_ref.solve(problem.init, regions.t1, problem.dt)
     checks = problem.validate_assumptions(reference_coeffs, ref_traj)
     if not checks["passed"]:
         raise ValueError("reference setup violates the model assumptions")

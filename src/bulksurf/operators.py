@@ -47,12 +47,15 @@ class SparseOp:
         return self.matrix.shape[0]
 
     def apply(self, u: np.ndarray, u_boundary: np.ndarray | None = None) -> np.ndarray:
-        """Divergence-form action div(a grad u) (bulk needs the boundary trace)."""
-        out = self.matrix @ u
+        """Divergence-form action div(a grad u) (bulk needs the boundary trace).
+
+        ``u`` is one field, or a (k, n) block of k fields acted on row by row.
+        """
+        out = (self.matrix @ u.T).T
         if self.boundary is not None:
             if u_boundary is None:
                 raise ValueError("bulk operator needs the surface trace field")
-            out = out + self.boundary @ u_boundary
+            out = out + (self.boundary @ u_boundary.T).T
         return out / self.weights
 
     def energy_pairing(self, u, v, u_boundary=None, v_boundary=None) -> float:
@@ -133,11 +136,12 @@ def conormal_flux(mesh: Mesh, a: np.ndarray, y: np.ndarray,
     """Discrete conormal derivative a * d_nu y per surface node.
 
     The one-sided difference over dr/2 matches the boundary-face flux of the
-    assembled operator (keeps the coupled matrix symmetric).
+    assembled operator (keeps the coupled matrix symmetric).  ``y`` and
+    ``y_gamma`` may be (k, n) blocks of k fields.
     """
     a = np.asarray(a, dtype=float)
     a_bnd = a[mesh.trace_map]
-    return a_bnd * (y_gamma - y[mesh.trace_map]) / (0.5 * mesh.dr)
+    return a_bnd * (y_gamma - y[..., mesh.trace_map]) / (0.5 * mesh.dr)
 
 
 def green_identity_residual(mesh: Mesh, op: SparseOp, u: np.ndarray,

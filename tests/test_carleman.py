@@ -16,12 +16,16 @@ from bulksurf.carleman import (
     sigma,
     sigma_bounds_report,
     weight_property_margins,
+    weight_tables,
     weight_vanishing_report,
     weights,
 )
-from bulksurf.decomposition import field_to_trajectory, mn_decomposition
+import bulksurf.decomposition as decomposition
+from bulksurf.decomposition import (field_to_trajectory, mn_decomposition,
+                                    mn_decompositions)
 from bulksurf.fields import SpaceTimeField
-from bulksurf.forward import SemilinearSystem
+from bulksurf.forward import SemilinearSystem, window_nodes
+from bulksurf.operators import conormal_flux
 from bulksurf.geometry import build_polar_mesh, build_regions
 from bulksurf.model import DiffusionSpec, InitialData, PotentialSet
 
@@ -57,10 +61,11 @@ def test_eta0_values():
 def test_weights_boundary_plugin():
     # at eta0 = 0 and t = theta: gamma = ((t1-t0)/2)^2, xi = 1/gamma
     cfg = cfg_small()
-    w = weights(0.5, np.array([[1.0, 0.0]]), cfg)
+    alpha, xi, _ = weight_tables(cfg, eta0_and_gradient(
+        np.array([[1.0, 0.0]]))[0], [0.5])
     gamma = 0.3 * 0.3
-    assert w["xi"][0] == pytest.approx(1.0 / gamma, rel=1e-14)
-    assert w["alpha"][0] == pytest.approx((math.e**2 - 1.0) / gamma, rel=1e-14)
+    assert xi[0, 0] == pytest.approx(1.0 / gamma, rel=1e-14)
+    assert alpha[0, 0] == pytest.approx((math.e**2 - 1.0) / gamma, rel=1e-14)
 
 
 def test_weights_outside_window_rejected():
@@ -87,10 +92,12 @@ def test_weight_derivatives_against_complex_step(mesh):
         ang = rng.uniform(0, 2 * np.pi)
         x = np.array([r * np.cos(ang), r * np.sin(ang)])
         w = weights(t, x, cfg)
+        # the time derivatives d/dt (alpha, xi) = -(alpha, xi) dlog gamma
+        alpha, xi, dlog = weight_tables(cfg, eta0_and_gradient(x)[0], [t])
         da_cs = (alpha_xi(t + 1j * h, x[0], x[1])[0]).imag / h
         dxi_cs = (alpha_xi(t + 1j * h, x[0], x[1])[1]).imag / h
-        assert abs(w["dalpha_dt"] - da_cs) <= 1e-10 * max(abs(da_cs), 1.0)
-        assert abs(w["dxi_dt"] - dxi_cs) <= 1e-10 * max(abs(dxi_cs), 1.0)
+        assert abs(-alpha[0] * dlog[0] - da_cs) <= 1e-10 * max(abs(da_cs), 1.0)
+        assert abs(-xi[0] * dlog[0] - dxi_cs) <= 1e-10 * max(abs(dxi_cs), 1.0)
         ga_cs = (alpha_xi(t, x[0] + 1j * h, x[1])[0]).imag / h
         gxi_cs = (alpha_xi(t, x[0] + 1j * h, x[1])[1]).imag / h
         assert abs(w["grad_alpha"][0] - ga_cs) <= 1e-10 * max(abs(ga_cs), 1.0)
@@ -319,6 +326,25 @@ def test_decomposition_identity_general_field_variable_a(mesh):
     assert dec.residual_surface <= 1e-8
 
 
+def test_decompositions_derive_once_for_every_tau(mesh, monkeypatch):
+    # tau is a symbol of the one derivation: two lambdified component sets
+    # serve the whole list, and a one-tau call is the list's own point
+    lambdify_set = decomposition.lambdify_set
+    calls = []
+    monkeypatch.setattr(decomposition, "lambdify_set",
+                        lambda *a: calls.append(1) or lambdify_set(*a))
+    taus = [-3.0, -1.5, 0.0, 2.0]
+    z = SpaceTimeField("sin(pi*(t - 0.2)/0.6)*(1 + x1/2 + x2**2/3)")
+    cfg = cfg_small(lam=1.5, s=3.0)
+    decs = mn_decompositions(taus, z, cfg, mesh, a_expr="1 + x1**2/4",
+                             d_expr="1 + cos(theta)/3")
+    assert len(calls) == 2 and len(decs) == len(taus)
+    for dec in decs:
+        assert dec.residual_bulk <= 1e-12 and dec.residual_surface <= 1e-12
+    assert mn_decomposition(-1.5, z, cfg, mesh, a_expr="1 + x1**2/4",
+                            d_expr="1 + cos(theta)/3") == decs[1]
+
+
 def test_decomposition_rejects_sampled_input(mesh, smooth_traj):
     with pytest.raises(TypeError):
         mn_decomposition(0.0, smooth_traj, cfg_small(), mesh)
@@ -424,9 +450,9 @@ def test_sweep_refuses_a_disk_other_than_the_unit_disk():
                        build_regions(wide, 0.2, 0.3, 0.45, 0.2, 0.8))
 
 
-@pytest.fixture(scope="module")
-def linear_system_run(mesh):
-    """Coupled linear source solve for the one-observation estimate."""
+def _linear_run(mesh):
+    """A coupled linear source solve for the one-observation estimate:
+    its potentials, its sources and its trajectory."""
     diffusion = DiffusionSpec.from_values(mesh)
     pot = PotentialSet.from_values(mesh, p11=0.2, p12=0.1, p21=1.0, p22=-0.1,
                                    q11=0.1, q12=0.05, q21=1.0, q22=-0.05,
@@ -443,6 +469,11 @@ def linear_system_run(mesh):
     init = InitialData.from_values(mesh, y0=1.0 + 0.2 * xy[:, 0], z0=1.0)
     traj = system.solve(init, t_end=1.0, dt=0.01, sources=sources)
     return pot, sources, traj
+
+
+@pytest.fixture(scope="module")
+def linear_system_run(mesh):
+    return _linear_run(mesh)
 
 
 def test_shifted_ratio_no_growth(mesh, regions, linear_system_run):
@@ -530,3 +561,94 @@ def test_shifted_ratio_parts_vs_independent_quadrature(mesh, regions,
                                                       abs=0.0), (cfg, key)
     assert shifted_ratio(traj, sources, cfgs[0], mesh, pair, pair, regions,
                          pot) == outs[0]
+
+
+# --- the level sums against a per-node, per-cell walk -----------------------
+
+def _per_cell_sums(tau, zb, zg, traj, cfg, mesh, pair, omega=None):
+    """The window sums of the nine norm terms, and given ``omega`` of
+    carleman_ratio's three right-hand-side terms, node by node with one
+    weight per cell (no eta0 levels): the parts records' order and powers."""
+    eta = np.append(0.0, eta0_and_gradient(mesh.cell_xy)[0])
+    ks = window_nodes(traj, cfg.t0, cfg.t1)
+    alpha, xi, _ = weight_tables(cfg, eta, traj.times[ks])
+    W = exp_weight(cfg.s, alpha, shift=alpha.min())
+    areas, ds, dt, lam = mesh.cell_areas, mesh.surface_weights, traj.dt, cfg.lam
+    a, b, c = mesh.faces_a, mesh.faces_b, mesh.bnd_cells
+    sums = np.zeros(9 if omega is None else 12)
+    for row, k in enumerate(ks):
+        w = {m: W[row] * (cfg.s * xi[row]) ** (tau + m) for m in (-1, 0, 1, 3)}
+        z, z_g = zb[k], zg[k]
+        dtz = (zb[k + 1] - zb[k - 1]) / (2 * dt)
+        dtzg = (zg[k + 1] - zg[k - 1]) / (2 * dt)
+        div_b = pair.op_bulk.apply(z, z_g)
+        div_s = pair.op_surf.apply(z_g)
+        flux = conormal_flux(mesh, pair.a, z, z_g)
+        wg = w[1]
+        grad = (np.sum(0.5 * (wg[1 + a] + wg[1 + b]) * mesh.faces_geom
+                       * (z[a] - z[b]) ** 2)
+                + np.sum(0.5 * (wg[1 + c] + wg[0]) * mesh.bnd_geom
+                         * (z_g - z[c]) ** 2))
+        terms = [np.sum(w[-1][1:] * areas * dtz**2),
+                 np.sum(w[-1][1:] * areas * div_b**2),
+                 lam**2 * grad,
+                 lam**4 * np.sum(w[3][1:] * areas * z**2),
+                 w[-1][0] * np.sum(ds * dtzg**2),
+                 w[-1][0] * np.sum(ds * div_s**2),
+                 lam * w[1][0] * np.sum((np.roll(z_g, -1) - z_g) ** 2) / ds[0],
+                 lam**3 * w[3][0] * np.sum(ds * z_g**2),
+                 lam * w[1][0] * np.sum(ds * flux**2)]
+        if omega is not None:
+            terms += [lam**4 * np.sum((w[3][1:] * areas * z**2)[omega]),
+                      np.sum(w[0][1:] * areas * (dtz - div_b) ** 2),
+                      w[0][0] * np.sum(ds * (dtzg - div_s + flux) ** 2)]
+        sums += dt * np.array(terms)
+    return sums
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(4, 8), (16, 32)])
+def test_level_sums_match_a_per_cell_walk(n_r, n_theta):
+    # the sweeps sum each bulk term per eta0 level, a block of nodes at a
+    # time; a walk with one weight per cell and node gives the same sums
+    mesh = build_polar_mesh(n_r, n_theta, 1.0)
+    regions = build_regions(mesh, 0.2, 0.3, 0.45, 0.2, 0.8)
+    pot, sources, traj = _linear_run(mesh)
+    # a flat weight, so that every level and node counts at 1e-12 (at
+    # lam = 2, s = 8 the cells outside omega and the nodes a block away
+    # from theta weigh less than 1e-16 of the total)
+    cfg = cfg_small(lam=1.0, s=0.25, epsilon=0.5)
+    pair = DiffusionPair.from_fields(mesh, 1.0 + 0.5 * mesh.cell_r**2,
+                                     1.0 + 0.2 * np.cos(mesh.surface_theta))
+    field = field_to_trajectory(SpaceTimeField(
+        "sin(pi*(t - 0.2)/0.6)*(1 + x1/3 + x2**2/5)"), mesh, _time_grid())
+    want = _per_cell_sums(0.0, field.z, field.z_gamma, field, cfg, mesh, pair,
+                          regions.omega)
+    got = carleman_sweep(0.0, field, [cfg], mesh, pair, regions)[0]["parts"]
+    np.testing.assert_allclose(list(got.values()), want, rtol=1e-12, atol=0)
+
+    y = _per_cell_sums(-3.0, traj.y, traj.y_gamma, traj, cfg, mesh, pair)
+    z = _per_cell_sums(0.0, traj.z, traj.z_gamma, traj, cfg, mesh, pair,
+                       regions.omega)
+    # the observation term at tau = 1 is lam^4 W (s xi)^4 z^2 on omega
+    obs = _per_cell_sums(1.0, traj.z, traj.z_gamma, traj, cfg, mesh, pair,
+                         regions.omega)[9]
+    # the sources on the (nodes x (surface, cells)) weight table: the
+    # surface column takes the arc-length total of g1^2 or g2^2
+    eta = np.append(0.0, eta0_and_gradient(mesh.cell_xy)[0])
+    alpha, xi, _ = weight_tables(cfg, eta,
+                                 traj.times[window_nodes(traj, cfg.t0, cfg.t1)])
+    W = exp_weight(cfg.s, alpha, shift=alpha.min())
+    f1, f2 = (np.append(mesh.surface_weights @ sources[g] ** 2,
+                        mesh.cell_areas * sources[f] ** 2)
+              for f, g in (("f1", "g1"), ("f2", "g2")))
+    lam, eps = cfg.lam, cfg.epsilon
+    want = {"observation": lam ** eps * obs,
+            "f1_g1": lam ** (-4 + eps) * traj.dt
+            * np.sum(W * (cfg.s * xi) ** -3.0 * f1),
+            "f2_g2": lam ** (2 * eps) * traj.dt * np.sum(W * f2),
+            "norms_y": y.sum(), "norms_z": z[:9].sum()}
+    got = shifted_sweep(traj, sources, [cfg], mesh, pair, pair, regions,
+                        pot)[0]["parts"]
+    for key, val in want.items():
+        assert got[key] == pytest.approx(val, rel=1e-12, abs=0.0), key
+

@@ -45,9 +45,8 @@ def write_config(tmp_path, extra=None):
     return str(path)
 
 
-def run_cli(command, config, out, seed=None, threads=1):
-    argv = [command, "--config", config, "--out", str(out),
-            "--threads", str(threads)]
+def run_cli(command, config, out, seed=None):
+    argv = [command, "--config", config, "--out", str(out)]
     if seed is not None:
         argv += ["--seed", str(seed)]
     return main(argv)
@@ -119,7 +118,7 @@ def test_carleman_commands_refuse_a_non_unit_disk(tmp_path, capsys,
     calls = []
     for owner, name in ((SemilinearSystem, "solve"),
                         (decomposition, "field_to_trajectory"),
-                        (decomposition, "mn_decomposition")):
+                        (decomposition, "mn_decompositions")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, fn=fn, **k:
                             calls.append(1) or fn(*a, **k))
@@ -221,10 +220,7 @@ def test_positivity_block_matches_one_draw_runs(tmp_path):
 def test_carleman_verify_command(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    assert run_cli("carleman-verify", cfg, out, threads=2) == 0
-    assert run_cli("carleman-verify", cfg, tmp_path / "serial", threads=1) == 0
-    assert (out / "ratio_sweep.csv").read_bytes() == \
-        (tmp_path / "serial" / "ratio_sweep.csv").read_bytes()
+    assert run_cli("carleman-verify", cfg, out) == 0
     summary = read_summary(out)
     for key in ("weight_margins", "weight_vanishing", "sigma_bounds",
                 "decomposition_residuals", "ratio_non_growth"):
@@ -256,6 +252,41 @@ def test_carleman_verify_walks_each_field_once(tmp_path, monkeypatch):
     assert 0 < len(calls) <= 2 * n_fields * n_window
 
 
+def test_carleman_verify_samples_only_the_window(tmp_path, monkeypatch):
+    # the sweep reads the nodes strictly inside (t0, t1) and their two
+    # neighbours; the test fields are sampled there and nowhere else
+    import bulksurf.decomposition as decomposition
+    sample = decomposition.field_to_trajectory
+    grids = []
+    monkeypatch.setattr(decomposition, "field_to_trajectory",
+                        lambda field, mesh, times, *a: grids.append(times)
+                        or sample(field, mesh, times, *a))
+    path = write_config(tmp_path)
+    assert run_cli("carleman-verify", path, tmp_path / "out") == 0
+    cfg = load_config(path)
+    t0, t1, dt = cfg.regions.t0, cfg.regions.t1, cfg.dt
+    full = np.arange(0.0, cfg.t_end + dt / 2, dt)
+    inside = full[window_nodes(types.SimpleNamespace(times=full, dt=dt), t0, t1)]
+    assert len(grids) == cfg.carleman["n_test_fields"]
+    for times in grids:
+        assert t0 - dt - 1e-12 <= times[0] and times[-1] <= t1 + dt + 1e-12
+        sliced = types.SimpleNamespace(times=times, dt=dt)
+        np.testing.assert_array_equal(times[window_nodes(sliced, t0, t1)],
+                                      inside)
+
+
+def test_shifted_verify_solves_up_to_the_window_end(tmp_path, monkeypatch):
+    # the sweep reads only the nodes strictly inside (t0, t1)
+    solve = SemilinearSystem.solve
+    ends = []
+    monkeypatch.setattr(SemilinearSystem, "solve",
+                        lambda self, init, t_end, dt, **kw: ends.append(t_end)
+                        or solve(self, init, t_end, dt, **kw))
+    path = write_config(tmp_path)
+    assert run_cli("shifted-verify", path, tmp_path / "out") == 0
+    assert ends == [load_config(path).regions.t1]
+
+
 def test_cli_import_leaves_sympy_unloaded():
     # only carleman-verify checks symbolic algebra; it loads sympy itself
     code = ("import sys, bulksurf.cli; from bulksurf.config import load_config; "
@@ -273,9 +304,6 @@ def test_shifted_verify_command(tmp_path):
     assert run_cli("shifted-verify", cfg, out) == 0
     summary = read_summary(out)
     assert summary["checks"]["shifted_ratio_non_growth"]
-    assert run_cli("shifted-verify", cfg, tmp_path / "threads", threads=2) == 0
-    assert (out / "shifted_sweep.csv").read_bytes() == \
-        (tmp_path / "threads" / "shifted_sweep.csv").read_bytes()
 
 
 def test_gradcheck_command(tmp_path):

@@ -220,3 +220,77 @@ def test_every_attribute_is_read():
     defined, used = _defined_and_used(_attributes, _attributes_read)
     unread = sorted((f, a) for f, a in defined if a.split(".")[1] not in used)
     assert unread == []
+
+
+def _returned_dict_keys(file_name, tree) -> set:
+    """(file, "function.key") for each string key of a dict literal that a
+    function returns as it stands (``return {"passed": ok, ...}``)."""
+    return {(file_name, f"{fn.name}.{key.value}")
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict)
+            for key in node.value.keys
+            if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+
+
+def _keys_read(tree) -> set:
+    """String keys a module reads: loaded subscripts such as ``out["passed"]``,
+    and the strings of all-string tuple, list or set literals (the key lists
+    that subscript loops walk)."""
+    used = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.slice, ast.Constant)
+                and isinstance(node.slice.value, str)):
+            used.add(node.slice.value)
+        elif (isinstance(node, (ast.Tuple, ast.List, ast.Set)) and node.elts
+              and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                      for e in node.elts)):
+            used |= {e.value for e in node.elts}
+    return used
+
+
+def _written_whole(tree) -> set:
+    """What a module writes whole to an output file, and what it binds to a
+    function's call, as ("name", x) / ("key", x) / ("call", label, callee).
+
+    A dict literal passed to ``finish`` or ``write_json`` writes its values
+    whole: a name (``"sigma": sig``) or a keyed entry (``out["key"]``).  A
+    function's dict is written whole when its call is bound to such a name
+    (``sig = sigma_bounds_report(...)``) or stored under such a key in
+    another dict literal.
+    """
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _callee(node) in ("finish", "write_json"):
+            for value in (v for arg in node.args if isinstance(arg, ast.Dict)
+                          for v in arg.values):
+                if isinstance(value, ast.Name):
+                    found.add(("name", value.id))
+                elif (isinstance(value, ast.Subscript)
+                      and isinstance(value.slice, ast.Constant)):
+                    found.add(("key", value.slice.value))
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            found |= {("call", ("name", t.id), _callee(node.value))
+                      for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.Dict):
+            found |= {("call", ("key", k.value), _callee(v))
+                      for k, v in zip(node.keys, node.values)
+                      if isinstance(k, ast.Constant) and isinstance(v, ast.Call)}
+    return found
+
+
+def test_every_returned_dict_key_is_read():
+    # a key of a returned dict that neither the package nor an acceptance
+    # criterion reads, in a dict that no subcommand writes whole to an
+    # output file, is computed for nothing
+    defined, used = _defined_and_used(_returned_dict_keys, _keys_read)
+    _, bound = _defined_and_used(lambda file_name, tree: set(), _written_whole)
+    written = {item[2] for item in bound
+               if item[0] == "call" and item[1] in bound}
+    # the summary blocks "sigma" of carleman-verify, "matrix_check" of positivity
+    assert {"sigma_bounds_report", "implicit_offdiagonal_report"} <= written
+    unread = sorted((f, k) for f, k in defined
+                    if k.split(".")[1] not in used
+                    and k.split(".")[0] not in written)
+    assert unread == []

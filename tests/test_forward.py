@@ -302,20 +302,34 @@ def test_reactions_enter_all_four_equations(mesh, diffusion):
     np.testing.assert_allclose(np.diff(mz) / traj.dt, 2 * 2 * np.pi, rtol=1e-9)
 
 
-def test_mms_spatial_order():
+def _solve_steps(monkeypatch) -> list:
+    """The dt of every SemilinearSystem.solve call from now on."""
+    solve = SemilinearSystem.solve
+    steps = []
+    monkeypatch.setattr(SemilinearSystem, "solve", lambda self, init, t_end,
+                        dt, **kw: steps.append(dt) or solve(self, init, t_end,
+                                                            dt, **kw))
+    return steps
+
+
+def test_mms_spatial_order(monkeypatch):
     levels = [(8, 16, 0.02), (16, 32, 0.01), (32, 64, 0.005)]
+    steps = _solve_steps(monkeypatch)
     out = mms_convergence(levels, t_end=0.4,
                           potentials_const=dict(p11=0.2, p12=0.1, p21=0.3,
                                                 p22=-0.1, q11=0.1, q12=0.05,
                                                 q21=0.2, q22=-0.05))
-    assert out["mode"] == "spatial"
+    # the meshes vary: each level is measured against the exact solution
+    assert steps == [0.02, 0.01, 0.005]
     assert min(out["orders"]) >= 0.9
 
 
-def test_mms_temporal_order():
+def test_mms_temporal_order(monkeypatch):
     levels = [(16, 32, 0.04), (16, 32, 0.02), (16, 32, 0.01)]
+    steps = _solve_steps(monkeypatch)
     out = mms_convergence(levels, t_end=0.4)
-    assert out["mode"] == "temporal"
+    # one mesh: each level is measured against a dt/8 reference run
+    assert steps == [0.04, 0.00125, 0.02, 0.00125, 0.01, 0.00125]
     assert min(out["orders"]) >= 0.9
 
 

@@ -59,6 +59,32 @@ def data(problem, truth):
     return simulate_twin(problem, truth, noise_level=0.0, seed=0)
 
 
+def test_inverse_problem_refuses_a_window_past_t_end():
+    with pytest.raises(ValueError, match="t1=0.6 exceeds t_end=0.5"):
+        make_problem(window=(0.1, 0.6))
+
+
+def test_objective_and_gradient_solves_twice_per_step_up_to_t1(
+        problem, truth, data, monkeypatch):
+    # the forward solve stops at the window end t1 and the adjoint sweep
+    # starts there: one LU solve per step each way, none after t1
+    factorization = bulksurf.forward.SemilinearSystem.factorization
+    solves = []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, *args, **kwargs):
+            solves.append(1)
+            return self.lu.solve(*args, **kwargs)
+
+    monkeypatch.setattr(bulksurf.forward.SemilinearSystem, "factorization",
+                        lambda self, dt: CountingLU(factorization(self, dt)))
+    problem.objective_and_gradient(truth, data)
+    assert len(solves) == round(2 * problem.regions.t1 / problem.dt) == 80
+
+
 def test_projection_idempotent(problem, truth):
     proj = truth.project()
     np.testing.assert_array_equal(proj.p13, truth.p13)
