@@ -132,7 +132,8 @@ class SemilinearSystem:
     The packed state is x = (y, z, y_gamma, z_gamma); ``blocks`` holds the
     slice of each field in it.  Diffusion, trace coupling and the mass
     vector depend on the mesh and the diffusivities only, so
-    ``with_potentials`` shares them and adds just the potential blocks.
+    ``with_potentials`` shares them and the stored pattern of K, and
+    writes just the potential values into a copy of K's data.
     """
 
     def __init__(self, mesh: Mesh, diffusion: DiffusionSpec,
@@ -151,10 +152,28 @@ class SemilinearSystem:
         self.mass = np.concatenate([mesh.cell_areas, mesh.cell_areas,
                                     mesh.surface_weights, mesh.surface_weights])
         self._K_diffusion = self._assemble_diffusion()
+        # slots of the eight potential diagonals, in the order of
+        # ``_set_potentials``, and of the main diagonal in K's stored data:
+        # CSC stores column by column with sorted rows, so col * n + row
+        # ascends along the data and a search finds any entry
+        K, n = self._K_diffusion, self.n_dof
+        stored = np.repeat(np.arange(n), np.diff(K.indptr)) * n + K.indices
+        dof = np.arange(n)
+        sy, sz, syg, szg = self.blocks
+        pot_blocks = ((sy, sy), (sy, sz), (sz, sy), (sz, sz),
+                      (syg, syg), (syg, szg), (szg, syg), (szg, szg))
+        rows = np.concatenate([dof[r] for r, _ in pot_blocks])
+        cols = np.concatenate([dof[c] for _, c in pot_blocks])
+        self._pot_slots = np.searchsorted(stored, cols * n + rows)
+        self._diag_slots = np.searchsorted(stored, dof * n + dof)
         self._set_potentials(potentials or PotentialSet.from_values(mesh))
 
     def _assemble_diffusion(self) -> sp.csc_matrix:
-        """Integrated diffusion + trace coupling: the potential-free part of K."""
+        """Integrated diffusion + trace coupling: the potential-free part of K.
+
+        The four y-z coupling diagonals are stored as explicit zeros, so the
+        pattern holds a slot for every potential entry.
+        """
         mesh, diffusion = self.mesh, self.diffusion
         nb, ns = mesh.n_cells, mesh.n_theta
         oy, oz, oyg, ozg = (b.start for b in self.blocks)
@@ -163,7 +182,9 @@ class SemilinearSystem:
         surf1 = assemble_surface_diffusion(mesh, diffusion.d1)
         surf2 = assemble_surface_diffusion(mesh, diffusion.d2)
         t1, t2 = bulk1.bnd_t, bulk2.bnd_t
-        j = np.arange(ns)
+        i, j = np.arange(nb), np.arange(ns)
+        zero_b = sp.coo_matrix((np.zeros(nb), (i, i)), shape=(nb, nb))
+        zero_s = sp.coo_matrix((np.zeros(ns), (j, j)), shape=(ns, ns))
         blocks = [
             # bulk diffusion + flux to the surface unknowns
             (oy, oy, bulk1.matrix), (oy, oyg, bulk1.boundary),
@@ -173,6 +194,8 @@ class SemilinearSystem:
             (oyg, oy, sp.coo_matrix((t1, (j, mesh.trace_map)), shape=(ns, nb))),
             (ozg, ozg, surf2.matrix - sp.diags(t2)),
             (ozg, oz, sp.coo_matrix((t2, (j, mesh.trace_map)), shape=(ns, nb))),
+            # slots for the y-z coupling potentials
+            (oy, oz, zero_b), (oz, oy, zero_b), (oyg, ozg, zero_s), (ozg, oyg, zero_s),
         ]
         rows, cols, vals = [], [], []
         for orow, ocol, matrix in blocks:
@@ -185,25 +208,18 @@ class SemilinearSystem:
             shape=(self.n_dof, self.n_dof))
 
     def _set_potentials(self, pot: PotentialSet) -> None:
-        """Add the area-weighted potential blocks to K and reset the caches.
+        """Write the area-weighted potentials into a copy of K's data and
+        reset the LU cache.
 
         Also fixes ``lipschitz``, the Lipschitz scale of the explicit part
         plus the potential magnitudes, for the step-size guard.
         """
         self.potentials = pot
-        sy, sz, syg, szg = self.blocks
         areas, ds = self.mesh.cell_areas, self.mesh.surface_weights
-        # eight diagonal blocks: (row block, column block, diagonal)
-        diagonals = ((sy, sy, areas * pot.p11), (sy, sz, areas * pot.p12),
-                     (sz, sy, areas * pot.p21), (sz, sz, areas * pot.p22),
-                     (syg, syg, ds * pot.q11), (syg, szg, ds * pot.q12),
-                     (szg, syg, ds * pot.q21), (szg, szg, ds * pot.q22))
-        P = sp.csc_matrix(
-            (np.concatenate([d for _, _, d in diagonals]),
-             (np.concatenate([np.arange(r.start, r.stop) for r, _, _ in diagonals]),
-              np.concatenate([np.arange(c.start, c.stop) for _, c, _ in diagonals]))),
-            shape=(self.n_dof, self.n_dof))
-        self._K = self._K_diffusion + P
+        self._K_data = self._K_diffusion.data.copy()
+        self._K_data[self._pot_slots] += np.concatenate([
+            areas * pot.p11, areas * pot.p12, areas * pot.p21, areas * pot.p22,
+            ds * pot.q11, ds * pot.q12, ds * pot.q21, ds * pot.q22])
         L = max(float(np.abs(getattr(pot, name)).max()) for name in
                 ("p11", "p12", "p21", "p22", "q11", "q12", "q21", "q22"))
         if self.nl_f is not None:
@@ -212,7 +228,6 @@ class SemilinearSystem:
             L = max(L, float(np.abs(pot.q13).max()) * self.nl_g.lipschitz_bound)
         self.lipschitz = L
         self._lu_cache: dict[float, spla.SuperLU] = {}
-        self._S_cache: dict[float, sp.csc_matrix] = {}
 
     def with_potentials(self, potentials: PotentialSet) -> "SemilinearSystem":
         """This system with other potentials; the diffusion part is shared."""
@@ -221,23 +236,36 @@ class SemilinearSystem:
         return system
 
     def implicit_matrix(self, dt: float) -> sp.csc_matrix:
-        key = float(dt)
-        if key not in self._S_cache:
-            S = sp.diags(self.mass / dt) - self._K
-            self._S_cache[key] = S.tocsc()
-        return self._S_cache[key]
+        """S = diag(mass/dt) - K, with K the diffusion, coupling and
+        potential blocks, filled on K's stored pattern.
+
+        Entries that come out zero (the coupling diagonals of zero
+        potentials) are dropped, so S stores exactly its nonzeros.
+        """
+        K = self._K_diffusion
+        data = -self._K_data
+        data[self._diag_slots] += self.mass / dt
+        # eliminate_zeros works in place: the shared pattern must not change
+        S = sp.csc_matrix((data, K.indices.copy(), K.indptr.copy()),
+                          shape=K.shape)
+        S.eliminate_zeros()
+        return S
 
     def factorization(self, dt: float) -> spla.SuperLU:
         """Sparse LU of the implicit matrix, one per step size.
 
         The minimum-degree ordering on A^T + A suits this nearly symmetric
         matrix: it roughly halves the fill of SuperLU's default COLAMD.
+        Relaxed supernodes (``relax``) and panels of several columns
+        (``panel_size``) cost time here, so both are turned off; the fill
+        is the same.
         """
         key = float(dt)
         if key not in self._lu_cache:
             try:
                 self._lu_cache[key] = spla.splu(self.implicit_matrix(dt),
-                                                permc_spec="MMD_AT_PLUS_A")
+                                                permc_spec="MMD_AT_PLUS_A",
+                                                relax=1, panel_size=1)
             except RuntimeError as exc:  # singular factorization
                 raise SolverError(f"implicit factorization failed: {exc}") from exc
         return self._lu_cache[key]
@@ -266,7 +294,9 @@ class SemilinearSystem:
         pot = self.potentials
         sy, sz, syg, szg = self.blocks
         y, z, yg, zg = x[..., sy], x[..., sz], x[..., syg], x[..., szg]
-        E = np.zeros(x.shape)
+        # the right-hand side M (x/dt + E) is built in one array: the explicit
+        # terms are added to x/dt block by block, then scaled by the mass
+        E = x / dt
         if self.nl_f is not None:
             E[..., sy] += pot.p13 * self.nl_f(y, z)
         if self.nl_g is not None:
@@ -278,7 +308,8 @@ class SemilinearSystem:
             for block, key in zip(self.blocks, ("f1", "f2", "g1", "g2")):
                 if sources[key] is not None:
                     E[..., block] += sources[key](t)
-        x_new = lu.solve((self.mass * (x / dt + E)).T).T
+        E *= self.mass
+        x_new = lu.solve(E.T).T
         if not np.isfinite(x_new).all():
             raise SolverError(f"non-finite state after step at t={t:.6g}")
         if out is None:
@@ -325,7 +356,8 @@ class SemilinearSystem:
 
 
 def window_nodes(traj: Trajectory, t0: float, t1: float) -> np.ndarray:
-    """Indices of the nodes whose centered stencil lies strictly inside (t0, t1)."""
+    """Indices of the nodes whose centered stencil lies strictly inside
+    (t0, t1); the times ascend, so the indices are consecutive."""
     tol = 1e-9 * max(traj.dt, 1e-30)
     k_idx = 1 + np.flatnonzero((traj.times[:-2] > t0 + tol)
                                & (traj.times[2:] < t1 - tol))
@@ -346,7 +378,10 @@ def observe(traj: Trajectory, regions: RegionSet, mesh: Mesh,
     k_idx = window_nodes(traj, regions.t0 if t0 is None else t0,
                          regions.t1 if t1 is None else t1)
     cells = regions.omega
-    dz = (traj.z[k_idx + 1][:, cells] - traj.z[k_idx - 1][:, cells]) / (2 * traj.dt)
+    # the window's nodes are consecutive: gather their omega values and the
+    # two neighbouring rows once, then difference the shifted blocks
+    z = traj.z[k_idx[0] - 1:k_idx[-1] + 2, cells]
+    dz = (z[2:] - z[:-2]) / (2 * traj.dt)
     return ObservationRecord(values=dz, cell_indices=cells, time_indices=k_idx,
                              cell_weights=mesh.cell_areas[cells], dt=traj.dt)
 

@@ -156,11 +156,12 @@ class InverseProblem:
         if self.regions.t1 > self.t_end + 1e-12:
             raise ValueError(f"window end t1={self.regions.t1} exceeds "
                              f"t_end={self.t_end}")
-        n_nodes = math.ceil(self.t_end / self.dt) + 1
+        # every solve of this layer stops at the window end t1
+        n_nodes = math.ceil(self.regions.t1 / self.dt) + 1
         n_dof = 2 * (self.mesh.n_cells + self.mesh.n_theta)
         if n_nodes * n_dof > _MAX_CHECKPOINT_FLOATS:
             raise ValueError(
-                "checkpoint storage exhausted: reduce t_end/dt or the mesh")
+                "checkpoint storage exhausted: reduce t1/dt or the mesh")
         # every coefficient set shares this system's diffusion part
         self._base_system = SemilinearSystem(
             self.mesh, self.diffusion, self.base_potentials,

@@ -410,8 +410,10 @@ def _independent_rhs_terms(tau, traj, cfg, mesh, pair, regions):
 
 
 # (lam, s) points far enough apart that weights mixed between two points
-# of one sweep would show
-_SWEEP_POINTS = [dict(lam=2.0), dict(lam=2.0, s=8.0), dict(lam=3.0, s=5.0)]
+# of one sweep would show; the last one weighs the disk nearly flat, so an
+# observation summed over cells outside omega would show too
+_SWEEP_POINTS = [dict(lam=2.0), dict(lam=2.0, s=8.0), dict(lam=3.0, s=5.0),
+                 dict(lam=1.0, s=0.25)]
 
 
 @pytest.mark.parametrize("tau", [-3.0, 0.0, 2.0])

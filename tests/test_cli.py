@@ -77,6 +77,14 @@ def test_simulate_zero_potentials_steady(tmp_path):
     assert os.path.exists(out / "schema.json")
 
 
+def test_simulate_lu_fill_at_the_default_config(tmp_path):
+    # L.nnz + U.nnz at 16x32 with the default potentials: a change of the
+    # column ordering or of the supernode settings shows here
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out)]) == 0
+    assert read_summary(out)["lu_fill_nnz"] == 48_064
+
+
 def test_simulate_reproducible_bytes(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -2,7 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse._base import _spbase
 
+import bulksurf.forward
 from bulksurf.forward import (
     ReactionSet,
     SemilinearSystem,
@@ -18,6 +21,7 @@ from bulksurf.model import (
     PotentialSet,
     make_power_nonlinearity,
 )
+from bulksurf.operators import assemble_bulk_diffusion, assemble_surface_diffusion
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +144,84 @@ def test_with_potentials_matches_fresh_system(mesh, diffusion):
     np.testing.assert_array_equal(base.implicit_matrix(dt).toarray(), base_S)
     assert base.factorization(dt) is base_lu
     assert derived.factorization(dt) is not base_lu
+
+
+def _sparse_formula(system, dt):
+    """The reference implicit matrix diag(mass/dt) - (K + P) in scipy
+    sparse arithmetic, with K the diffusion and trace coupling blocks and
+    P the potential diagonals."""
+    mesh, diffusion, pot = system.mesh, system.diffusion, system.potentials
+    nb, ns = mesh.n_cells, mesh.n_theta
+    bulk1 = assemble_bulk_diffusion(mesh, diffusion.a1)
+    bulk2 = assemble_bulk_diffusion(mesh, diffusion.a2)
+    surf1 = assemble_surface_diffusion(mesh, diffusion.d1)
+    surf2 = assemble_surface_diffusion(mesh, diffusion.d2)
+    j = np.arange(ns)
+    trace1 = sp.coo_matrix((bulk1.bnd_t, (j, mesh.trace_map)), shape=(ns, nb))
+    trace2 = sp.coo_matrix((bulk2.bnd_t, (j, mesh.trace_map)), shape=(ns, nb))
+    K = sp.bmat([[bulk1.matrix, None, bulk1.boundary, None],
+                 [None, bulk2.matrix, None, bulk2.boundary],
+                 [trace1, None, surf1.matrix - sp.diags(bulk1.bnd_t), None],
+                 [None, trace2, None, surf2.matrix - sp.diags(bulk2.bnd_t)]],
+                format="csc")
+    areas, ds = mesh.cell_areas, mesh.surface_weights
+    P = sp.bmat([[sp.diags(areas * pot.p11), sp.diags(areas * pot.p12), None, None],
+                 [sp.diags(areas * pot.p21), sp.diags(areas * pot.p22), None, None],
+                 [None, None, sp.diags(ds * pot.q11), sp.diags(ds * pot.q12)],
+                 [None, None, sp.diags(ds * pot.q21), sp.diags(ds * pot.q22)]],
+                format="csc")
+    return (sp.diags(system.mass / dt) - (K + P)).tocsc()
+
+
+@pytest.mark.parametrize("case", ["varying", "zero", "p12_q12_zero"])
+def test_implicit_matrix_matches_the_sparse_formula(mesh, case):
+    # the stored pattern filled in place gives the same values and the
+    # same stored entries, zero coupling diagonals left out
+    diffusion = DiffusionSpec.from_values(mesh, a1=1.0 + 0.3 * mesh.cell_r,
+                                          d2=1.5 + 0.2 * np.sin(mesh.surface_theta))
+    names = ("p11", "p12", "p13", "p21", "p22", "q11", "q12", "q13", "q21", "q22")
+    pot = {
+        "varying": PotentialSet.from_values(
+            mesh, p11=-0.2, p12=0.1 * mesh.cell_r, p21=0.3 + 0.1 * mesh.cell_r,
+            p22=-0.1, q11=0.1, q12=0.05 * np.cos(mesh.surface_theta),
+            q21=0.2 + 0.1 * np.cos(mesh.surface_theta), q22=-0.05),
+        "zero": PotentialSet.from_values(mesh, p0=0.0, **dict.fromkeys(names, 0)),
+        "p12_q12_zero": PotentialSet.from_values(mesh, p11=0.2, p12=0.0,
+                                                 p21=1.0, q12=0.0, q21=1.0),
+    }[case]
+    system = SemilinearSystem(mesh, diffusion).with_potentials(pot)
+    for dt in (0.01, 0.01 / 64):
+        got, want = system.implicit_matrix(dt), _sparse_formula(system, dt)
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+    # the zero diagonals are the only difference between the patterns
+    n_zero = {"varying": 0, "zero": 2, "p12_q12_zero": 1}[case]
+    assert got.nnz == system._K_diffusion.nnz - n_zero * (mesh.n_cells + mesh.n_theta)
+
+
+def test_new_potentials_reuse_the_stored_pattern(mesh, diffusion, monkeypatch):
+    # a coefficient set costs no assembly and no sparse + or -
+    calls = []
+
+    def spy(name, real):
+        return lambda *a, **k: calls.append(name) or real(*a, **k)
+
+    for name in ("assemble_bulk_diffusion", "assemble_surface_diffusion"):
+        monkeypatch.setattr(bulksurf.forward, name,
+                            spy(name, getattr(bulksurf.forward, name)))
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(_spbase, name, spy(name, getattr(_spbase, name)))
+    base = SemilinearSystem(mesh, diffusion)
+    assert calls.count("assemble_bulk_diffusion") == 2
+    calls.clear()
+    pot = PotentialSet.from_values(mesh, p12=0.1, p21=0.3 + 0.1 * mesh.cell_r)
+    derived = base.with_potentials(pot)
+    derived.implicit_matrix(0.01)
+    derived.factorization(0.02)
+    assert calls == []
+    # the spies do see sparse + and - where they run
+    _sparse_formula(derived, 0.01)
+    assert {"__add__", "__sub__"} <= set(calls)
 
 
 def test_solve_matches_dense_reference():
@@ -285,6 +367,18 @@ def test_observe_locality(mesh):
     r1 = observe(t1, regions, mesh)
     r2 = observe(t2, regions, mesh)
     np.testing.assert_array_equal(r1.values, r2.values)
+
+
+def test_observe_matches_the_centered_difference_per_node(mesh):
+    regions = build_regions(mesh, 0.2, 0.3, 0.45, 0.2, 0.8)
+    traj = _ramp_trajectory(mesh)
+    traj.z[:] = np.random.default_rng(3).standard_normal(traj.z.shape)
+    omega = regions.omega
+    for t0, t1 in ((0.2, 0.8), (0.33, 0.61)):
+        rec = observe(traj, regions, mesh, t0=t0, t1=t1)
+        want = [(traj.z[k + 1, omega] - traj.z[k - 1, omega]) / (2 * traj.dt)
+                for k in rec.time_indices]
+        np.testing.assert_array_equal(rec.values, want)
 
 
 def test_reactions_enter_all_four_equations(mesh, diffusion):

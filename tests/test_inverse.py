@@ -357,3 +357,10 @@ def test_stability_refuses_a_zero_scale(problem, truth):
 def test_checkpoint_budget_guard():
     with pytest.raises(ValueError, match="checkpoint"):
         make_problem(n_r=8, n_theta=16, dt=1e-7, t_end=10.0)
+
+
+def test_checkpoint_guard_counts_the_nodes_up_to_t1():
+    # every solve of the inverse layer stops at t1 = 0.4: 40,001 stored
+    # nodes, where the 200,001 up to t_end would exceed the budget
+    problem = make_problem(n_r=8, n_theta=16, dt=1e-5, t_end=2.0)
+    assert problem.regions.t1 == 0.4
