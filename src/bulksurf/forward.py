@@ -102,6 +102,32 @@ class ReactionSet:
         return out
 
 
+class PermutedLU:
+    """SuperLU factors of ``P S P^T``, used as a solver for S itself.
+
+    ``perm`` lists the packed index of each factor-order unknown and
+    ``inverse`` its inverse; a right-hand side is gathered into factor
+    order and the solution gathered back, so callers see packed order.
+    """
+
+    def __init__(self, lu: spla.SuperLU, perm: np.ndarray, inverse: np.ndarray):
+        self._lu = lu
+        self._perm = perm
+        self._inverse = inverse
+        self.nnz = lu.nnz  # L.nnz + U.nnz, without building L and U
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Solve ``S x = b`` (``S^T x = b`` for trans "T"); ``b`` is a
+        vector or an ``(n_dof, k)`` block."""
+        if b.ndim == 1:  # plain indexing is the cheapest gather of one vector
+            return self._lu.solve(b[self._perm], trans)[self._inverse]
+        # a block arrives as the transpose of a C-ordered (k, n_dof) array,
+        # and SuperLU returns Fortran order: gathering along the rows of
+        # the transposes reads and writes contiguous memory
+        x = self._lu.solve(b.T.take(self._perm, axis=1).T, trans)
+        return x.T.take(self._inverse, axis=1).T
+
+
 def source_array(key: str, val, mesh: Mesh) -> np.ndarray:
     """Source ``key`` as an array checked against its size: f1, f2 per cell,
     g1, g2 per surface node; None is the zero source."""
@@ -132,8 +158,9 @@ class SemilinearSystem:
     The packed state is x = (y, z, y_gamma, z_gamma); ``blocks`` holds the
     slice of each field in it.  Diffusion, trace coupling and the mass
     vector depend on the mesh and the diffusivities only, so
-    ``with_potentials`` shares them and the stored pattern of K, and
-    writes just the potential values into a copy of K's data.
+    ``with_potentials`` shares them, the stored pattern of K and the
+    factor order, and writes just the potential values into a copy of
+    K's data.
     """
 
     def __init__(self, mesh: Mesh, diffusion: DiffusionSpec,
@@ -157,7 +184,8 @@ class SemilinearSystem:
         # CSC stores column by column with sorted rows, so col * n + row
         # ascends along the data and a search finds any entry
         K, n = self._K_diffusion, self.n_dof
-        stored = np.repeat(np.arange(n), np.diff(K.indptr)) * n + K.indices
+        col = np.repeat(np.arange(n), np.diff(K.indptr))
+        stored = col * n + K.indices
         dof = np.arange(n)
         sy, sz, syg, szg = self.blocks
         pot_blocks = ((sy, sy), (sy, sz), (sz, sy), (sz, sz),
@@ -166,6 +194,22 @@ class SemilinearSystem:
         cols = np.concatenate([dof[c] for _, c in pot_blocks])
         self._pot_slots = np.searchsorted(stored, cols * n + rows)
         self._diag_slots = np.searchsorted(stored, dof * n + dof)
+        # factor order: each cell's (y, z) pair together, sector by sector
+        # and ring by ring within a sector, then the (y_gamma, z_gamma)
+        # pairs; minimum degree finds less fill from this numbering.  The
+        # permuted pattern is sorted like ``stored``, and ``_factor_slots``
+        # gathers its data from K's stored data.
+        cells = np.arange(nb).reshape(mesh.n_r, ns).T.ravel()
+        j = np.arange(ns)
+        self._perm = np.concatenate([np.stack([cells, nb + cells], 1).ravel(),
+                                     2 * nb + np.stack([j, ns + j], 1).ravel()])
+        self._perm_inverse = np.empty(n, dtype=np.intp)
+        self._perm_inverse[self._perm] = dof
+        row_f, col_f = self._perm_inverse[K.indices], self._perm_inverse[col]
+        self._factor_slots = np.argsort(col_f * n + row_f, kind="stable")
+        self._factor_indices = row_f[self._factor_slots].astype(K.indices.dtype)
+        self._factor_indptr = np.zeros(n + 1, dtype=K.indptr.dtype)
+        np.cumsum(np.bincount(col_f, minlength=n), out=self._factor_indptr[1:])
         self._set_potentials(potentials or PotentialSet.from_values(mesh))
 
     def _assemble_diffusion(self) -> sp.csc_matrix:
@@ -227,7 +271,7 @@ class SemilinearSystem:
         if self.nl_g is not None:
             L = max(L, float(np.abs(pot.q13).max()) * self.nl_g.lipschitz_bound)
         self.lipschitz = L
-        self._lu_cache: dict[float, spla.SuperLU] = {}
+        self._lu_cache: dict[float, PermutedLU] = {}
 
     def with_potentials(self, potentials: PotentialSet) -> "SemilinearSystem":
         """This system with other potentials; the diffusion part is shared."""
@@ -243,37 +287,48 @@ class SemilinearSystem:
         potentials) are dropped, so S stores exactly its nonzeros.
         """
         K = self._K_diffusion
+        return self._on_pattern(self._implicit_data(dt), K.indices, K.indptr)
+
+    def _implicit_data(self, dt: float) -> np.ndarray:
+        """S's values on K's stored pattern."""
         data = -self._K_data
         data[self._diag_slots] += self.mass / dt
+        return data
+
+    def _on_pattern(self, data, indices, indptr) -> sp.csc_matrix:
         # eliminate_zeros works in place: the shared pattern must not change
-        S = sp.csc_matrix((data, K.indices.copy(), K.indptr.copy()),
-                          shape=K.shape)
+        S = sp.csc_matrix((data, indices.copy(), indptr.copy()),
+                          shape=(self.n_dof, self.n_dof))
         S.eliminate_zeros()
         return S
 
-    def factorization(self, dt: float) -> spla.SuperLU:
+    def factorization(self, dt: float) -> PermutedLU:
         """Sparse LU of the implicit matrix, one per step size.
 
-        The minimum-degree ordering on A^T + A suits this nearly symmetric
-        matrix: it roughly halves the fill of SuperLU's default COLAMD.
-        Relaxed supernodes (``relax``) and panels of several columns
-        (``panel_size``) cost time here, so both are turned off; the fill
-        is the same.
+        SuperLU factors ``P S P^T`` in the factor order of ``__init__``,
+        filled from K's data through a precomputed gather, so no sparse
+        indexing runs here.  The minimum-degree ordering on A^T + A suits
+        this nearly symmetric matrix: it roughly halves the fill of
+        SuperLU's default COLAMD.  Relaxed supernodes (``relax``) and
+        panels of several columns (``panel_size``) cost time here, so
+        both are turned off; the fill is the same.
         """
         key = float(dt)
         if key not in self._lu_cache:
+            S = self._on_pattern(self._implicit_data(dt)[self._factor_slots],
+                                 self._factor_indices, self._factor_indptr)
             try:
-                self._lu_cache[key] = spla.splu(self.implicit_matrix(dt),
-                                                permc_spec="MMD_AT_PLUS_A",
-                                                relax=1, panel_size=1)
+                lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A",
+                               relax=1, panel_size=1)
             except RuntimeError as exc:  # singular factorization
                 raise SolverError(f"implicit factorization failed: {exc}") from exc
+            self._lu_cache[key] = PermutedLU(lu, self._perm, self._perm_inverse)
         return self._lu_cache[key]
 
     def step_imex(self, x: np.ndarray, t: float, dt: float,
                   out: np.ndarray | None = None, sources=None,
                   reactions: ReactionSet | None = None,
-                  lu: spla.SuperLU | None = None) -> np.ndarray:
+                  lu: PermutedLU | None = None) -> np.ndarray:
         """One IMEX step of the packed state ``x`` at time ``t``.
 
         ``x`` is one state ``(n_dof,)`` or a block ``(k, n_dof)`` of states

@@ -57,12 +57,14 @@ def read_summary(out):
         return json.load(fh)
 
 
+_ZERO_POTENTIALS = {"p11": 0, "p12": 0, "p13": 0, "p21": 0, "p22": 0, "q11": 0,
+                    "q12": 0, "q13": 0, "q21": 0, "q22": 0, "p0": 0.0}
+
+
 def test_simulate_zero_potentials_steady(tmp_path):
     cfg = write_config(tmp_path, {
         "mesh": {"n_r": 16, "n_theta": 32},
-        "potentials": {"p11": 0, "p12": 0, "p13": 0, "p21": 0, "p22": 0,
-                       "q11": 0, "q12": 0, "q13": 0, "q21": 0, "q22": 0,
-                       "p0": 0.0},
+        "potentials": _ZERO_POTENTIALS,
         "initial": {"y0": 1.0, "z0": 1.0},
     })
     out = tmp_path / "out"
@@ -70,8 +72,8 @@ def test_simulate_zero_potentials_steady(tmp_path):
     summary = read_summary(out)
     assert summary["checks"]["mass_conservation"]
     # L.nnz + U.nnz at the default mesh.  Zero potentials decouple the y
-    # and z pairs: the minimum-degree ordering gives 25,224 here, SuperLU's
-    # default COLAMD 40,452 (86,048 with the default potentials)
+    # and z pairs: the minimum-degree ordering gives 25,480 here, SuperLU's
+    # default COLAMD 39,280 (81,194 with the default potentials)
     assert 0 < summary["lu_fill_nnz"] < 30_000
     assert os.path.exists(out / "series.csv")
     assert os.path.exists(out / "schema.json")
@@ -82,7 +84,44 @@ def test_simulate_lu_fill_at_the_default_config(tmp_path):
     # column ordering or of the supernode settings shows here
     out = tmp_path / "out"
     assert main(["simulate", "--out", str(out)]) == 0
-    assert read_summary(out)["lu_fill_nnz"] == 48_064
+    assert read_summary(out)["lu_fill_nnz"] == 44_668
+
+
+@pytest.mark.parametrize("potentials", ["default", "zero"])
+@pytest.mark.parametrize("n_r, n_theta", [(4, 8), (16, 32)])
+def test_simulate_reads_the_fill_without_building_L_and_U(
+        tmp_path, monkeypatch, n_r, n_theta, potentials):
+    # L and U are copies of the factors; simulate reads the fill from the
+    # SuperLU object's nnz, which counts the same entries
+    splu = bulksurf.forward.spla.splu
+    factors = []
+
+    class WithoutLU:
+        def __init__(self, lu):
+            self.nnz = lu.nnz
+            self.solve = lu.solve
+
+        @property
+        def L(self):
+            raise AssertionError("simulate built L")
+
+        @property
+        def U(self):
+            raise AssertionError("simulate built U")
+
+    def spy(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return WithoutLU(factors[-1])
+
+    monkeypatch.setattr(bulksurf.forward.spla, "splu", spy)
+    extra = {"mesh": {"n_r": n_r, "n_theta": n_theta}}
+    if potentials == "zero":
+        extra["potentials"] = _ZERO_POTENTIALS
+    out = tmp_path / "out"
+    assert run_cli("simulate", write_config(tmp_path, extra), out) == 0
+    assert len(factors) == 1
+    lu = factors[0]
+    assert read_summary(out)["lu_fill_nnz"] == lu.nnz == lu.L.nnz + lu.U.nnz
 
 
 def test_simulate_reproducible_bytes(tmp_path):

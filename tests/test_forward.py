@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse._base import _spbase
+from scipy.sparse._index import IndexMixin
 
 import bulksurf.forward
+from bulksurf.config import load_config
 from bulksurf.forward import (
     ReactionSet,
     SemilinearSystem,
@@ -144,6 +146,8 @@ def test_with_potentials_matches_fresh_system(mesh, diffusion):
     np.testing.assert_array_equal(base.implicit_matrix(dt).toarray(), base_S)
     assert base.factorization(dt) is base_lu
     assert derived.factorization(dt) is not base_lu
+    # the factor order is one array per mesh
+    assert derived._perm is base._perm
 
 
 def _sparse_formula(system, dt):
@@ -200,7 +204,9 @@ def test_implicit_matrix_matches_the_sparse_formula(mesh, case):
 
 
 def test_new_potentials_reuse_the_stored_pattern(mesh, diffusion, monkeypatch):
-    # a coefficient set costs no assembly and no sparse + or -
+    # a coefficient set costs no assembly and no sparse + or -, and a
+    # factorization no sparse indexing: the factor order's pattern and
+    # its gather index are computed once per mesh
     calls = []
 
     def spy(name, real):
@@ -211,6 +217,8 @@ def test_new_potentials_reuse_the_stored_pattern(mesh, diffusion, monkeypatch):
                             spy(name, getattr(bulksurf.forward, name)))
     for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
         monkeypatch.setattr(_spbase, name, spy(name, getattr(_spbase, name)))
+    monkeypatch.setattr(IndexMixin, "__getitem__",
+                        spy("__getitem__", IndexMixin.__getitem__))
     base = SemilinearSystem(mesh, diffusion)
     assert calls.count("assemble_bulk_diffusion") == 2
     calls.clear()
@@ -219,9 +227,44 @@ def test_new_potentials_reuse_the_stored_pattern(mesh, diffusion, monkeypatch):
     derived.implicit_matrix(0.01)
     derived.factorization(0.02)
     assert calls == []
-    # the spies do see sparse + and - where they run
-    _sparse_formula(derived, 0.01)
-    assert {"__add__", "__sub__"} <= set(calls)
+    # the spies do see sparse +, - and indexing where they run
+    _sparse_formula(derived, 0.01)[derived._perm]
+    assert {"__add__", "__sub__", "__getitem__"} <= set(calls)
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+@pytest.mark.parametrize("k", [None, 3])
+def test_factor_solves_the_natural_system(mesh, diffusion, trans, k):
+    # the factors hold P S P^T; solve gathers into their order and back,
+    # so it solves S (S^T for "T") in the packed order
+    pot = PotentialSet.from_values(mesh, p11=-0.2, p12=0.1, p21=0.3 + 0.1 * mesh.cell_r,
+                                   q12=0.05, q21=0.2 + 0.1 * np.cos(mesh.surface_theta))
+    system = SemilinearSystem(mesh, diffusion, pot)
+    dt = 0.01
+    S = system.implicit_matrix(dt)
+    if trans == "T":
+        S = S.T
+    shape = (system.n_dof,) if k is None else (system.n_dof, k)
+    b = np.random.default_rng(5).standard_normal(shape)
+    lu = system.factorization(dt)
+    x = lu.solve(b, trans=trans)
+    assert x.shape == b.shape
+    assert np.linalg.norm(S @ x - b) <= 1e-12 * np.linalg.norm(b)
+    # each block column is its own one-column solve, bit for bit; the block
+    # comes as the transpose of a (k, n_dof) array, as step_imex passes it
+    if k is not None:
+        block = lu.solve(np.ascontiguousarray(b.T).T, trans=trans)
+        for j in range(k):
+            np.testing.assert_array_equal(block[:, j], lu.solve(b[:, j], trans=trans))
+
+
+def test_factor_fill_at_32x64():
+    # L.nnz + U.nnz of the default config's implicit matrix at 32x64,
+    # where the factor order matters more than at 16x32
+    cfg = load_config(None, {"mesh": {"n_r": 32, "n_theta": 64}})
+    system = SemilinearSystem(cfg.mesh, cfg.diffusion, cfg.potentials,
+                              nl_f=cfg.nl_f, nl_g=cfg.nl_g)
+    assert system.factorization(cfg.dt).nnz == 255_086
 
 
 def test_solve_matches_dense_reference():
