@@ -45,7 +45,7 @@ from .inverse import (
     simulate_twin,
     stability_ensemble,
 )
-from .model import InitialData
+from .model import _BULK_NAMES, _SURF_NAMES, InitialData
 from .positivity import negative_part_energy_monotone, positivity_experiment, sup_abs
 
 
@@ -154,9 +154,8 @@ def _cmd_simulate(run: _Runner) -> int:
     run.checks["state_finite"] = bool(np.isfinite(traj.y).all()
                                       and np.isfinite(traj.z).all())
     pot = cfg.potentials
-    pure_diffusion = all(np.abs(getattr(pot, n)).max() == 0.0 for n in
-                         ("p11", "p12", "p13", "p21", "p22",
-                          "q11", "q12", "q13", "q21", "q22"))
+    pure_diffusion = all(np.abs(getattr(pot, n)).max() == 0.0
+                         for n in _BULK_NAMES + _SURF_NAMES)
     run.effective["mass_tolerance"] = 1e-10
     if pure_diffusion:
         drift = np.abs(np.diff(my)).max() / max(abs(my[0]), 1e-300)
@@ -343,8 +342,7 @@ def _truth_coeffs(problem: InverseProblem, cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     vals = {}
     for name, spec in cfg.inverse["truth"].items():
-        n = problem.basis.n_bulk if name.startswith("p") else problem.basis.n_arcs
-        raw = rng.standard_normal(n)
+        raw = rng.standard_normal(len(problem.basis.patches(name)[1]))
         pattern = raw / np.abs(raw).max()
         vals[name] = spec["base"] + spec["amplitude"] * pattern
     return problem.coefficient_vector(free=cfg.inverse["free"], **vals).project()
@@ -494,12 +492,15 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = args.out or os.environ.get("BULKSURF_OUT") or f"results-{args.command}"
     seed_env = os.environ.get("BULKSURF_SEED")
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    elif seed_env is not None:
-        overrides["seed"] = int(seed_env)
-
     try:
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        elif seed_env is not None:
+            try:
+                overrides["seed"] = int(seed_env)
+            except ValueError:
+                raise ConfigError(f"BULKSURF_SEED: expected an integer, "
+                                  f"got {seed_env!r}")
         cfg = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

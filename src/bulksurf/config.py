@@ -261,7 +261,7 @@ _AS_GIVEN = ({f"potentials.{n}" for n in _BULK_NAMES + _SURF_NAMES}
              | {f"inverse.guess.{n}" for n in _COEFF_NAMES})
 # The list and the maps whose entries are coefficient names.
 _BY_COEFF = ("inverse.free", "inverse.truth", "inverse.guess")
-# The int keys that count nothing; every other one must be at least 1.
+# The int keys that count nothing, at least 0; every other one at least 1.
 _NOT_COUNTS = ("seed", "nonlinearity.d", "nonlinearity.delta")
 
 
@@ -322,8 +322,9 @@ def _typed(value, default, where: str):
         return float(value)
     if not (isinstance(value, int) or value.is_integer()):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    if value < 1 and where not in _NOT_COUNTS:
-        raise ConfigError(f"{where}: must be at least 1, got {value!r}")
+    floor = 0 if where in _NOT_COUNTS else 1
+    if value < floor:
+        raise ConfigError(f"{where}: must be at least {floor}, got {value!r}")
     return int(value)
 
 

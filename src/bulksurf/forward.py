@@ -42,6 +42,7 @@ class Trajectory:
     y_gamma: np.ndarray  # (n_nodes, n_theta)
     z_gamma: np.ndarray
     dt: float
+    packed: np.ndarray | None = None  # the (n_nodes, n_dof) states of a solve
 
     @property
     def n_nodes(self) -> int:
@@ -79,8 +80,8 @@ class ObservationRecord:
 class ReactionSet:
     """General per-equation reactions for the positivity-type system.
 
-    With ``clip`` set, arguments are replaced by their positive parts, which
-    is the construction used to propagate nonnegativity.
+    ``rates`` evaluates them at the positive parts of the state, the
+    construction used to propagate nonnegativity.
     """
 
     f1: Callable | None = None
@@ -88,12 +89,10 @@ class ReactionSet:
     g1: Callable | None = None
     g2: Callable | None = None
     lipschitz_bound: float = 0.0
-    clip: bool = False
 
     def rates(self, y, z, yg, zg):
-        if self.clip:
-            y, z = np.maximum(y, 0.0), np.maximum(z, 0.0)
-            yg, zg = np.maximum(yg, 0.0), np.maximum(zg, 0.0)
+        y, z = np.maximum(y, 0.0), np.maximum(z, 0.0)
+        yg, zg = np.maximum(yg, 0.0), np.maximum(zg, 0.0)
         zero_b = 0.0
         out = []
         for fn, args in ((self.f1, (y, z)), (self.f2, (y, z)),
@@ -152,6 +151,14 @@ def _normalize_sources(sources, mesh: Mesh):
     return out
 
 
+# The eight potentials of the implicit matrix, each with the (row, column)
+# field blocks of the diagonal it fills: p_ij and q_ij couple field j into
+# equation i, in the bulk and on the surface.
+_IMPLICIT_POTENTIALS = (("p11", 0, 0), ("p12", 0, 1), ("p21", 1, 0),
+                        ("p22", 1, 1), ("q11", 2, 2), ("q12", 2, 3),
+                        ("q21", 3, 2), ("q22", 3, 3))
+
+
 class SemilinearSystem:
     """Assembled coupled system: operators, implicit matrix, IMEX stepping.
 
@@ -180,18 +187,17 @@ class SemilinearSystem:
                                     mesh.surface_weights, mesh.surface_weights])
         self._K_diffusion = self._assemble_diffusion()
         # slots of the eight potential diagonals, in the order of
-        # ``_set_potentials``, and of the main diagonal in K's stored data:
-        # CSC stores column by column with sorted rows, so col * n + row
-        # ascends along the data and a search finds any entry
+        # ``_IMPLICIT_POTENTIALS``, and of the main diagonal in K's stored
+        # data: CSC stores column by column with sorted rows, so
+        # col * n + row ascends along the data and a search finds any entry
         K, n = self._K_diffusion, self.n_dof
         col = np.repeat(np.arange(n), np.diff(K.indptr))
         stored = col * n + K.indices
         dof = np.arange(n)
-        sy, sz, syg, szg = self.blocks
-        pot_blocks = ((sy, sy), (sy, sz), (sz, sy), (sz, sz),
-                      (syg, syg), (syg, szg), (szg, syg), (szg, szg))
-        rows = np.concatenate([dof[r] for r, _ in pot_blocks])
-        cols = np.concatenate([dof[c] for _, c in pot_blocks])
+        rows = np.concatenate([dof[self.blocks[i]]
+                               for _, i, _ in _IMPLICIT_POTENTIALS])
+        cols = np.concatenate([dof[self.blocks[j]]
+                               for _, _, j in _IMPLICIT_POTENTIALS])
         self._pot_slots = np.searchsorted(stored, cols * n + rows)
         self._diag_slots = np.searchsorted(stored, dof * n + dof)
         # factor order: each cell's (y, z) pair together, sector by sector
@@ -259,13 +265,12 @@ class SemilinearSystem:
         plus the potential magnitudes, for the step-size guard.
         """
         self.potentials = pot
-        areas, ds = self.mesh.cell_areas, self.mesh.surface_weights
         self._K_data = self._K_diffusion.data.copy()
         self._K_data[self._pot_slots] += np.concatenate([
-            areas * pot.p11, areas * pot.p12, areas * pot.p21, areas * pot.p22,
-            ds * pot.q11, ds * pot.q12, ds * pot.q21, ds * pot.q22])
-        L = max(float(np.abs(getattr(pot, name)).max()) for name in
-                ("p11", "p12", "p21", "p22", "q11", "q12", "q21", "q22"))
+            self.mass[self.blocks[i]] * getattr(pot, name)
+            for name, i, _ in _IMPLICIT_POTENTIALS])
+        L = max(float(np.abs(getattr(pot, name)).max())
+                for name, _, _ in _IMPLICIT_POTENTIALS)
         if self.nl_f is not None:
             L = max(L, float(np.abs(pot.p13).max()) * self.nl_f.lipschitz_bound)
         if self.nl_g is not None:
@@ -407,7 +412,46 @@ class SemilinearSystem:
             t = t + dt
         sy, sz, syg, szg = self.blocks
         return Trajectory(times=times, y=X[..., sy], z=X[..., sz],
-                          y_gamma=X[..., syg], z_gamma=X[..., szg], dt=float(dt))
+                          y_gamma=X[..., syg], z_gamma=X[..., szg], dt=float(dt),
+                          packed=X)
+
+    def coefficient_fields(self, x: np.ndarray, x_next: np.ndarray) -> np.ndarray:
+        """The step's derivative in the four coupling coefficients, packed:
+        ``f(y, z) | y_next | g(y_gamma, z_gamma) | y_gamma_next``.
+
+        p13 and q13 multiply the explicit f and g, and p21 and q21 couple
+        the new y pair into the z rows of the implicit matrix, so a ``dc``
+        laid out in the blocks (p13, p21, q13, q21) adds
+        ``M (dc * coefficient_fields(x, x_next))`` to the right-hand side
+        of the step from ``x`` to ``x_next``.  Like ``step_imex``, it takes
+        one state or a ``(..., n_dof)`` block of them.
+        """
+        sy, sz, syg, szg = self.blocks
+        out = np.zeros(x.shape)
+        if self.nl_f is not None:
+            out[..., sy] = self.nl_f(x[..., sy], x[..., sz])
+        out[..., sz] = x_next[..., sy]
+        if self.nl_g is not None:
+            out[..., syg] = self.nl_g(x[..., syg], x[..., szg])
+        out[..., szg] = x_next[..., syg]
+        return out
+
+    def explicit_jacobian_T(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """``(dE/dx)^T w`` for the explicit terms ``p13 f(y, z)`` and
+        ``q13 g(y_gamma, z_gamma)`` at the state ``x``: the adjoint's pull
+        of a mass-weighted ``w`` through one step's explicit part."""
+        sy, sz, syg, szg = self.blocks
+        pot = self.potentials
+        out = np.zeros(x.shape)
+        if self.nl_f is not None:
+            fy, fz = self.nl_f.partials(x[..., sy], x[..., sz])
+            out[..., sy] += pot.p13 * fy * w[..., sy]
+            out[..., sz] += pot.p13 * fz * w[..., sy]
+        if self.nl_g is not None:
+            gy, gz = self.nl_g.partials(x[..., syg], x[..., szg])
+            out[..., syg] += pot.q13 * gy * w[..., syg]
+            out[..., szg] += pot.q13 * gz * w[..., syg]
+        return out
 
 
 def window_nodes(traj: Trajectory, t0: float, t1: float) -> np.ndarray:
@@ -467,7 +511,7 @@ def manufactured_problem(mesh: Mesh, diffusion: DiffusionSpec,
     Y = SpaceTimeField(y_expr)
     Z = SpaceTimeField(z_expr)
     pot = {name: float(np.asarray(getattr(potentials, name)).ravel()[0])
-           for name in ("p11", "p12", "p21", "p22", "q11", "q12", "q21", "q22")}
+           for name, _, _ in _IMPLICIT_POTENTIALS}
     for name in pot:
         arr = getattr(potentials, name)
         if np.ptp(arr) != 0:

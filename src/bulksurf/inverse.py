@@ -2,8 +2,8 @@
 
 Unknowns are the four coupling coefficients (p13, q13, p21, q21) on a coarse
 piecewise-constant parametrization (bulk patches, surface arcs).  The
-gradient is the exact discrete adjoint of the IMEX stepping: p21/q21 enter
-through the implicit matrix, p13/q13 through the explicit reaction term, and
+gradient is the exact discrete adjoint of the IMEX stepping: how the
+coefficients enter a step is ``SemilinearSystem.coefficient_fields``, and
 the reverse sweep reuses the forward LU factorization via transposed solves.
 """
 
@@ -50,6 +50,13 @@ class PatchBasis:
     def n_bulk(self) -> int:
         return self.bulk.shape[1]
 
+    def patches(self, name: str) -> tuple[sp.csr_matrix, np.ndarray]:
+        """Indicator and measures of the patches coefficient ``name`` lives
+        on: bulk patches for p13 and p21, surface arcs for q13 and q21."""
+        if name.startswith("p"):
+            return self.bulk, self.bulk_measure
+        return self.surf, self.surf_measure
+
 
 def build_patch_basis(mesh: Mesh, n_patch_r: int = 4, n_patch_theta: int = 4,
                       n_arcs: int = 8) -> PatchBasis:
@@ -78,6 +85,7 @@ def build_patch_basis(mesh: Mesh, n_patch_r: int = 4, n_patch_theta: int = 4,
         surf_measure=surf.T @ mesh.surface_weights)
 
 
+# in the order of the packed blocks (y, z, y_gamma, z_gamma) they enter
 _COEFF_NAMES = ("p13", "p21", "q13", "q21")
 
 
@@ -129,7 +137,7 @@ class CoefficientVector:
         """Measure-weighted distance over all four components."""
         total = 0.0
         for name in _COEFF_NAMES:
-            w = basis.bulk_measure if name.startswith("p") else basis.surf_measure
+            w = basis.patches(name)[1]
             d = getattr(self, name) - getattr(other, name)
             total += float(np.dot(w, d * d))
         return math.sqrt(total)
@@ -167,40 +175,30 @@ class InverseProblem:
             self.mesh, self.diffusion, self.base_potentials,
             nl_f=self.nl_f, nl_g=self.nl_g)
 
-    def patch_average(self, field: np.ndarray, where: str) -> np.ndarray:
-        """Measure-weighted average of a full field per patch/arc."""
-        if where == "bulk":
-            P, w = self.basis.bulk, self.mesh.cell_areas
-        else:
-            P, w = self.basis.surf, self.mesh.surface_weights
-        return (P.T @ (w * field)) / (P.T @ w)
-
     def coefficient_vector(self, p13=None, p21=None, q13=None, q21=None,
                            free=("p13", "q21")) -> CoefficientVector:
-        """Patch coefficients; unspecified names default to the base model."""
-        pot = self.base_potentials
-
-        def patch_vals(v, n, default_field, where):
-            if v is None:
-                return self.patch_average(default_field, where)
+        """Patch coefficients; an unspecified name takes the measure-weighted
+        patch average of its base-model field."""
+        pot, system = self.base_potentials, self._base_system
+        given = {"p13": p13, "p21": p21, "q13": q13, "q21": q21}
+        vals = {}
+        for name, block in zip(_COEFF_NAMES, system.blocks):
+            P, measure = self.basis.patches(name)
+            v = given[name]
+            if v is None:  # the block's mass is the field's cell weight
+                v = (P.T @ (system.mass[block] * getattr(pot, name))) / measure
+            n = len(measure)
             arr = np.full(n, float(v)) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
             if arr.shape != (n,):
                 raise ValueError(f"expected {n} patch values, got {arr.shape}")
-            return arr
-
-        return CoefficientVector(
-            p13=patch_vals(p13, self.basis.n_bulk, pot.p13, "bulk"),
-            p21=patch_vals(p21, self.basis.n_bulk, pot.p21, "bulk"),
-            q13=patch_vals(q13, self.basis.n_arcs, pot.q13, "surf"),
-            q21=patch_vals(q21, self.basis.n_arcs, pot.q21, "surf"),
-            free=tuple(free), R_bound=pot.R_bound, p0=pot.p0)
+            vals[name] = arr
+        return CoefficientVector(**vals, free=tuple(free), R_bound=pot.R_bound,
+                                 p0=pot.p0)
 
     def to_potentials(self, coeffs: CoefficientVector) -> PotentialSet:
-        return self.base_potentials.with_fields(
-            p13=self.basis.bulk @ coeffs.p13,
-            p21=self.basis.bulk @ coeffs.p21,
-            q13=self.basis.surf @ coeffs.q13,
-            q21=self.basis.surf @ coeffs.q21)
+        return self.base_potentials.with_fields(**{
+            name: self.basis.patches(name)[0] @ getattr(coeffs, name)
+            for name in _COEFF_NAMES})
 
     def system_for(self, coeffs: CoefficientVector) -> SemilinearSystem:
         return self._base_system.with_potentials(self.to_potentials(coeffs))
@@ -233,12 +231,8 @@ class InverseProblem:
         return 0.5 * float((d**2 @ rec.cell_weights).sum() * rec.dt)
 
     def _reg_weights(self, coeffs: CoefficientVector) -> np.ndarray:
-        parts = []
-        for name in coeffs.free:
-            w = (self.basis.bulk_measure if name.startswith("p")
-                 else self.basis.surf_measure)
-            parts.append(w)
-        return np.concatenate(parts)
+        return np.concatenate([self.basis.patches(name)[1]
+                               for name in coeffs.free])
 
     def objective(self, coeffs: CoefficientVector, data: ObservationRecord) -> float:
         """The observation misfit, without regularisation."""
@@ -257,12 +251,9 @@ class InverseProblem:
         rec = self.observation(traj)
         J = self._misfit(rec, data)
 
-        sy, sz, syg, szg = system.blocks
-        N = traj.n_nodes - 1
-        dt = self.dt
+        X, N, dt = traj.packed, traj.n_nodes - 1, self.dt
         lu = system.factorization(dt)
         M = system.mass
-        pot = system.potentials
 
         # gradient of the misfit wrt each state: z on the omega cells only
         res = (rec.values - data.values) * rec.cell_weights[None, :] * dt
@@ -270,48 +261,26 @@ class InverseProblem:
         for row, k in enumerate(rec.time_indices):
             G[k + 1] += res[row] / (2 * dt)
             G[k - 1] -= res[row] / (2 * dt)
-        z_obs = sz.start + rec.cell_indices
+        z_obs = system.blocks[1].start + rec.cell_indices
 
-        # Sum over the sweep of the adjoint-times-parameter-Jacobian fields
-        # for step n -> n+1; weighted by M and reduced to patches once below.
-        # Implicit side: dS/dp21 x^{n+1} = -area * y^{n+1} in the z rows.
-        # Explicit side: -mu^T M dE/dc at x^n.
-        acc = np.zeros(system.n_dof)
-
-        def accumulate(mu, n):
-            acc[sy] += mu[sy] * self.nl_f(traj.y[n], traj.z[n])
-            acc[sz] += mu[sz] * traj.y[n + 1]
-            acc[syg] += mu[syg] * self.nl_g(traj.y_gamma[n], traj.z_gamma[n])
-            acc[szg] += mu[szg] * traj.y_gamma[n + 1]
-
-        def jac_expl_T(mu, n):
-            """(dE/dx)^T (M mu) for the explicit reaction at state n."""
-            out = np.zeros(system.n_dof)
-            fy, fz = self.nl_f.partials(traj.y[n], traj.z[n])
-            gy, gz = self.nl_g.partials(traj.y_gamma[n], traj.z_gamma[n])
-            wy = M[sy] * mu[sy]
-            wyg = M[syg] * mu[syg]
-            out[sy] += pot.p13 * fy * wy
-            out[sz] += pot.p13 * fz * wy
-            out[syg] += pot.q13 * gy * wyg
-            out[szg] += pot.q13 * gz * wyg
-            return out
-
+        # Step n -> n+1 moves with the coefficients by M (dc * F[n]): sum
+        # mu^{n+1} * F[n] over the sweep, weight by M and reduce to patches
+        # once below.
+        F = system.coefficient_fields(X[:-1], X[1:])
         rhs = np.zeros(system.n_dof)
         rhs[z_obs] = -G[N]
         mu = lu.solve(rhs, trans="T")
-        accumulate(mu, N - 1)
+        acc = mu * F[N - 1]
         for m in range(N - 1, 0, -1):
             rhs = (M / dt) * mu
             rhs[z_obs] -= G[m]
-            rhs += jac_expl_T(mu, m)
+            rhs += system.explicit_jacobian_T(X[m], M * mu)
             mu = lu.solve(rhs, trans="T")
-            accumulate(mu, m - 1)
+            acc += mu * F[m - 1]
 
         w = M * acc
-        bulk_T, surf_T = self.basis.bulk.T, self.basis.surf.T
-        grads = {"p13": -(bulk_T @ w[sy]), "p21": -(bulk_T @ w[sz]),
-                 "q13": -(surf_T @ w[syg]), "q21": -(surf_T @ w[szg])}
+        grads = {name: -(self.basis.patches(name)[0].T @ w[block])
+                 for name, block in zip(_COEFF_NAMES, system.blocks)}
         flat = np.concatenate([grads[name] for name in coeffs.free])
         if reg_weight > 0 and prior is not None:
             d = coeffs.pack() - prior.pack()
@@ -424,30 +393,23 @@ def _smooth_surf_shape(mesh: Mesh, rng) -> np.ndarray:
     return raw / np.abs(raw).max()
 
 
-def first_step_difference(system: SemilinearSystem, s_ref: np.ndarray,
-                          dt: float, dE_y: np.ndarray, dp21: np.ndarray,
-                          dE_yg: np.ndarray, dq21: np.ndarray) -> np.ndarray:
-    """delta = s_pert - s_ref after one step of length ``dt`` from a shared state.
+def first_step_difference(system: SemilinearSystem, x: np.ndarray,
+                          s_ref: np.ndarray, dt: float, dc: np.ndarray
+                          ) -> np.ndarray:
+    """delta = s_pert - s_ref after one step of length ``dt`` from the state ``x``.
 
-    ``s_ref`` is ``system``'s step; the perturbed system adds ``dp21``,
-    ``dq21`` to its implicit potentials and ``dE_y``, ``dE_yg`` to its
-    explicit y and y_gamma terms.  Subtracting the two steps gives
-    S_ref delta = M dE + dK (s_ref + delta), dK holding the dp21 and dq21
-    diagonal blocks, which fixed-point passes on ``system``'s LU solve to
-    round-off: each contracts by about dt * |dp21|.
+    ``s_ref`` is ``system``'s step; the perturbed system moves the coupling
+    coefficients by ``dc``, laid out in the packed blocks (p13, p21, q13,
+    q21).  Subtracting the two steps gives
+    S_ref delta = M (dc * coefficient_fields(x, s_ref + delta)), which
+    fixed-point passes on ``system``'s LU solve to round-off: each
+    contracts by about dt * |dp21|.
     """
-    sy, sz, syg, szg = system.blocks
-    M = system.mass
     lu = system.factorization(dt)
-    base = np.zeros(system.n_dof)
-    base[sy] = M[sy] * dE_y
-    base[syg] = M[syg] * dE_yg
     delta = np.zeros(system.n_dof)
     for _ in range(_MAX_DIFFERENCE_PASSES):
-        rhs = base.copy()
-        rhs[sz] += M[sz] * dp21 * (s_ref[sy] + delta[sy])
-        rhs[szg] += M[szg] * dq21 * (s_ref[syg] + delta[syg])
-        new = lu.solve(rhs)
+        new = lu.solve(system.mass
+                       * (dc * system.coefficient_fields(x, s_ref + delta)))
         update = np.abs(new - delta).max()
         delta = new
         if update <= 4 * np.finfo(float).eps * np.abs(delta).max():
@@ -491,18 +453,25 @@ def stability_ensemble(problem: InverseProblem,
     state_theta = ref_traj.state(k_theta)
     pot_ref = system_ref.potentials
     ref_obs = observe(ref_traj, regions, mesh, t0=theta, t1=t1)
-
-    f_theta = problem.nl_f(ref_traj.y[k_theta], ref_traj.z[k_theta])
-    g_theta = problem.nl_g(ref_traj.y_gamma[k_theta], ref_traj.z_gamma[k_theta])
+    blocks = system_ref.blocks
 
     # mid-time identities: one fine substep of both systems off theta
     # isolates d/dt of the difference at theta+ (a coarse step would
     # fold in an O(dt * a/dr^2) boundary-coupling error)
     dt_fine = problem.dt / 64.0
-    x_theta = np.concatenate([state_theta.y0, state_theta.z0,
-                              state_theta.y0_gamma, state_theta.z0_gamma])
+    x_theta = ref_traj.packed[k_theta]
     s_ref = system_ref.step_imex(x_theta, theta, dt_fine)
-    sy, sz, syg, szg = system_ref.blocks
+    fields_theta = system_ref.coefficient_fields(x_theta, x_theta)
+
+    def perturbed(dc):
+        """The reference system with its coupling coefficients moved by the
+        packed ``dc``; a ValueError when that leaves the admissible set."""
+        pot = pot_ref.with_fields(**{
+            name: getattr(pot_ref, name) + dc[block]
+            for name, block in zip(_COEFF_NAMES, blocks)})
+        if pot.p21.min() < pot_ref.p0 or pot.q21.min() < pot_ref.p0:
+            raise ValueError("perturbation below the p0 floor")
+        return system_ref.with_potentials(pot)
 
     def response_norm(system):
         """Observation norm on (theta, t1) of ``system`` minus the reference."""
@@ -515,51 +484,35 @@ def stability_ensemble(problem: InverseProblem,
     attempts = 0
     while len(records) < n_draws and attempts < n_draws + 50:
         attempts += 1
-        a1 = perturbation_scale * _smooth_bulk_shape(mesh, rng)
-        a2 = perturbation_scale * _smooth_bulk_shape(mesh, rng)
-        l1 = perturbation_scale * _smooth_surf_shape(mesh, rng)
-        l2 = perturbation_scale * _smooth_surf_shape(mesh, rng)
-
+        # one smooth shape per coefficient, in the packed block order
+        dc = perturbation_scale * np.concatenate([
+            _smooth_bulk_shape(mesh, rng), _smooth_bulk_shape(mesh, rng),
+            _smooth_surf_shape(mesh, rng), _smooth_surf_shape(mesh, rng)])
         try:
-            pot_pert = pot_ref.with_fields(p13=pot_ref.p13 + a1,
-                                           p21=pot_ref.p21 + a2,
-                                           q13=pot_ref.q13 + l1,
-                                           q21=pot_ref.q21 + l2)
+            system_pert = perturbed(dc)
         except ValueError:
             n_rejected += 1
             continue
-        if pot_pert.p21.min() < pot_ref.p0 or pot_pert.q21.min() < pot_ref.p0:
-            n_rejected += 1
-            continue
 
+        a1, a2, l1, l2 = (dc[block] for block in blocks)
         delta = math.sqrt(mesh.bulk_l2(a2) ** 2 + mesh.surface_l2(l2) ** 2) \
             + math.sqrt(mesh.bulk_l2(a1) ** 2 + mesh.surface_l2(l1) ** 2)
-
-        system_pert = system_ref.with_potentials(pot_pert)
         obs_norm = response_norm(system_pert)
-        obs_half = response_norm(system_ref.with_potentials(pot_ref.with_fields(
-            p13=pot_ref.p13 + 0.5 * a1, p21=pot_ref.p21 + 0.5 * a2,
-            q13=pot_ref.q13 + 0.5 * l1, q21=pot_ref.q21 + 0.5 * l2)))
+        obs_half = response_norm(perturbed(0.5 * dc))
 
         # the perturbed system's step-size guard at dt_fine is implied by
-        # the one its response solve passed at the coarser problem.dt
-        d = first_step_difference(system_ref, s_ref, dt_fine,
-                                  a1 * f_theta, a2, l1 * g_theta, l2)
-        v0, u0 = d[sz] / dt_fine, d[sy] / dt_fine
-        v0_g, u0_g = d[szg] / dt_fine, d[syg] / dt_fine
-        tv = a2 * ref_traj.y[k_theta]
-        tu = a1 * f_theta
-        tvg = l2 * ref_traj.y_gamma[k_theta]
-        tug = l1 * g_theta
-        ident = {
-            "v_rel_err": mesh.bulk_l2(v0 - tv) / max(mesh.bulk_l2(tv), 1e-300),
-            "u_rel_err": mesh.bulk_l2(u0 - tu) / max(mesh.bulk_l2(tu), 1e-300),
-            "v_gamma_rel_err": mesh.surface_l2(v0_g - tvg)
-            / max(mesh.surface_l2(tvg), 1e-300),
-            "u_gamma_rel_err": mesh.surface_l2(u0_g - tug)
-            / max(mesh.surface_l2(tug), 1e-300),
-            "identity_dt": dt_fine,
-        }
+        # the one its response solve passed at the coarser problem.dt;
+        # each identity compares d/dt of one block with its target
+        rates = first_step_difference(system_ref, x_theta, s_ref, dt_fine,
+                                      dc) / dt_fine
+        targets = dc * fields_theta
+        ident = {"identity_dt": dt_fine}
+        for key, block, norm in zip(
+                ("u_rel_err", "v_rel_err", "u_gamma_rel_err", "v_gamma_rel_err"),
+                blocks, (mesh.bulk_l2, mesh.bulk_l2, mesh.surface_l2,
+                         mesh.surface_l2)):
+            ident[key] = norm(rates[block] - targets[block]) \
+                / max(norm(targets[block]), 1e-300)
 
         ratio = delta / obs_norm if obs_norm > 0 else float("inf")
         records.append({"delta_norm": delta, "obs_norm": obs_norm,

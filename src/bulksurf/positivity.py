@@ -127,14 +127,15 @@ def implicit_offdiagonal_report(system: SemilinearSystem, dt: float) -> dict:
 def positivity_experiment(mesh: Mesh, diffusion: DiffusionSpec,
                           init: InitialData, reactions: ReactionSet,
                           t_end: float, dt: float) -> dict:
-    """Solve the general system from nonnegative data with clipped reactions.
+    """Solve the general system from nonnegative data.
 
-    Mirrors the positive-part construction: reactions are evaluated at the
-    componentwise nonnegative parts of the state.  Refuses to run when the
-    quasi-positivity check fails on the grid 0, 0.05, ..., 2 or the data has
-    a negative component.  ``init`` may hold a block of draws (a leading
-    draw axis on every field): they share one system and one LU, and
-    ``min_value`` and ``min_series`` then carry that axis last.
+    Mirrors the positive-part construction: ``ReactionSet.rates`` evaluates
+    the reactions at the componentwise nonnegative parts of the state.
+    Refuses to run when the quasi-positivity check fails on the grid 0,
+    0.05, ..., 2 or the data has a negative component.  ``init`` may hold
+    a block of draws (a leading draw axis on every field): they share one
+    system and one LU, and ``min_value`` and ``min_series`` then carry
+    that axis last.
     """
     qp = check_qp(reactions, np.linspace(0.0, 2.0, 41))
     if not qp.passed:
@@ -144,11 +145,8 @@ def positivity_experiment(mesh: Mesh, diffusion: DiffusionSpec,
     if floor < 0:
         raise ValueError(f"initial data has a negative component ({floor:.3g})")
 
-    clipped = ReactionSet(f1=reactions.f1, f2=reactions.f2,
-                          g1=reactions.g1, g2=reactions.g2,
-                          lipschitz_bound=reactions.lipschitz_bound, clip=True)
     system = SemilinearSystem(mesh, diffusion)
-    traj = system.solve(init, t_end, dt, reactions=clipped)
+    traj = system.solve(init, t_end, dt, reactions=reactions)
 
     min_series = np.minimum.reduce([traj.y.min(axis=-1), traj.z.min(axis=-1),
                                     traj.y_gamma.min(axis=-1),

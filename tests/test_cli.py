@@ -515,6 +515,26 @@ def test_seed_env_override(tmp_path, monkeypatch):
     assert echo["seed"] == 99
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_bad_seed_env_is_a_config_error(tmp_path, capsys, monkeypatch, value):
+    cfg = write_config(tmp_path)
+    monkeypatch.setenv("BULKSURF_SEED", value)
+    assert run_cli("simulate", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "configuration error: BULKSURF_SEED" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command",
+                         ["simulate", "positivity", "stability", "gradcheck"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    assert run_cli(command, cfg, tmp_path / "out", seed=-1) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "configuration error: seed" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
 def test_stability_pairs_each_draw_with_its_half_scale_response(tmp_path):
     # p21 just above the p0 floor: draws that push it below are redrawn
     cfg = write_config(tmp_path, {"potentials": {"p21": 0.3007}})

@@ -293,8 +293,7 @@ def test_solve_matches_dense_reference():
     def g2(yg, zg):
         return 0.1 * yg
 
-    reactions = ReactionSet(f1=f1, f2=f2, g1=g1, g2=g2, lipschitz_bound=1.0,
-                            clip=True)
+    reactions = ReactionSet(f1=f1, f2=f2, g1=g1, g2=g2, lipschitz_bound=1.0)
     src_f2 = 0.1 * mesh.cell_xy[:, 0]
     sources = {"f1": lambda t: np.cos(3 * t) * mesh.cell_r, "f2": src_f2,
                "g1": lambda t: t * np.sin(mesh.surface_theta)}
@@ -487,7 +486,7 @@ def _block_problem(k=3):
                             f2=lambda y, z: 0.2 * y - 0.05 * z,
                             g1=lambda yg, zg: 0.3 * zg * zg,
                             g2=lambda yg, zg: 0.1 * yg,
-                            lipschitz_bound=1.0, clip=True)
+                            lipschitz_bound=1.0)
     sources = {"f1": lambda t: np.cos(3 * t) * mesh.cell_r,
                "f2": 0.1 * mesh.cell_xy[:, 0],
                "g1": lambda t: t * np.sin(mesh.surface_theta)}
@@ -542,3 +541,31 @@ def test_block_solve_refuses_a_ragged_block():
     system, _, _, init = _block_problem(k=3)
     with pytest.raises(ValueError, match=r"z0 has shape \(2, 32\), expected \(3, 32\)"):
         system.solve(replace(init, z0=init.z0[:2]), t_end=0.02, dt=0.01)
+
+
+def _one_state_trajectory():
+    system, _, _, init = _block_problem(k=1)
+    one = InitialData(init.y0[0], init.z0[0], init.y0_gamma[0], init.z0_gamma[0])
+    return system, system.solve(one, t_end=0.1, dt=0.01)
+
+
+def test_coefficient_fields_of_a_table_equal_its_rows():
+    system, traj = _one_state_trajectory()
+    X = traj.packed
+    table = system.coefficient_fields(X[:-1], X[1:])
+    assert table.shape == (10, system.n_dof)
+    for n in range(10):
+        np.testing.assert_array_equal(
+            table[n], system.coefficient_fields(X[n], X[n + 1]))
+
+
+def test_coefficient_fields_blocks():
+    # f = y z and g = y_gamma^2 in _block_problem; the z pair carries the
+    # new y pair, which p21 and q21 couple into the z rows
+    system, traj = _one_state_trajectory()
+    table = system.coefficient_fields(traj.packed[:-1], traj.packed[1:])
+    sy, sz, syg, szg = system.blocks
+    np.testing.assert_array_equal(table[:, sy], traj.y[:-1] * traj.z[:-1])
+    np.testing.assert_array_equal(table[:, sz], traj.y[1:])
+    np.testing.assert_array_equal(table[:, syg], traj.y_gamma[:-1] ** 2)
+    np.testing.assert_array_equal(table[:, szg], traj.y_gamma[1:])

@@ -313,8 +313,6 @@ def test_stability_identity_difference_matches_two_lu_quotient(problem, truth):
     x = np.concatenate([state.y0, state.z0, state.y0_gamma, state.z0_gamma])
     dt = problem.dt / 64.0
     s_ref = system.step_imex(x, traj.times[k], dt)
-    f = problem.nl_f(state.y0, state.z0)
-    g = problem.nl_g(state.y0_gamma, state.z0_gamma)
     pot = system.potentials
     rng = np.random.default_rng(3)
     nb, ns = problem.mesh.n_cells, problem.mesh.n_theta
@@ -325,15 +323,15 @@ def test_stability_identity_difference_matches_two_lu_quotient(problem, truth):
             p13=pot.p13 + a1, p21=pot.p21 + a2, q13=pot.q13 + l1,
             q21=pot.q21 + l2))
         quotient = (pert.step_imex(x, traj.times[k], dt) - s_ref) / dt
-        derivative = first_step_difference(system, s_ref, dt, a1 * f, a2,
-                                           l1 * g, l2) / dt
+        derivative = first_step_difference(
+            system, x, s_ref, dt, np.concatenate([a1, a2, l1, l2])) / dt
         for block in system.blocks:   # u0, v0, u0_g, v0_g
             assert np.linalg.norm(derivative[block] - quotient[block]) <= \
                 1e-6 * np.linalg.norm(quotient[block])
     # an update that never settles ends at the pass cap
     with pytest.raises(SolverError, match="no fixed point"):
-        first_step_difference(system, s_ref, dt, np.full(nb, np.nan), a2,
-                              l1 * g, l2)
+        first_step_difference(system, x, s_ref, dt,
+                              np.concatenate([np.full(nb, np.nan), a2, l1, l2]))
 
 
 def test_stability_factorization_count(problem, truth, monkeypatch):
