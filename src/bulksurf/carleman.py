@@ -23,7 +23,8 @@ import scipy.sparse as sp
 from .geometry import Mesh, RegionSet
 from .operators import SparseOp, assemble_bulk_diffusion, \
     assemble_surface_diffusion, conormal_flux
-from .forward import Trajectory, source_array, window_nodes
+from .forward import _NODE_BLOCK, Trajectory, require_window, source_array, \
+    window_nodes
 
 _EXP_CLAMP = -700.0   # exponents below this evaluate to exact zero
 
@@ -220,10 +221,6 @@ _NORM_BULK = [0, 1, 2, 3]
 _RHS_TERMS = {"observation": (3.0, 4.0), "bulk_residual": (0.0, 0.0),
               "surface_residual": (0.0, 0.0)}
 
-# window nodes whose field quantities are formed together, as (block x n)
-# arrays; it bounds the temporaries, not the result
-_NODE_BLOCK = 16
-
 
 @dataclass(frozen=True)
 class _Levels:
@@ -290,11 +287,11 @@ def _gradient_energy(mesh: Mesh, levels: _Levels, z: np.ndarray,
             0.5 * (db2 @ mesh.bnd_geom))
 
 
-def _pair_quantities(zb: np.ndarray, zg: np.ndarray, ks: np.ndarray,
-                     dt: float, mesh: Mesh, pair: DiffusionPair,
-                     levels: _Levels, obs: sp.csr_matrix | None = None) -> tuple:
+def _pair_quantities(zb: np.ndarray, zg: np.ndarray, dt: float, mesh: Mesh,
+                     pair: DiffusionPair, levels: _Levels,
+                     obs: sp.csr_matrix | None = None) -> tuple:
     """Surface numbers and bulk level sums of the nine norm terms at the
-    window nodes ``ks``, all at once.
+    interior rows of the consecutive states ``zb`` and ``zg``, all at once.
 
     Returns (surf, bulk): surf (nodes x terms) holds one number per term
     (0 where a term has none), bulk (nodes x terms _NORM_BULK x levels) the
@@ -303,16 +300,16 @@ def _pair_quantities(zb: np.ndarray, zg: np.ndarray, ks: np.ndarray,
     right-hand-side terms of carleman_ratio follow.
     """
     ds = mesh.surface_weights
-    z, z_g = zb[ks], zg[ks]
-    dtz = (zb[ks + 1] - zb[ks - 1]) / (2.0 * dt)
-    dtzg = (zg[ks + 1] - zg[ks - 1]) / (2.0 * dt)
+    z, z_g = zb[1:-1], zg[1:-1]
+    dtz = (zb[2:] - zb[:-2]) / (2.0 * dt)
+    dtzg = (zg[2:] - zg[:-2]) / (2.0 * dt)
     div_b = pair.op_bulk.apply(z, z_g)
     div_s = pair.op_surf.apply(z_g)
     flux = conormal_flux(mesh, pair.a, z, z_g)
     dzg = np.roll(z_g, -1, axis=1) - z_g
     grad_levels, grad_surf = _gradient_energy(mesh, levels, z, z_g)
     z2 = z**2
-    zero = np.zeros(len(ks))
+    zero = np.zeros(len(z))
 
     surf = [zero, zero, grad_surf, zero, dtzg**2 @ ds, div_s**2 @ ds,
             np.sum(dzg**2, axis=1) / ds[0], z_g**2 @ ds, flux**2 @ ds]
@@ -326,14 +323,58 @@ def _pair_quantities(zb: np.ndarray, zg: np.ndarray, ks: np.ndarray,
     return np.stack(surf, axis=1), np.stack(bulk, axis=1)
 
 
-def _window_sums(traj: Trajectory, cfgs: list, levels: _Levels, powers,
+def _window_groups(blocks, names: tuple, t0: float, t1: float):
+    """The window's nodes, _NODE_BLOCK at a time from the first, read from
+    consecutive blocks of states.
+
+    ``blocks`` yields ``(start, Trajectory)`` in node order, each block
+    beginning at or before the first state not seen yet, and every window
+    node an interior row of some block (``march`` and ``Trajectory.blocks``
+    cut them so; one whole trajectory will do).  Yields (times, dt, tables):
+    the group's node times, and the named tables on its rows with one state
+    more on each side.  The per-node quantities use matrix-vector products,
+    whose bits depend on how rows are grouped, so a grouping fixed by the
+    window keeps the sums independent of how the blocks are cut.
+    """
+    held, first, done = None, 0, 0  # the named tables of states first..done-1
+    nodes, times, dt = np.zeros(0, dtype=int), np.zeros(0), 0.0
+    for start, block in blocks:
+        new = block.rows(done - start)
+        fresh = [getattr(new, name) for name in names]
+        held = fresh if held is None else [np.concatenate(pair)
+                                           for pair in zip(held, fresh)]
+        done, dt = start + block.n_nodes, block.dt
+        ks = window_nodes(block, t0, t1)
+        nodes = np.append(nodes, start + ks)
+        times = np.append(times, block.times[ks])
+        while nodes.size >= _NODE_BLOCK:
+            yield _group(held, first, nodes, times, dt)
+            nodes, times = nodes[_NODE_BLOCK:], times[_NODE_BLOCK:]
+        # keep the states from one before the next node, or the last two;
+        # a copy, since a march overwrites its blocks
+        keep = nodes[0] - 1 if nodes.size else max(done - 2, first)
+        held = [table[keep - first:].copy() for table in held]
+        first = keep
+    if nodes.size:
+        yield _group(held, first, nodes, times, dt)
+
+
+def _group(held: list, first: int, nodes: np.ndarray, times: np.ndarray,
+           dt: float) -> tuple:
+    """The first _NODE_BLOCK of ``nodes`` as ``_window_groups`` yields them."""
+    rows = slice(nodes[0] - 1 - first, nodes[:_NODE_BLOCK][-1] + 2 - first)
+    return times[:_NODE_BLOCK], dt, [table[rows] for table in held]
+
+
+def _window_sums(blocks, names: tuple, cfgs: list, levels: _Levels, powers,
                  bulk_terms: list, quantities) -> list:
     """Weighted window sums of every term at every config.
 
-    ``quantities(ks)`` gives, at the window nodes ``ks``, the surface
-    numbers q (nodes x terms) and the bulk level sums b (nodes x terms
-    ``bulk_terms`` x levels); it is called on blocks of _NODE_BLOCK nodes.
-    Term j at a config is
+    ``blocks`` are consecutive states as ``_window_groups`` reads them, and
+    ``quantities(dt, *tables)`` gives, at the interior rows of the named
+    tables of one group, the surface numbers q (nodes x terms) and the bulk
+    level sums b (nodes x terms ``bulk_terms`` x levels).  Term j at a
+    config is
 
         dt sum_k ( w_j[k, surface] q_j(k) + sum_l w_j[k, l] b_j(k)_l ),
         w_j = e^{-2 s (alpha - alpha_ref)} (s xi)^{powers[j]},
@@ -351,25 +392,33 @@ def _window_sums(traj: Trajectory, cfgs: list, levels: _Levels, powers,
         raise ValueError("the configs of one sweep must share the window (t0, t1)")
     if not cfgs:
         return []
-    k_idx = window_nodes(traj, cfgs[0].t0, cfgs[0].t1)
-    blocks = [quantities(k_idx[start:start + _NODE_BLOCK])
-              for start in range(0, k_idx.size, _NODE_BLOCK)]
-    surf = np.concatenate([q for q, _ in blocks])
-    bulk = np.concatenate([b for _, b in blocks])
+    t0, t1 = cfgs[0].t0, cfgs[0].t1
+    node_times, surf, bulk, dt = [], [], [], 0.0
+    for times, dt, tables in _window_groups(blocks, names, t0, t1):
+        q, b = quantities(dt, *tables)
+        node_times.append(times)
+        surf.append(q)
+        bulk.append(b)
+    require_window(len(node_times), t0, t1)
+    node_times = np.concatenate(node_times)
+    surf, bulk = np.concatenate(surf), np.concatenate(bulk)
     powers = np.asarray(powers, dtype=float)
 
     out = []
     for cfg in cfgs:
         num_alpha, E = weight_factors(cfg, levels.eta)
-        gamma = gamma_value(traj.times[k_idx], cfg)[:, None]
+        gamma = gamma_value(node_times, cfg)[:, None]
         # the grid minimum of alpha: division is monotone in each operand
         alpha_ref = float(num_alpha.min() / gamma.max())
         w = exp_weight(cfg.s, num_alpha / gamma, shift=alpha_ref)
         spatial = (cfg.s * E) ** powers[:, None]
         vals = w[:, :1] * spatial[:, 0] * surf
-        vals[:, bulk_terms] += np.sum(bulk * w[:, None, 1:]
-                                      * spatial[bulk_terms, 1:], axis=2)
-        out.append((traj.dt * np.sum(vals * gamma ** -powers, axis=0),
+        # a block of nodes at a time, so the products stay block-sized
+        for rows in range(0, len(vals), _NODE_BLOCK):
+            cut = slice(rows, rows + _NODE_BLOCK)
+            vals[cut, bulk_terms] += np.sum(bulk[cut] * w[cut, None, 1:]
+                                            * spatial[bulk_terms, 1:], axis=2)
+        out.append((dt * np.sum(vals * gamma ** -powers, axis=0),
                     -2.0 * cfg.s * alpha_ref))
     return out
 
@@ -399,23 +448,26 @@ def _norm_parts(sums, lam: float, terms: dict) -> dict:
             for val, (name, (_, lam_pow)) in zip(sums, terms.items())}
 
 
-def carleman_sweep(tau: float, traj: Trajectory, cfgs: list, mesh: Mesh,
+def carleman_sweep(tau: float, blocks, cfgs: list, mesh: Mesh,
                    pair: DiffusionPair, regions: RegionSet) -> list:
     """carleman_ratio at each config of ``cfgs``, from one walk of the window.
 
-    The field quantities at each window node (sparse applies, fluxes,
-    gradient energies) are computed once, summed per eta0 level, and
-    weighted for every config.
+    ``blocks`` yields the field's consecutive states as ``(start,
+    Trajectory)``, such as ``march`` or ``Trajectory.blocks`` give them; only
+    the z pair is read.  The field quantities at each window node (sparse
+    applies, fluxes, gradient energies) are computed once, summed per eta0
+    level, and weighted for every config.
     """
     terms = {**_NORM_TERMS, **_RHS_TERMS}
     n = len(_NORM_TERMS)
     levels = _Levels.of(mesh)
     obs_levels = levels.on(regions.omega)
     sums = _window_sums(
-        traj, cfgs, levels, [tau + p for p, _ in terms.values()],
+        blocks, ("z", "z_gamma"), cfgs, levels,
+        [tau + p for p, _ in terms.values()],
         _NORM_BULK + [n, n + 1],   # observation and bulk_residual
-        lambda ks: _pair_quantities(traj.z, traj.z_gamma, ks, traj.dt, mesh,
-                                    pair, levels, obs_levels))
+        lambda dt, zb, zg: _pair_quantities(zb, zg, dt, mesh, pair, levels,
+                                            obs_levels))
     records = []
     for cfg, (vals, log_scale) in zip(cfgs, sums):
         parts = _norm_parts(vals, cfg.lam, terms)
@@ -432,7 +484,7 @@ def carleman_ratio(tau: float, traj: Trajectory, cfg: CarlemanConfig,
     weighted residual terms of the heat operators.  Both sides share one
     exponent shift, so the ratio is shift-invariant.
     """
-    return carleman_sweep(tau, traj, [cfg], mesh, pair, regions)[0]
+    return carleman_sweep(tau, [(0, traj)], [cfg], mesh, pair, regions)[0]
 
 
 def require_unit_disk(mesh: Mesh) -> None:
@@ -454,14 +506,16 @@ def require_p0_floor(potentials) -> None:
             f"min q21 {potentials.q21.min():.3g})")
 
 
-def shifted_sweep(traj: Trajectory, sources: dict, cfgs: list, mesh: Mesh,
+def shifted_sweep(blocks, sources: dict, cfgs: list, mesh: Mesh,
                   pair1: DiffusionPair, pair2: DiffusionPair,
                   regions: RegionSet, potentials) -> list:
     """shifted_ratio at each config of ``cfgs``, from one walk of the window.
 
-    Each window node's quantities of the y pair (tau = -3), the z pair
-    (tau = 0), the observation and the sources are computed once, summed
-    per eta0 level, and weighted for every config.
+    ``blocks`` yields the solution's consecutive states as ``(start,
+    Trajectory)``; a ``march`` can feed it as it steps.  Each window node's
+    quantities of the y pair (tau = -3), the z pair (tau = 0), the
+    observation and the sources are computed once, summed per eta0 level,
+    and weighted for every config.
     """
     require_p0_floor(potentials)
     src = {key: source_array(key, sources.get(key), mesh)
@@ -475,26 +529,25 @@ def shifted_sweep(traj: Trajectory, sources: dict, cfgs: list, mesh: Mesh,
     n = len(_NORM_TERMS)
     bulk_terms = [*_NORM_BULK, *(n + j for j in _NORM_BULK), 2 * n, 2 * n + 1,
                   2 * n + 2]
-    ds, dt = mesh.surface_weights, traj.dt
+    ds = mesh.surface_weights
     obs_levels = levels.on(regions.omega)
     src_surf = np.array([0.0, ds @ src["g1"] ** 2, ds @ src["g2"] ** 2])
     src_bulk = np.stack([levels.areas @ src["f1"] ** 2,
                          levels.areas @ src["f2"] ** 2])
 
-    def quantities(ks):
-        surf_y, bulk_y = _pair_quantities(traj.y, traj.y_gamma, ks, dt, mesh,
-                                          pair1, levels)
-        surf_z, bulk_z = _pair_quantities(traj.z, traj.z_gamma, ks, dt, mesh,
-                                          pair2, levels)
-        nodes = len(ks)
+    def quantities(dt, yb, ygb, zb, zgb):
+        surf_y, bulk_y = _pair_quantities(yb, ygb, dt, mesh, pair1, levels)
+        surf_z, bulk_z = _pair_quantities(zb, zgb, dt, mesh, pair2, levels)
+        nodes = len(zb) - 2
         return (np.hstack([surf_y, surf_z, np.tile(src_surf, (nodes, 1))]),
                 np.hstack([bulk_y, bulk_z,
-                           _per_level(obs_levels, traj.z[ks] ** 2)[:, None],
+                           _per_level(obs_levels, zb[1:-1] ** 2)[:, None],
                            np.tile(src_bulk, (nodes, 1, 1))]))
 
     records = []
     for cfg, (vals, log_scale) in zip(cfgs, _window_sums(
-            traj, cfgs, levels, powers, bulk_terms, quantities)):
+            blocks, ("y", "y_gamma", "z", "z_gamma"), cfgs, levels, powers,
+            bulk_terms, quantities)):
         eps, lam = cfg.epsilon, cfg.lam
         norms_y = _energy(_norm_parts(vals[:n], lam, _NORM_TERMS))
         norms_z = _energy(_norm_parts(vals[n:2 * n], lam, _NORM_TERMS))
@@ -521,8 +574,8 @@ def shifted_ratio(traj: Trajectory, sources: dict, cfg: CarlemanConfig,
     arrays; a missing key is zero.  Refuses to run unless p21 and q21 sit
     above the coercivity floor.
     """
-    return shifted_sweep(traj, sources, [cfg], mesh, pair1, pair2, regions,
-                         potentials)[0]
+    return shifted_sweep([(0, traj)], sources, [cfg], mesh, pair1, pair2,
+                         regions, potentials)[0]
 
 
 # --- weight invariant checks ------------------------------------------------

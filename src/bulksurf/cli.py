@@ -38,7 +38,13 @@ from .config import (
     load_config,
     parse_field_spec,
 )
-from .forward import ReactionSet, SemilinearSystem, SolverError, mass_series, observe
+from .forward import (
+    ReactionSet,
+    SemilinearSystem,
+    SolverError,
+    WindowObservation,
+    mass_series,
+)
 from .inverse import (
     InverseProblem,
     build_patch_basis,
@@ -46,7 +52,7 @@ from .inverse import (
     stability_ensemble,
 )
 from .model import _BULK_NAMES, _SURF_NAMES, InitialData
-from .positivity import negative_part_energy_monotone, positivity_experiment, sup_abs
+from .positivity import positivity_experiment
 
 
 def _to_jsonable(obj):
@@ -133,36 +139,44 @@ def _s1(cfg: RunConfig, lam: float) -> float:
 
 def _cmd_simulate(run: _Runner) -> int:
     cfg = run.cfg
-    system = SemilinearSystem(cfg.mesh, cfg.diffusion, cfg.potentials,
+    mesh = cfg.mesh
+    system = SemilinearSystem(mesh, cfg.diffusion, cfg.potentials,
                               nl_f=cfg.nl_f, nl_g=cfg.nl_g)
-    traj = system.solve(cfg.init, cfg.t_end, cfg.dt)
-    my = mass_series(traj, cfg.mesh)
-    mz = traj.z @ cfg.mesh.cell_areas + traj.z_gamma @ cfg.mesh.surface_weights
-    rows = [(t, my[k], mz[k],
-             cfg.mesh.bulk_l2(traj.y[k]), cfg.mesh.bulk_l2(traj.z[k]),
-             min(traj.y[k].min(), traj.z[k].min(),
-                 traj.y_gamma[k].min(), traj.z_gamma[k].min()))
-            for k, t in enumerate(traj.times)]
+    # the run is reduced block by block as it steps: no table of states
+    window = WindowObservation(cfg.regions, mesh)
+    rows, my, finite, done = [], [], True, 0
+    for start, block in system.march(cfg.init, cfg.t_end, cfg.dt):
+        window.add(start, block)
+        new = block.rows(done - start)  # the states no earlier block held
+        done = start + block.n_nodes
+        my.append(mass_series(new, mesh))
+        mz = new.z @ mesh.cell_areas + new.z_gamma @ mesh.surface_weights
+        lows = zip(*(f.min(axis=-1) for f in (new.y, new.z, new.y_gamma,
+                                              new.z_gamma)))
+        rows += [(t, my[-1][k], mz[k], mesh.bulk_l2(new.y[k]),
+                  mesh.bulk_l2(new.z[k]), min(low))
+                 for k, (t, low) in enumerate(zip(new.times, lows))]
+        finite = finite and np.isfinite(new.y).all() and np.isfinite(new.z).all()
+    final = block.state(-1)
     run.csv("series.csv", ["t", "mass_y", "mass_z", "l2_y", "l2_z", "min_state"],
             rows)
     run.csv("final_state.csv", ["cell", "y", "z"],
-            [(i, traj.y[-1][i], traj.z[-1][i]) for i in range(cfg.mesh.n_cells)])
+            [(i, final.y0[i], final.z0[i]) for i in range(mesh.n_cells)])
     run.csv("final_surface.csv", ["node", "y_gamma", "z_gamma"],
-            [(j, traj.y_gamma[-1][j], traj.z_gamma[-1][j])
-             for j in range(cfg.mesh.n_theta)])
+            [(j, final.y0_gamma[j], final.z0_gamma[j])
+             for j in range(mesh.n_theta)])
 
-    run.checks["state_finite"] = bool(np.isfinite(traj.y).all()
-                                      and np.isfinite(traj.z).all())
+    run.checks["state_finite"] = bool(finite)
     pot = cfg.potentials
     pure_diffusion = all(np.abs(getattr(pot, n)).max() == 0.0
                          for n in _BULK_NAMES + _SURF_NAMES)
     run.effective["mass_tolerance"] = 1e-10
     if pure_diffusion:
+        my = np.concatenate(my)
         drift = np.abs(np.diff(my)).max() / max(abs(my[0]), 1e-300)
         run.checks["mass_conservation"] = bool(drift <= 1e-10)
         run.effective["mass_drift"] = float(drift)
-    obs = observe(traj, cfg.regions, cfg.mesh)
-    run.effective["observation_norm"] = obs.norm()
+    run.effective["observation_norm"] = window.record().norm()
     return run.finish({"lu_fill_nnz": system.factorization(cfg.dt).nnz})
 
 
@@ -185,17 +199,19 @@ def _cmd_positivity(run: _Runner) -> int:
         (rng.random(nb), rng.random(nb), rng.random(ns), rng.random(ns))
         for _ in range(n_draws)))))
     out = positivity_experiment(cfg.mesh, cfg.diffusion, init, reactions,
-                                t_end=t_end, dt=cfg.dt)
-    traj = out["trajectory"]
-    scale = np.maximum(sup_abs(traj.y), 1.0)
+                                t_end=t_end, dt=cfg.dt, keep_trajectory=False)
+    scale = np.maximum(out["sup_y"], 1.0)
     ok = out["min_value"] >= -tol * scale
-    mono = negative_part_energy_monotone(traj, cfg.mesh)
+    mono = out["energy"]
     run.csv("draws.csv", ["draw", "min_value", "max_E_y", "max_E_z", "passed"],
             [(d, out["min_value"][d], mono["E_y"][:, d].max(),
               mono["E_z"][:, d].max(), int(ok[d])) for d in range(n_draws)])
     run.csv("energy.csv", ["t", "E_neg_y", "E_neg_z", "min_over_fields"],
             [(t, mono["E_y"][k, 0], mono["E_z"][k, 0], out["min_series"][k, 0])
-             for k, t in enumerate(traj.times)])
+             for k, t in enumerate(out["times"])])
+    # holds by construction once matrix_check passes: an implicit matrix with
+    # nonpositive off-diagonals and the positive-part reactions keep every
+    # step nonnegative, so only a failed matrix_check can make this fail
     run.checks["minimum_nonnegative"] = bool(ok.all())
     run.checks["negative_energy_monotone"] = bool(mono["passed"].all())
     return run.finish({"matrix_check": out["matrix_check"]})
@@ -216,7 +232,7 @@ def _non_growth(ratios: list) -> bool:
 
 def _cmd_carleman_verify(run: _Runner) -> int:
     # the symbolic layer loads sympy; no other subcommand needs it
-    from .decomposition import field_to_trajectory, mn_decompositions
+    from .decomposition import field_blocks, mn_decompositions
     from .fields import SpaceTimeField, sympy_expr
 
     cfg = run.cfg
@@ -271,9 +287,9 @@ def _cmd_carleman_verify(run: _Runner) -> int:
     for name in names:
         expr = TEST_FIELDS[name].replace("T0", repr(t0)).replace(
             "W", repr(t1 - t0))
-        traj = field_to_trajectory(SpaceTimeField(expr), cfg.mesh, times_traj,
-                                   cfg.dt)
-        outs = carleman_sweep(0.0, traj, cfgs, cfg.mesh, pair, cfg.regions)
+        blocks = field_blocks(SpaceTimeField(expr), cfg.mesh, times_traj,
+                              cfg.dt)
+        outs = carleman_sweep(0.0, blocks, cfgs, cfg.mesh, pair, cfg.regions)
         rows += [(name, 0.0, c.s, c.lam, out["lhs"], out["rhs"], out["ratio"],
                   out["log_scale"], *(out["parts"][key] for key in (
                       "observation", "bulk_residual", "surface_residual",
@@ -305,15 +321,16 @@ def _cmd_shifted_verify(run: _Runner) -> int:
     sources = {k: parse_field_spec(spec, cfg.mesh, f"carleman.sources.{k}",
                                    on_surface=k.startswith("g"))
                for k, spec in cfg.carleman["sources"].items()}
-    # the sweep reads only the nodes strictly inside (t0, t1)
-    traj = system.solve(cfg.init, t1, cfg.dt, sources=sources)
+    # the sweep reads only the nodes strictly inside (t0, t1); it sums each
+    # block of states as the march yields it
+    blocks = system.march(cfg.init, t1, cfg.dt, sources=sources)
     pair1 = DiffusionPair.from_fields(cfg.mesh, cfg.diffusion.a1,
                                       cfg.diffusion.d1)
     pair2 = DiffusionPair.from_fields(cfg.mesh, cfg.diffusion.a2,
                                       cfg.diffusion.d2)
     cfgs = [CarlemanConfig(lam=lam, s=s, t0=t0, t1=t1, epsilon=eps)
             for lam, _, s in grid]
-    outs = shifted_sweep(traj, sources, cfgs, cfg.mesh, pair1, pair2,
+    outs = shifted_sweep(blocks, sources, cfgs, cfg.mesh, pair1, pair2,
                          cfg.regions, cfg.potentials)
     rows = [(c.s, c.lam, eps, out["lhs"], out["rhs"], out["ratio"],
              out["log_scale"], *(out["parts"][key] for key in (
@@ -477,30 +494,43 @@ _COMMANDS = {
 }
 
 
+class _UsageError(Exception):
+    """A malformed command line."""
+
+
+def _usage_error(message: str):
+    """argparse's error hook; argparse itself would exit 2, the code of
+    numerical failures."""
+    raise _UsageError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bulksurf",
         description="Coupled bulk-surface parabolic laboratory: forward "
                     "solves, positivity and weight diagnostics, coefficient "
                     "recovery, stability experiments.")
+    parser.error = _usage_error
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=None, help="results directory")
-    parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    parser.add_argument("--seed", default=None, help="integer random seed")
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
 
     out_dir = args.out or os.environ.get("BULKSURF_OUT") or f"results-{args.command}"
-    seed_env = os.environ.get("BULKSURF_SEED")
+    where, seed = (("seed", args.seed) if args.seed is not None
+                   else ("BULKSURF_SEED", os.environ.get("BULKSURF_SEED")))
     overrides = {}
     try:
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        elif seed_env is not None:
+        if seed is not None:
             try:
-                overrides["seed"] = int(seed_env)
+                overrides["seed"] = int(seed)
             except ValueError:
-                raise ConfigError(f"BULKSURF_SEED: expected an integer, "
-                                  f"got {seed_env!r}")
+                raise ConfigError(f"{where}: expected an integer, got {seed!r}")
         cfg = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ import sympy as sp
 
 from .carleman import CarlemanConfig
 from .fields import T, TH, X1, X2, SpaceTimeField, lambdify_set, sympy_expr
+from .forward import Trajectory, block_spans
 from .geometry import Mesh
 
 
@@ -154,21 +155,32 @@ def mn_decomposition(tau: float, z_field: SpaceTimeField, cfg: CarlemanConfig,
 
 
 def field_to_trajectory(z_field: SpaceTimeField, mesh: Mesh,
-                        times: np.ndarray, dt: float | None = None) -> "Trajectory":
+                        times: np.ndarray, dt: float | None = None) -> Trajectory:
     """Sample a closed-form field into a trajectory (z pair only).
 
     ``dt`` is the grid step, ``times[1] - times[0]`` when not given; a grid
     cut out of a longer one needs it, since that difference need not equal
     the step bit for bit.  The y pair is a read-only zero view.
     """
-    from .forward import Trajectory
-
     times = np.asarray(times, dtype=float)
-    xy = mesh.cell_xy
-    th = mesh.surface_theta
+    return _sampled(z_field, z_field.on_circle(mesh.R_domain), mesh, times,
+                    float(times[1] - times[0]) if dt is None else dt)
+
+
+def field_blocks(z_field: SpaceTimeField, mesh: Mesh, times: np.ndarray,
+                 dt: float):
+    """``field_to_trajectory`` cut into the blocks of ``Trajectory.blocks``,
+    each sampled when it is asked for: a sweep holds one block at a time."""
     zg_field = z_field.on_circle(mesh.R_domain)
-    z = np.stack([z_field.value(t, xy) for t in times])
-    zg = np.stack([zg_field.value(t, th) for t in times])
+    for start, stop in block_spans(len(times)):
+        yield start, _sampled(z_field, zg_field, mesh, times[start:stop], dt)
+
+
+def _sampled(z_field: SpaceTimeField, zg_field, mesh: Mesh, times: np.ndarray,
+             dt: float) -> Trajectory:
+    """The z pair at every time of ``times``, one lambdified call per field."""
+    z = z_field.value(times[:, None], mesh.cell_xy)
+    zg = zg_field.value(times[:, None], mesh.surface_theta)
     return Trajectory(times=times, y=np.broadcast_to(0.0, z.shape), z=z,
                       y_gamma=np.broadcast_to(0.0, zg.shape), z_gamma=zg,
-                      dt=float(times[1] - times[0]) if dt is None else dt)
+                      dt=dt)

@@ -28,6 +28,24 @@ class SolverError(RuntimeError):
     """Numerical failure inside a solve (singular system, NaN state)."""
 
 
+# States per block of a march; a multiple of 4, because OpenBLAS's
+# matrix-vector kernels take rows four at a time, so a per-node product over
+# a block's new states gives the bits of one product over the whole table.
+_NODE_BLOCK = 16
+# every block after the first repeats the last two states of the one before:
+# the neighbours that a centered time difference reads
+_HALO = 2
+
+
+def block_spans(n_nodes: int) -> list:
+    """(start, stop) of each block of ``n_nodes`` states: block j brings the
+    new states j*_NODE_BLOCK up to (j+1)*_NODE_BLOCK, after j > 0 the _HALO
+    states before them.  Each state with two neighbours is then an interior
+    row of exactly one block."""
+    return [(max(new - _HALO, 0), min(new + _NODE_BLOCK, n_nodes))
+            for new in range(0, n_nodes, _NODE_BLOCK)]
+
+
 @dataclass
 class Trajectory:
     """Uniformly spaced states; row k of each table is the state at times[k].
@@ -58,6 +76,19 @@ class Trajectory:
         """A copy of the state at times[k], to restart a solve from there."""
         return InitialData(self.y[k].copy(), self.z[k].copy(),
                            self.y_gamma[k].copy(), self.z_gamma[k].copy())
+
+    def rows(self, start: int, stop: int | None = None) -> "Trajectory":
+        """The states start..stop-1, as views of this trajectory's tables."""
+        cut = slice(start, stop)
+        return Trajectory(times=self.times[cut], y=self.y[cut], z=self.z[cut],
+                          y_gamma=self.y_gamma[cut], z_gamma=self.z_gamma[cut],
+                          dt=self.dt,
+                          packed=None if self.packed is None else self.packed[cut])
+
+    def blocks(self):
+        """This trajectory cut into the blocks ``march`` yields, as views."""
+        for start, stop in block_spans(self.n_nodes):
+            yield start, self.rows(start, stop)
 
 
 @dataclass
@@ -135,6 +166,12 @@ def source_array(key: str, val, mesh: Mesh) -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError(f"source {key} has shape {arr.shape}, expected ({n},)")
     return arr
+
+
+def _time_nodes(t_start: float, t_end: float, dt: float) -> np.ndarray:
+    """The time nodes of a solve from t_start to t_end in steps of dt."""
+    n_steps = max(0, math.ceil((t_end - t_start) / dt - 1e-9)) if t_end > t_start else 0
+    return t_start + dt * np.arange(n_steps + 1)
 
 
 def _normalize_sources(sources, mesh: Mesh):
@@ -377,21 +414,31 @@ class SemilinearSystem:
         out[:] = x_new
         return out
 
-    def solve(self, init: InitialData, t_end: float, dt: float,
-              sources=None, reactions: ReactionSet | None = None,
-              t_start: float = 0.0) -> Trajectory:
-        """Integrate ``init`` from t_start to t_end; returns all intermediate states.
+    def _trajectory(self, times: np.ndarray, X: np.ndarray,
+                    dt: float) -> Trajectory:
+        """The packed states X at ``times`` as a Trajectory of views."""
+        sy, sz, syg, szg = self.blocks
+        return Trajectory(times=times, y=X[..., sy], z=X[..., sz],
+                          y_gamma=X[..., syg], z_gamma=X[..., szg],
+                          dt=float(dt), packed=X)
 
-        ``init`` holds one state, or a block of k states when every field
-        has a leading axis of length k; the block shares one LU and is
-        advanced in one step per time node.  The four tables of the result
-        are views of one packed array.
+    def march(self, init: InitialData, t_end: float, dt: float,
+              sources=None, reactions: ReactionSet | None = None,
+              t_start: float = 0.0):
+        """Integrate ``init`` from t_start to t_end, a block of states at a time.
+
+        Yields ``(start, block)`` per span of ``block_spans``: ``block`` is a
+        Trajectory of consecutive states, the first of which is state
+        ``start``.  Its tables are views of one buffer of _NODE_BLOCK +
+        _HALO rows that the next steps overwrite, so read or copy a block
+        before asking for the next.  ``init`` holds one state, or a block of
+        k states when every field has a leading axis of length k; the block
+        shares one LU and is advanced in one step per time node.
         """
         srcs = _normalize_sources(sources, self.mesh)
-        n_steps = max(0, math.ceil((t_end - t_start) / dt - 1e-9)) if t_end > t_start else 0
-
+        times = _time_nodes(t_start, t_end, dt)
         lead = np.shape(init.y0)[:1] if np.ndim(init.y0) == 2 else ()
-        X = np.empty((n_steps + 1, *lead, self.n_dof))
+        X = np.empty((min(times.size, _NODE_BLOCK + _HALO), *lead, self.n_dof))
         for name, block in zip(("y0", "z0", "y0_gamma", "z0_gamma"), self.blocks):
             values = np.asarray(getattr(init, name))
             shape = (*lead, block.stop - block.start)
@@ -400,20 +447,39 @@ class SemilinearSystem:
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} contains non-finite values")
             X[0, ..., block] = values
-        times = t_start + dt * np.arange(n_steps + 1)
-        lu = self.factorization(dt) if n_steps else None
+        lu = self.factorization(dt) if times.size > 1 else None
         t = t_start
-        for k in range(n_steps):
-            try:
-                self.step_imex(X[k], t, dt, out=X[k + 1], sources=srcs,
-                               reactions=reactions, lu=lu)
-            except SolverError as exc:
-                raise SolverError(f"step {k + 1} (t={times[k]:.6g}): {exc}") from exc
-            t = t + dt
-        sy, sz, syg, szg = self.blocks
-        return Trajectory(times=times, y=X[..., sy], z=X[..., sz],
-                          y_gamma=X[..., syg], z_gamma=X[..., szg], dt=float(dt),
-                          packed=X)
+        rows = 1
+        for start, stop in block_spans(times.size):
+            if start:  # the halo: the last states of the previous block
+                X[:_HALO] = X[rows - _HALO:rows]
+            for k in range(start + (_HALO if start else 1), stop):
+                try:
+                    self.step_imex(X[k - start - 1], t, dt, out=X[k - start],
+                                   sources=srcs, reactions=reactions, lu=lu)
+                except SolverError as exc:
+                    raise SolverError(
+                        f"step {k} (t={times[k - 1]:.6g}): {exc}") from exc
+                t = t + dt
+            rows = stop - start
+            yield start, self._trajectory(times[start:stop], X[:rows], dt)
+
+    def solve(self, init: InitialData, t_end: float, dt: float,
+              sources=None, reactions: ReactionSet | None = None,
+              t_start: float = 0.0) -> Trajectory:
+        """Integrate ``init`` from t_start to t_end; returns all intermediate
+        states, the blocks of ``march`` stacked.
+
+        The four tables of the result are views of one packed array.
+        """
+        times = _time_nodes(t_start, t_end, dt)
+        X = None
+        for start, block in self.march(init, t_end, dt, sources=sources,
+                                       reactions=reactions, t_start=t_start):
+            if X is None:
+                X = np.empty((times.size, *block.packed.shape[1:]))
+            X[start:start + block.n_nodes] = block.packed
+        return self._trajectory(times, X, dt)
 
     def coefficient_fields(self, x: np.ndarray, x_next: np.ndarray) -> np.ndarray:
         """The step's derivative in the four coupling coefficients, packed:
@@ -455,15 +521,60 @@ class SemilinearSystem:
 
 
 def window_nodes(traj: Trajectory, t0: float, t1: float) -> np.ndarray:
-    """Indices of the nodes whose centered stencil lies strictly inside
-    (t0, t1); the times ascend, so the indices are consecutive."""
+    """Indices of the nodes whose centered stencil lies in ``traj`` and
+    strictly inside (t0, t1), possibly none; the times ascend, so the
+    indices are consecutive."""
     tol = 1e-9 * max(traj.dt, 1e-30)
-    k_idx = 1 + np.flatnonzero((traj.times[:-2] > t0 + tol)
-                               & (traj.times[2:] < t1 - tol))
-    if not k_idx.size:
+    return 1 + np.flatnonzero((traj.times[:-2] > t0 + tol)
+                              & (traj.times[2:] < t1 - tol))
+
+
+def require_window(n_nodes: int, t0: float, t1: float) -> None:
+    """Refuse a window that holds no node of the states read."""
+    if not n_nodes:
         raise ValueError(
             f"window ({t0}, {t1}) leaves no interior stencil nodes in the trajectory")
-    return k_idx
+
+
+class WindowObservation:
+    """The centered time derivative of z on omega inside (t0, t1), gathered
+    from consecutive blocks of states such as ``march`` yields.
+
+    ``add`` takes the window nodes that are interior rows of a block; since
+    every state with two neighbours is an interior row of exactly one block,
+    the record depends on the states only through their restriction to
+    omega x (t0, t1).
+    """
+
+    def __init__(self, regions: RegionSet, mesh: Mesh,
+                 t0: float | None = None, t1: float | None = None):
+        self.cells = regions.omega
+        self.weights = mesh.cell_areas[self.cells]
+        self.t0 = regions.t0 if t0 is None else t0
+        self.t1 = regions.t1 if t1 is None else t1
+        self.values: list = []
+        self.nodes: list = []
+        self.dt = 0.0
+
+    def add(self, start: int, block: Trajectory) -> None:
+        """Difference the window nodes of ``block``, whose first state is
+        state ``start``."""
+        ks = window_nodes(block, self.t0, self.t1)
+        self.dt = block.dt
+        if ks.size:
+            # the nodes are consecutive: gather their omega values and the
+            # two neighbouring rows once, then difference the shifted rows
+            z = block.z[ks[0] - 1:ks[-1] + 2, self.cells]
+            self.values.append((z[2:] - z[:-2]) / (2 * block.dt))
+            self.nodes.append(start + ks)
+
+    def record(self) -> ObservationRecord:
+        """The record of every block added so far."""
+        require_window(len(self.nodes), self.t0, self.t1)
+        return ObservationRecord(values=np.concatenate(self.values),
+                                 cell_indices=self.cells,
+                                 time_indices=np.concatenate(self.nodes),
+                                 cell_weights=self.weights, dt=self.dt)
 
 
 def observe(traj: Trajectory, regions: RegionSet, mesh: Mesh,
@@ -474,15 +585,9 @@ def observe(traj: Trajectory, regions: RegionSet, mesh: Mesh,
     window are used, so the record depends on the trajectory only through
     its restriction to omega x (t0, t1).
     """
-    k_idx = window_nodes(traj, regions.t0 if t0 is None else t0,
-                         regions.t1 if t1 is None else t1)
-    cells = regions.omega
-    # the window's nodes are consecutive: gather their omega values and the
-    # two neighbouring rows once, then difference the shifted blocks
-    z = traj.z[k_idx[0] - 1:k_idx[-1] + 2, cells]
-    dz = (z[2:] - z[:-2]) / (2 * traj.dt)
-    return ObservationRecord(values=dz, cell_indices=cells, time_indices=k_idx,
-                             cell_weights=mesh.cell_areas[cells], dt=traj.dt)
+    window = WindowObservation(regions, mesh, t0, t1)
+    window.add(0, traj)
+    return window.record()
 
 
 def mass_series(traj: Trajectory, mesh: Mesh) -> np.ndarray:

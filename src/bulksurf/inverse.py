@@ -20,6 +20,7 @@ from .forward import (
     SemilinearSystem,
     SolverError,
     Trajectory,
+    WindowObservation,
     observe,
 )
 from .geometry import Mesh, RegionSet
@@ -475,8 +476,11 @@ def stability_ensemble(problem: InverseProblem,
 
     def response_norm(system):
         """Observation norm on (theta, t1) of ``system`` minus the reference."""
-        traj = system.solve(state_theta, t1, problem.dt, t_start=theta)
-        obs = observe(traj, regions, mesh, t0=theta, t1=t1)
+        window = WindowObservation(regions, mesh, t0=theta, t1=t1)
+        for start, block in system.march(state_theta, t1, problem.dt,
+                                         t_start=theta):
+            window.add(start, block)
+        obs = window.record()
         return replace(obs, values=obs.values - ref_obs.values).norm()
 
     records = []

@@ -84,6 +84,10 @@ def sup_abs(field: np.ndarray) -> np.ndarray:
     return np.maximum(field.max(axis=(0, -1)), -field.min(axis=(0, -1)))
 
 
+def _fields(traj: Trajectory) -> tuple:
+    return traj.y, traj.z, traj.y_gamma, traj.z_gamma
+
+
 def negative_part_energy(traj: Trajectory, mesh: Mesh) -> dict:
     """Series E-(t) = |u-|^2_{L2(Omega)} + |u_gamma-|^2_{L2(Gamma)} per pair."""
     areas, ds = mesh.cell_areas, mesh.surface_weights
@@ -99,16 +103,20 @@ def negative_part_energy_monotone(traj: Trajectory, mesh: Mesh) -> dict:
     trajectories pass trivially and genuine growth is flagged.  For a block
     trajectory every entry is per draw.
     """
-    out = negative_part_energy(traj, mesh)
-    scale = np.maximum(np.max([sup_abs(f) for f in
-                               (traj.y, traj.z, traj.y_gamma, traj.z_gamma)],
-                              axis=0), 1e-300)
-    tol = 1e-8 * scale**2 * traj.dt
+    return _monotone(negative_part_energy(traj, mesh),
+                     np.max([sup_abs(f) for f in _fields(traj)], axis=0),
+                     traj.dt)
+
+
+def _monotone(energy: dict, scale: np.ndarray, dt: float) -> dict:
+    """``energy`` with the checks of ``negative_part_energy_monotone`` for
+    the field scale ``scale`` (sup |state| over the four fields)."""
+    tol = 1e-8 * np.maximum(scale, 1e-300) ** 2 * dt
     for key in ("E_y", "E_z"):
-        growth = np.diff(out[key], axis=0).max(axis=0, initial=0.0)
-        out[f"{key}_monotone"] = growth <= tol
-    out["passed"] = out["E_y_monotone"] & out["E_z_monotone"]
-    return out
+        growth = np.diff(energy[key], axis=0).max(axis=0, initial=0.0)
+        energy[f"{key}_monotone"] = growth <= tol
+    energy["passed"] = energy["E_y_monotone"] & energy["E_z_monotone"]
+    return energy
 
 
 def implicit_offdiagonal_report(system: SemilinearSystem, dt: float) -> dict:
@@ -126,7 +134,8 @@ def implicit_offdiagonal_report(system: SemilinearSystem, dt: float) -> dict:
 
 def positivity_experiment(mesh: Mesh, diffusion: DiffusionSpec,
                           init: InitialData, reactions: ReactionSet,
-                          t_end: float, dt: float) -> dict:
+                          t_end: float, dt: float,
+                          keep_trajectory: bool = True) -> dict:
     """Solve the general system from nonnegative data.
 
     Mirrors the positive-part construction: ``ReactionSet.rates`` evaluates
@@ -134,8 +143,14 @@ def positivity_experiment(mesh: Mesh, diffusion: DiffusionSpec,
     Refuses to run when the quasi-positivity check fails on the grid 0,
     0.05, ..., 2 or the data has a negative component.  ``init`` may hold
     a block of draws (a leading draw axis on every field): they share one
-    system and one LU, and ``min_value`` and ``min_series`` then carry
-    that axis last.
+    system and one LU, and every per-draw entry then carries that axis
+    last.
+
+    The states are reduced block by block, as ``march`` yields them: the
+    minimum over the fields per node (``min_series``), the negative-part
+    energy with its monotonicity checks (``energy``) and sup |y|
+    (``sup_y``).  The whole trajectory is kept only with
+    ``keep_trajectory``; its blocks are reduced the same way.
     """
     qp = check_qp(reactions, np.linspace(0.0, 2.0, 41))
     if not qp.passed:
@@ -146,14 +161,34 @@ def positivity_experiment(mesh: Mesh, diffusion: DiffusionSpec,
         raise ValueError(f"initial data has a negative component ({floor:.3g})")
 
     system = SemilinearSystem(mesh, diffusion)
-    traj = system.solve(init, t_end, dt, reactions=reactions)
+    if keep_trajectory:
+        traj = system.solve(init, t_end, dt, reactions=reactions)
+        blocks = traj.blocks()
+    else:
+        blocks = system.march(init, t_end, dt, reactions=reactions)
+    times, mins, ey, ez, sup = [], [], [], [], 0.0
+    done = 0
+    for start, block in blocks:
+        new = block.rows(done - start)  # the states no earlier block held
+        done = start + block.n_nodes
+        fields = _fields(new)
+        times.append(new.times)
+        mins.append(np.minimum.reduce([f.min(axis=-1) for f in fields]))
+        energy = negative_part_energy(new, mesh)
+        ey.append(energy["E_y"])
+        ez.append(energy["E_z"])
+        sup = np.maximum(sup, [sup_abs(f) for f in fields])
 
-    min_series = np.minimum.reduce([traj.y.min(axis=-1), traj.z.min(axis=-1),
-                                    traj.y_gamma.min(axis=-1),
-                                    traj.z_gamma.min(axis=-1)])
-    return {
+    min_series = np.concatenate(mins)
+    out = {
+        "times": np.concatenate(times),
         "min_value": min_series.min(axis=0),
         "min_series": min_series,
+        "energy": _monotone({"E_y": np.concatenate(ey),
+                             "E_z": np.concatenate(ez)}, sup.max(axis=0), dt),
+        "sup_y": sup[0],
         "matrix_check": implicit_offdiagonal_report(system, dt),
-        "trajectory": traj,
     }
+    if keep_trajectory:
+        out["trajectory"] = traj
+    return out

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -163,8 +164,8 @@ def test_carleman_commands_refuse_a_non_unit_disk(tmp_path, capsys,
     # mesh is refused before any field is solved for or sampled
     import bulksurf.decomposition as decomposition
     calls = []
-    for owner, name in ((SemilinearSystem, "solve"),
-                        (decomposition, "field_to_trajectory"),
+    for owner, name in ((SemilinearSystem, "march"),
+                        (decomposition, "field_blocks"),
                         (decomposition, "mn_decompositions")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, fn=fn, **k:
@@ -180,10 +181,10 @@ def test_shifted_verify_without_p0_floor_is_refused(tmp_path, capsys,
                                                     monkeypatch):
     # p21 = 2.0 sits above any floor; what fails is the floor p0 = 0 itself,
     # and it fails before the forward solve
-    solve = SemilinearSystem.solve
+    march = SemilinearSystem.march
     calls = []
-    monkeypatch.setattr(SemilinearSystem, "solve",
-                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    monkeypatch.setattr(SemilinearSystem, "march",
+                        lambda *a, **k: calls.append(1) or march(*a, **k))
     cfg = write_config(tmp_path, {"potentials": {"p0": 0.0}})
     assert run_cli("shifted-verify", cfg, tmp_path / "out") == 1
     err = capsys.readouterr().err
@@ -203,13 +204,18 @@ def test_positivity_command(tmp_path):
 
 def test_positivity_computes_the_negative_part_energy_once(tmp_path,
                                                            monkeypatch):
+    # block by block, each state's energy once: the states passed in are
+    # the time nodes of energy.csv, each once and in order
     energy = bulksurf.positivity.negative_part_energy
-    calls = []
+    times = []
     monkeypatch.setattr(bulksurf.positivity, "negative_part_energy",
-                        lambda *a, **k: calls.append(1) or energy(*a, **k))
+                        lambda traj, mesh: times.append(traj.times.copy())
+                        or energy(traj, mesh))
     cfg = write_config(tmp_path)
     assert run_cli("positivity", cfg, tmp_path / "out") == 0
-    assert len(calls) == 1
+    written = np.loadtxt(tmp_path / "out" / "energy.csv", delimiter=",",
+                         skiprows=1, usecols=0)
+    np.testing.assert_array_equal(np.concatenate(times), written)
 
 
 def test_positivity_draws_share_one_factorization(tmp_path, monkeypatch):
@@ -303,9 +309,9 @@ def test_carleman_verify_samples_only_the_window(tmp_path, monkeypatch):
     # the sweep reads the nodes strictly inside (t0, t1) and their two
     # neighbours; the test fields are sampled there and nowhere else
     import bulksurf.decomposition as decomposition
-    sample = decomposition.field_to_trajectory
+    sample = decomposition.field_blocks
     grids = []
-    monkeypatch.setattr(decomposition, "field_to_trajectory",
+    monkeypatch.setattr(decomposition, "field_blocks",
                         lambda field, mesh, times, *a: grids.append(times)
                         or sample(field, mesh, times, *a))
     path = write_config(tmp_path)
@@ -324,14 +330,56 @@ def test_carleman_verify_samples_only_the_window(tmp_path, monkeypatch):
 
 def test_shifted_verify_solves_up_to_the_window_end(tmp_path, monkeypatch):
     # the sweep reads only the nodes strictly inside (t0, t1)
-    solve = SemilinearSystem.solve
+    march = SemilinearSystem.march
     ends = []
-    monkeypatch.setattr(SemilinearSystem, "solve",
+    monkeypatch.setattr(SemilinearSystem, "march",
                         lambda self, init, t_end, dt, **kw: ends.append(t_end)
-                        or solve(self, init, t_end, dt, **kw))
+                        or march(self, init, t_end, dt, **kw))
     path = write_config(tmp_path)
     assert run_cli("shifted-verify", path, tmp_path / "out") == 0
     assert ends == [load_config(path).regions.t1]
+
+
+# a run of length L (dt 0.01), and the floats per time node of the table a
+# command used to hold: every state (n_dof each, per draw for positivity),
+# or for carleman-verify the sampled z pair of each test field
+_RUN_LENGTHS = {
+    "simulate": (lambda L: {"solver": {"t_end": L}}, 1),
+    "shifted-verify": (lambda L: {"solver": {"t_end": L},
+                                  "regions": {"t0": L - 0.3, "t1": L}}, 1),
+    "positivity": (lambda L: {"positivity": {"t_end": L - 0.3}}, 3),
+    "carleman-verify": (lambda L: {"solver": {"t_end": L},
+                                   "regions": {"t1": L},
+                                   "carleman": {"n_test_fields": 1}}, None),
+}
+
+
+@pytest.mark.parametrize("command", list(_RUN_LENGTHS))
+def test_peak_memory_does_not_grow_with_the_run(tmp_path, monkeypatch, command):
+    # at 32x64, 100 more time nodes would add at least 100 rows of the old
+    # table to the traced peak; reduced block by block, the peak grows by
+    # less than a quarter of that
+    import bulksurf.decomposition as decomposition
+    # the decomposition check costs the same at any run length
+    monkeypatch.setattr(decomposition, "mn_decompositions", lambda taus, *a, **k:
+                        [decomposition.Decomposition(0.0, 0.0) for _ in taus])
+    run_of, copies = _RUN_LENGTHS[command]
+    assert run_cli(command, write_config(tmp_path, {
+        "mesh": {"n_r": 4, "n_theta": 8}}), tmp_path / "warm") == 0
+    peaks = []
+    for L in (0.5, 1.5):
+        path = write_config(tmp_path, {"mesh": {"n_r": 32, "n_theta": 64},
+                                       **run_of(L)})
+        tracemalloc.start()
+        try:
+            assert run_cli(command, path, tmp_path / f"out{L}") == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    mesh = load_config(path).mesh
+    row = (mesh.n_cells + mesh.n_theta if copies is None
+           else copies * 2 * (mesh.n_cells + mesh.n_theta))
+    assert peaks[1] - peaks[0] < 100 * row * 8 / 4, (peaks, 100 * row * 8)
 
 
 def test_cli_import_leaves_sympy_unloaded():
@@ -533,6 +581,30 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "configuration error: seed" in err[0], err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--seed", "abc"],
+     "configuration error: seed: expected an integer, got 'abc'"),
+    (["simulate", "--seed", "1.5"],
+     "configuration error: seed: expected an integer, got '1.5'"),
+    (["simulat"], "usage error: argument command: invalid choice: 'simulat'"),
+    (["--seed", "3"], "usage error: the following arguments are required: "
+                      "command"),
+    (["simulate", "--out"], "usage error: argument --out: expected one "
+                            "argument"),
+    (["simulate", "--sed", "3"], "usage error: unrecognized arguments: "
+                                 "--sed 3"),
+])
+def test_malformed_command_line_exits_1(tmp_path, capsys, monkeypatch, args,
+                                        message):
+    # exit 2 is kept for numerical failures; a bad command line is exit 1
+    # with one line on stderr, and no results directory is made
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(message), err
+    assert os.listdir(tmp_path) == []
 
 
 def test_stability_pairs_each_draw_with_its_half_scale_response(tmp_path):

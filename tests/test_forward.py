@@ -12,6 +12,7 @@ from bulksurf.forward import (
     ReactionSet,
     SemilinearSystem,
     Trajectory,
+    block_spans,
     mass_series,
     mms_convergence,
     observe,
@@ -541,6 +542,27 @@ def test_block_solve_refuses_a_ragged_block():
     system, _, _, init = _block_problem(k=3)
     with pytest.raises(ValueError, match=r"z0 has shape \(2, 32\), expected \(3, 32\)"):
         system.solve(replace(init, z0=init.z0[:2]), t_end=0.02, dt=0.01)
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_solve_stacks_the_blocks_of_march(k):
+    # one state (k None) or a block of k; 41 nodes make blocks of 16 new
+    # states, each after the first led by the two states before it
+    system, reactions, sources, init = _block_problem(k=k or 1)
+    if k is None:
+        init = InitialData(init.y0[0], init.z0[0], init.y0_gamma[0],
+                           init.z0_gamma[0])
+    kw = dict(sources=sources, reactions=reactions, t_start=0.1)
+    traj = system.solve(init, 0.5, 0.01, **kw)
+    assert traj.n_nodes == 41
+    spans = []
+    for start, block in system.march(init, 0.5, 0.01, **kw):
+        spans.append((start, start + block.n_nodes))
+        np.testing.assert_array_equal(block.packed, traj.packed[start:spans[-1][1]])
+        np.testing.assert_array_equal(block.times, traj.times[start:spans[-1][1]])
+        np.testing.assert_array_equal(block.z, traj.z[start:spans[-1][1]])
+    assert spans == [(0, 16), (14, 32), (30, 41)] == block_spans(41)
+    assert [(start, start + b.n_nodes) for start, b in traj.blocks()] == spans
 
 
 def _one_state_trajectory():
