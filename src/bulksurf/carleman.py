@@ -281,10 +281,15 @@ def _gradient_energy(mesh: Mesh, levels: _Levels, z: np.ndarray,
     the surface total, so that int w |grad z|^2 = w_levels . levels +
     w_surf surf (interior faces and the boundary faces to the matched
     surface nodes).  ``z`` and ``z_gamma`` are (block x n) arrays."""
-    du2 = (z[:, mesh.faces_a] - z[:, mesh.faces_b]) ** 2
-    db2 = (z_gamma - z[:, mesh.bnd_cells]) ** 2
-    return (_per_level(levels.faces, du2) + _per_level(levels.bnd, db2),
-            0.5 * (db2 @ mesh.bnd_geom))
+    # face-major, so that the fold reads it without a transposed copy
+    du2 = np.empty((mesh.faces_a.size, len(z)))
+    for k, row in enumerate(z):
+        np.subtract(row[mesh.faces_a], row[mesh.faces_b], out=du2[:, k])
+    grad_levels = (levels.faces @ np.square(du2, out=du2)).T
+    del du2
+    db2 = np.square(z_gamma - z[:, mesh.bnd_cells])
+    grad_levels += _per_level(levels.bnd, db2)
+    return grad_levels, 0.5 * (db2 @ mesh.bnd_geom)
 
 
 def _pair_quantities(zb: np.ndarray, zg: np.ndarray, dt: float, mesh: Mesh,
@@ -297,30 +302,42 @@ def _pair_quantities(zb: np.ndarray, zg: np.ndarray, dt: float, mesh: Mesh,
     (0 where a term has none), bulk (nodes x terms _NORM_BULK x levels) the
     level sums of the bulk parts, cell quadrature weights included.  Given
     ``obs``, the observation cells' areas folded onto the levels, the three
-    right-hand-side terms of carleman_ratio follow.
+    right-hand-side terms of carleman_ratio follow.  Each bulk term is
+    squared in place and folded onto the levels as soon as it is formed,
+    so the block-sized arrays of the terms already folded are freed.
     """
     ds = mesh.surface_weights
     z, z_g = zb[1:-1], zg[1:-1]
-    dtz = (zb[2:] - zb[:-2]) / (2.0 * dt)
     dtzg = (zg[2:] - zg[:-2]) / (2.0 * dt)
-    div_b = pair.op_bulk.apply(z, z_g)
     div_s = pair.op_surf.apply(z_g)
     flux = conormal_flux(mesh, pair.a, z, z_g)
     dzg = np.roll(z_g, -1, axis=1) - z_g
     grad_levels, grad_surf = _gradient_energy(mesh, levels, z, z_g)
-    z2 = z**2
     zero = np.zeros(len(z))
-
     surf = [zero, zero, grad_surf, zero, dtzg**2 @ ds, div_s**2 @ ds,
             np.sum(dzg**2, axis=1) / ds[0], z_g**2 @ ds, flux**2 @ ds]
-    bulk = [_per_level(levels.areas, dtz**2),
-            _per_level(levels.areas, div_b**2), grad_levels,
-            _per_level(levels.areas, z2)]
+
+    def squared(rows):
+        """The level sums of ``rows`` squared in place."""
+        return _per_level(levels.areas, np.square(rows, out=rows))
+
+    bulk = np.empty((len(z), len(_NORM_BULK) + (0 if obs is None else 2),
+                     levels.areas.shape[0]))
+    dtz = zb[2:] - zb[:-2]
+    dtz /= 2.0 * dt
+    div_b = pair.op_bulk.apply(z, z_g)
     if obs is not None:
         surf += [zero, zero, (dtzg - div_s + flux) ** 2 @ ds]
-        bulk += [_per_level(obs, z2),
-                 _per_level(levels.areas, (dtz - div_b) ** 2)]
-    return np.stack(surf, axis=1), np.stack(bulk, axis=1)
+        bulk[:, 5] = squared(dtz - div_b)
+    bulk[:, 0] = squared(dtz)
+    bulk[:, 1] = squared(div_b)
+    del dtz, div_b
+    bulk[:, 2] = grad_levels
+    z2 = np.square(z)
+    bulk[:, 3] = _per_level(levels.areas, z2)
+    if obs is not None:
+        bulk[:, 4] = _per_level(obs, z2)
+    return np.stack(surf, axis=1), bulk
 
 
 def _window_groups(blocks, names: tuple, t0: float, t1: float):
@@ -329,41 +346,61 @@ def _window_groups(blocks, names: tuple, t0: float, t1: float):
 
     ``blocks`` yields ``(start, Trajectory)`` in node order, each block
     beginning at or before the first state not seen yet, and every window
-    node an interior row of some block (``march`` and ``Trajectory.blocks``
-    cut them so; one whole trajectory will do).  Yields (times, dt, tables):
-    the group's node times, and the named tables on its rows with one state
-    more on each side.  The per-node quantities use matrix-vector products,
-    whose bits depend on how rows are grouped, so a grouping fixed by the
-    window keeps the sums independent of how the blocks are cut.
+    node an interior row of exactly one block (``march`` and
+    ``Trajectory.blocks`` cut them so; one whole trajectory will do).
+    Yields (times, dt, tables): the group's node times, and the named
+    tables on its rows with one state more on each side.  The per-node
+    quantities use matrix-vector products, whose bits depend on how rows
+    are grouped, so a grouping fixed by the window keeps the sums
+    independent of how the blocks are cut.
+
+    A group within the new states of one block is a view of that block.
+    The states that a pending group needs from earlier blocks are copied,
+    since a march overwrites its blocks, into one buffer of _NODE_BLOCK + 2
+    rows per table, where a group that reaches back is assembled.  Reading
+    stops at the block in which the window ends.
     """
-    held, first, done = None, 0, 0  # the named tables of states first..done-1
-    nodes, times, dt = np.zeros(0, dtype=int), np.zeros(0), 0.0
+    buffer, first, done = None, 0, 0  # buffer rows: the states first..done-1
+    nodes, times = np.zeros(0, dtype=int), np.zeros(0)
+
+    def assemble(a, b):
+        """The states a..b-1 into the buffer's first rows: those before
+        ``done`` from the buffer, the others from the block."""
+        old = max(done - a, 0)
+        for buf, table in zip(buffer, tables):
+            if old and a > first:
+                buf[:old] = buf[a - first:done - first]
+            buf[old:b - a] = table[a + old - start:b - start]
+        return [buf[:b - a] for buf in buffer]
+
     for start, block in blocks:
-        new = block.rows(done - start)
-        fresh = [getattr(new, name) for name in names]
-        held = fresh if held is None else [np.concatenate(pair)
-                                           for pair in zip(held, fresh)]
-        done, dt = start + block.n_nodes, block.dt
+        tables = [getattr(block, name) for name in names]
+        if buffer is None:
+            buffer = [np.empty((_NODE_BLOCK + 2, *table.shape[1:]))
+                      for table in tables]
+        end = start + block.n_nodes
         ks = window_nodes(block, t0, t1)
         nodes = np.append(nodes, start + ks)
         times = np.append(times, block.times[ks])
-        while nodes.size >= _NODE_BLOCK:
-            yield _group(held, first, nodes, times, dt)
-            nodes, times = nodes[_NODE_BLOCK:], times[_NODE_BLOCK:]
-        # keep the states from one before the next node, or the last two;
-        # a copy, since a march overwrites its blocks
-        keep = nodes[0] - 1 if nodes.size else max(done - 2, first)
-        held = [table[keep - first:].copy() for table in held]
-        first = keep
+        # a row after the last node is an interior row here: none follows
+        ended = nodes.size and nodes[-1] < end - 2
+        while nodes.size >= _NODE_BLOCK or (ended and nodes.size):
+            count = min(nodes.size, _NODE_BLOCK)
+            a, b = nodes[0] - 1, nodes[count - 1] + 2
+            if a >= done:
+                group = [table[a - start:b - start] for table in tables]
+            else:
+                group, first = assemble(a, b), a
+            yield times[:count], block.dt, group
+            nodes, times = nodes[count:], times[count:]
+        if ended:
+            return
+        # hold the pending group's states, or the last two for a next node
+        keep = nodes[0] - 1 if nodes.size else max(end - 2, first)
+        assemble(keep, end)
+        first, done = keep, end
     if nodes.size:
-        yield _group(held, first, nodes, times, dt)
-
-
-def _group(held: list, first: int, nodes: np.ndarray, times: np.ndarray,
-           dt: float) -> tuple:
-    """The first _NODE_BLOCK of ``nodes`` as ``_window_groups`` yields them."""
-    rows = slice(nodes[0] - 1 - first, nodes[:_NODE_BLOCK][-1] + 2 - first)
-    return times[:_NODE_BLOCK], dt, [table[rows] for table in held]
+        yield times, block.dt, [buf[:nodes[-1] + 2 - first] for buf in buffer]
 
 
 def _window_sums(blocks, names: tuple, cfgs: list, levels: _Levels, powers,

@@ -42,7 +42,7 @@ from .forward import (
     ReactionSet,
     SemilinearSystem,
     SolverError,
-    WindowObservation,
+    WindowNorm,
     mass_series,
 )
 from .inverse import (
@@ -143,7 +143,7 @@ def _cmd_simulate(run: _Runner) -> int:
     system = SemilinearSystem(mesh, cfg.diffusion, cfg.potentials,
                               nl_f=cfg.nl_f, nl_g=cfg.nl_g)
     # the run is reduced block by block as it steps: no table of states
-    window = WindowObservation(cfg.regions, mesh)
+    window = WindowNorm(cfg.regions, mesh)
     rows, my, finite, done = [], [], True, 0
     for start, block in system.march(cfg.init, cfg.t_end, cfg.dt):
         window.add(start, block)
@@ -176,7 +176,7 @@ def _cmd_simulate(run: _Runner) -> int:
         drift = np.abs(np.diff(my)).max() / max(abs(my[0]), 1e-300)
         run.checks["mass_conservation"] = bool(drift <= 1e-10)
         run.effective["mass_drift"] = float(drift)
-    run.effective["observation_norm"] = window.record().norm()
+    run.effective["observation_norm"] = window.norm()
     return run.finish({"lu_fill_nnz": system.factorization(cfg.dt).nnz})
 
 

@@ -422,6 +422,8 @@ def load_config(path: str | None = None, overrides: dict | None = None
         raise ConfigError("carleman: lambda1 must be >= 1")
     if not (0.0 < cl["epsilon"] < 1.0):
         raise ConfigError("carleman: epsilon must lie in (0, 1)")
+    if not cl["tau_list"]:
+        raise ConfigError("carleman.tau_list: expected at least one tau, got []")
     if cl["n_test_fields"] > len(TEST_FIELDS):
         raise ConfigError(f"carleman.n_test_fields: at most {len(TEST_FIELDS)} "
                           f"test fields exist, got {cl['n_test_fields']}")

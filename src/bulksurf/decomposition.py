@@ -136,10 +136,17 @@ def mn_decompositions(taus, z_field: SpaceTimeField, cfg: CarlemanConfig,
 
     bulk_fn = lambdify_set((T, X1, X2, TAU), [*bulk_parts.values(), f_tilde])
     surf_fn = lambdify_set((T, TH, TAU), [*surf_parts.values(), g_sym])
+
+    def on_grid(fn, space, tau):
+        """``fn``'s values on the (times x space) grid, one time row at a
+        time: the shared subexpressions live on one row, not the grid."""
+        rows = [fn(t, *space, tau) for t in tt_b[:, None]]
+        return [np.concatenate(vals) for vals in zip(*rows)]
+
     out = []
     for tau in taus:
-        *bulk_vals, f_vals = bulk_fn(tt_b, x1, x2, float(tau))
-        *surf_vals, g_vals = surf_fn(tt_b, th, float(tau))
+        *bulk_vals, f_vals = on_grid(bulk_fn, (x1, x2), float(tau))
+        *surf_vals, g_vals = on_grid(surf_fn, (th,), float(tau))
         out.append(Decomposition(
             residual_bulk=_rel_residual(sum(bulk_vals), f_vals,
                                         [*bulk_vals, f_vals]),

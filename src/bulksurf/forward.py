@@ -565,16 +565,76 @@ class WindowObservation:
             # the nodes are consecutive: gather their omega values and the
             # two neighbouring rows once, then difference the shifted rows
             z = block.z[ks[0] - 1:ks[-1] + 2, self.cells]
-            self.values.append((z[2:] - z[:-2]) / (2 * block.dt))
+            self._keep((z[2:] - z[:-2]) / (2 * block.dt))
             self.nodes.append(start + ks)
 
+    def _keep(self, values: np.ndarray) -> None:
+        self.values.append(values)
+
     def record(self) -> ObservationRecord:
-        """The record of every block added so far."""
+        """The record of every block added so far.
+
+        The values are column-major, as the gather of omega's columns
+        gives them, however the blocks were cut: the matrix-vector
+        products of the norm and the misfit depend on the layout.
+        """
         require_window(len(self.nodes), self.t0, self.t1)
-        return ObservationRecord(values=np.concatenate(self.values),
+        values = np.asfortranarray(np.concatenate(self.values))
+        return ObservationRecord(values=values,
                                  cell_indices=self.cells,
                                  time_indices=np.concatenate(self.nodes),
                                  cell_weights=self.weights, dt=self.dt)
+
+
+class WindowNorm(WindowObservation):
+    """The norm of ``WindowObservation``'s record, reduced as the blocks
+    arrive: each window node keeps sum_omega w (d_t z)^2, not its row.
+
+    ``ObservationRecord.norm`` takes one matrix-vector product over the
+    column-major record; OpenBLAS gives each row the same bits in any such
+    product, except the last ``len % 4`` rows, which it sums one by one.
+    So the per-node sums are taken _NODE_BLOCK rows at a time from the
+    first window node, column-major, and the last rows are summed with the
+    full group before them in one contiguous product, the tail of the
+    product over the record.
+    """
+
+    def __init__(self, regions: RegionSet, mesh: Mesh,
+                 t0: float | None = None, t1: float | None = None):
+        super().__init__(regions, mesh, t0, t1)
+        self.sums: list = []
+        # squared rows not summed yet: at most two groups, column-major
+        self._rows = np.empty((2 * _NODE_BLOCK, self.cells.size), order="F")
+        self._held = 0
+
+    def _keep(self, values: np.ndarray) -> None:
+        while len(values):
+            if self._held == 2 * _NODE_BLOCK:  # a row follows the first group
+                self.sums.append(self._rows[:_NODE_BLOCK] @ self.weights)
+                self._rows[:_NODE_BLOCK] = self._rows[_NODE_BLOCK:]
+                self._held = _NODE_BLOCK
+            take = min(2 * _NODE_BLOCK - self._held, len(values))
+            np.square(values[:take],
+                      out=self._rows[self._held:self._held + take])
+            self._held += take
+            values = values[take:]
+
+    def norm(self) -> float:
+        """``record().norm()`` of the blocks added so far."""
+        require_window(len(self.nodes), self.t0, self.t1)
+        last = np.asfortranarray(self._rows[:self._held])
+        per_time = np.concatenate(self.sums + [last @ self.weights])
+        return float(np.sqrt(per_time.sum() * self.dt))
+
+
+def observe_blocks(blocks, regions: RegionSet, mesh: Mesh,
+                   t0: float | None = None,
+                   t1: float | None = None) -> ObservationRecord:
+    """The record of consecutive blocks of states such as ``march`` yields."""
+    window = WindowObservation(regions, mesh, t0, t1)
+    for start, block in blocks:
+        window.add(start, block)
+    return window.record()
 
 
 def observe(traj: Trajectory, regions: RegionSet, mesh: Mesh,
@@ -585,9 +645,7 @@ def observe(traj: Trajectory, regions: RegionSet, mesh: Mesh,
     window are used, so the record depends on the trajectory only through
     its restriction to omega x (t0, t1).
     """
-    window = WindowObservation(regions, mesh, t0, t1)
-    window.add(0, traj)
-    return window.record()
+    return observe_blocks([(0, traj)], regions, mesh, t0, t1)
 
 
 def mass_series(traj: Trajectory, mesh: Mesh) -> np.ndarray:

@@ -20,8 +20,8 @@ from .forward import (
     SemilinearSystem,
     SolverError,
     Trajectory,
-    WindowObservation,
     observe,
+    observe_blocks,
 )
 from .geometry import Mesh, RegionSet
 from .model import (
@@ -236,8 +236,12 @@ class InverseProblem:
                                for name in coeffs.free])
 
     def objective(self, coeffs: CoefficientVector, data: ObservationRecord) -> float:
-        """The observation misfit, without regularisation."""
-        return self._misfit(self.observation(self.simulate(coeffs)), data)
+        """The observation misfit, without regularisation; the march up to
+        t1 is reduced block by block, so no table of states is held."""
+        march = self.system_for(coeffs).march(self.init, self.regions.t1,
+                                              self.dt)
+        return self._misfit(observe_blocks(march, self.regions, self.mesh),
+                            data)
 
     def objective_and_gradient(self, coeffs: CoefficientVector,
                                data: ObservationRecord, reg_weight: float = 0.0,
@@ -476,11 +480,9 @@ def stability_ensemble(problem: InverseProblem,
 
     def response_norm(system):
         """Observation norm on (theta, t1) of ``system`` minus the reference."""
-        window = WindowObservation(regions, mesh, t0=theta, t1=t1)
-        for start, block in system.march(state_theta, t1, problem.dt,
-                                         t_start=theta):
-            window.add(start, block)
-        obs = window.record()
+        obs = observe_blocks(system.march(state_theta, t1, problem.dt,
+                                          t_start=theta),
+                             regions, mesh, t0=theta, t1=t1)
         return replace(obs, values=obs.values - ref_obs.values).norm()
 
     records = []

@@ -55,8 +55,9 @@ class SparseOp:
         if self.boundary is not None:
             if u_boundary is None:
                 raise ValueError("bulk operator needs the surface trace field")
-            out = out + (self.boundary @ u_boundary.T).T
-        return out / self.weights
+            out += (self.boundary @ u_boundary.T).T
+        out /= self.weights
+        return out
 
     def energy_pairing(self, u, v, u_boundary=None, v_boundary=None) -> float:
         """Flux-consistent discrete int a grad(u).grad(v)."""

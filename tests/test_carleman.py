@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bulksurf.carleman import (
     weight_vanishing_report,
     weights,
 )
+import bulksurf.carleman as carleman
 import bulksurf.decomposition as decomposition
 from bulksurf.decomposition import (field_to_trajectory, mn_decomposition,
                                     mn_decompositions)
@@ -345,6 +347,24 @@ def test_decompositions_derive_once_for_every_tau(mesh, monkeypatch):
                             d_expr="1 + cos(theta)/3") == decs[1]
 
 
+def test_decompositions_evaluate_one_time_row_at_a_time(mesh, monkeypatch):
+    # the shared subexpressions of the lambdified components live on one
+    # time row of the nine, not on the whole (9 x n_cells) grid
+    lambdify_set = decomposition.lambdify_set
+    rows = []
+
+    def spy(*args):
+        fn = lambdify_set(*args)
+        return lambda t, *rest: rows.append(np.shape(t)) or fn(t, *rest)
+
+    monkeypatch.setattr(decomposition, "lambdify_set", spy)
+    z = SpaceTimeField("sin(pi*(t - 0.2)/0.6)*(1 + x1/2 + x2**2/3)")
+    decs = mn_decompositions([-3.0, 0.0], z, cfg_small(), mesh)
+    assert rows == [(1, 1)] * (2 * 2 * 9)
+    for dec in decs:
+        assert dec.residual_bulk <= 1e-12 and dec.residual_surface <= 1e-12
+
+
 def test_decomposition_rejects_sampled_input(mesh, smooth_traj):
     with pytest.raises(TypeError):
         mn_decomposition(0.0, smooth_traj, cfg_small(), mesh)
@@ -601,6 +621,54 @@ def test_a_march_feeds_the_sweep_as_it_steps(mesh, regions, linear_system_run):
                          sources, cfgs, mesh, pair, pair, regions, pot) == \
         shifted_sweep([(0, traj)], sources, cfgs, mesh, pair, pair, regions,
                       pot)
+
+
+def test_a_whole_trajectory_is_read_in_place(mesh, regions, linear_system_run,
+                                             monkeypatch):
+    # a feed whose one block covers every group, the last one included,
+    # is not copied
+    pot, sources, traj = linear_system_run
+    pair = DiffusionPair.from_fields(mesh, 1.0, D_SURF)
+    quantities = carleman._pair_quantities
+    in_place = []
+
+    def spy(zb, zg, *args, **kwargs):
+        in_place.append(np.shares_memory(zb, traj.packed)
+                        and np.shares_memory(zg, traj.packed))
+        return quantities(zb, zg, *args, **kwargs)
+
+    monkeypatch.setattr(carleman, "_pair_quantities", spy)
+    carleman_sweep(0.0, [(0, traj)], [cfg_small()], mesh, pair, regions)
+    shifted_sweep([(0, traj)], sources, [cfg_small(epsilon=0.5)], mesh, pair,
+                  pair, regions, pot)
+    # 57 window nodes: three full groups and a last one, per field pair
+    assert in_place == [True] * 12
+
+
+def test_a_sweep_holds_one_group_at_a_time():
+    # the states kept for a pending group fill at most 18 rows per table,
+    # and each term's block-sized arrays are freed before the next term is
+    # formed: the traced working set stays under nine (16 x n_cells) arrays
+    # (a sweep that held every term of a group at once used 11 to 14)
+    mesh = build_polar_mesh(32, 64, 1.0)
+    regions = build_regions(mesh, 0.2, 0.3, 0.45, 0.2, 0.8)
+    pot, sources, traj = _linear_run(mesh)
+    pair = DiffusionPair.from_fields(mesh, 1.0, D_SURF)
+    cfgs = [cfg_small(epsilon=0.5, **point) for point in _SWEEP_POINTS]
+    budget = 9 * 16 * mesh.n_cells * 8
+    for sweep in (lambda: carleman_sweep(0.0, traj.blocks(), cfgs, mesh, pair,
+                                         regions),
+                  lambda: shifted_sweep(traj.blocks(), sources, cfgs, mesh,
+                                        pair, pair, regions, pot)):
+        sweep()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, (peak, budget)
 
 
 # --- the level sums against a per-node, per-cell walk -----------------------

@@ -382,6 +382,27 @@ def test_peak_memory_does_not_grow_with_the_run(tmp_path, monkeypatch, command):
     assert peaks[1] - peaks[0] < 100 * row * 8 / 4, (peaks, 100 * row * 8)
 
 
+def test_simulate_peak_memory_does_not_grow_with_the_window(tmp_path):
+    # 100 more window nodes would add 100 rows of z-differences on omega
+    # to a kept record; simulate keeps one number per node, so the traced
+    # peak grows by less than a quarter of those rows
+    assert run_cli("simulate", write_config(tmp_path, {
+        "mesh": {"n_r": 4, "n_theta": 8}}), tmp_path / "warm") == 0
+    peaks = []
+    for t1 in (0.4, 1.4):
+        path = write_config(tmp_path, {"mesh": {"n_r": 32, "n_theta": 64},
+                                       "solver": {"t_end": 1.5},
+                                       "regions": {"t1": t1}})
+        tracemalloc.start()
+        try:
+            assert run_cli("simulate", path, tmp_path / f"out{t1}") == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    rows = 100 * load_config(path).regions.omega.size * 8
+    assert peaks[1] - peaks[0] < rows / 4, (peaks, rows)
+
+
 def test_cli_import_leaves_sympy_unloaded():
     # only carleman-verify checks symbolic algebra; it loads sympy itself
     code = ("import sys, bulksurf.cli; from bulksurf.config import load_config; "
@@ -484,6 +505,8 @@ def test_unknown_config_key_is_refused(tmp_path, capsys, extra, key):
      "carleman.n_test_fields: at most 5 test fields exist, got 9"),
     ("stability", {"stability": {"scale": 0}},
      "stability.scale: must be positive"),
+    ("carleman-verify", {"carleman": {"tau_list": []}},
+     "carleman.tau_list: expected at least one tau, got []"),
 ])
 def test_bad_config_value_is_refused(tmp_path, capsys, command, extra, message):
     cfg = write_config(tmp_path, extra)

@@ -424,6 +424,35 @@ def test_observe_matches_the_centered_difference_per_node(mesh):
         np.testing.assert_array_equal(rec.values, want)
 
 
+def _cut(traj, size):
+    """``traj`` in blocks of ``size`` new states, each after the first led by
+    the two states before it, as a march would yield them."""
+    return [(max(n - 2, 0), traj.rows(max(n - 2, 0), n + size))
+            for n in range(0, traj.n_nodes, size)]
+
+
+@pytest.mark.parametrize("t0", [0.2, 0.333])
+def test_window_norm_has_the_bits_of_the_record_norm(t0):
+    # the per-node sums are taken in groups counted from the first window
+    # node, whatever the blocks, as in the one product over the record:
+    # windows of 1 to 60 nodes, fed whole, as a march cuts them, and in
+    # blocks of 5 and 7 new states
+    from bulksurf.forward import WindowNorm
+    mesh = build_polar_mesh(32, 64, 1.0)
+    traj = _ramp_trajectory(mesh, dt=0.01)
+    traj.z[:] = np.random.default_rng(4).standard_normal(traj.z.shape)
+    for n in range(60):
+        regions = build_regions(mesh, 0.2, 0.3, 0.45, t0, t0 + 0.035 + 0.01 * n)
+        want = observe(traj, regions, mesh).norm()
+        for blocks in ([(0, traj)], list(traj.blocks()), _cut(traj, 5),
+                       _cut(traj, 7)):
+            window_norm = WindowNorm(regions, mesh)
+            for start, block in blocks:
+                window_norm.add(start, block)
+            assert window_norm.norm() == want, n
+            assert window_norm.values == []
+
+
 def test_reactions_enter_all_four_equations(mesh, diffusion):
     system = SemilinearSystem(mesh, diffusion)
     init = InitialData.from_values(mesh, y0=1.0, z0=1.0)

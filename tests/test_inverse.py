@@ -134,6 +134,20 @@ def test_objective_positive_away_from_truth(problem, truth, data):
     assert problem.objective(c.project(), data) > 1e-8
 
 
+def test_objective_reduces_the_march(problem, truth, data, monkeypatch):
+    # the misfit is read from the march block by block, with the bits of
+    # the misfit of the stored trajectory's record
+    rng = np.random.default_rng(12)
+    c = truth.unpack(truth.pack() + 0.3 * rng.standard_normal(truth.pack().size))
+    want = problem._misfit(problem.observation(problem.simulate(c)), data)
+    solves = []
+    solve = bulksurf.forward.SemilinearSystem.solve
+    monkeypatch.setattr(bulksurf.forward.SemilinearSystem, "solve",
+                        lambda *a, **k: solves.append(1) or solve(*a, **k))
+    assert problem.objective(c, data) == want
+    assert solves == []
+
+
 def test_misfit_quadratic_in_data(problem, truth, data):
     # with zero model output, doubling the data quadruples the data term
     zero_rec = simulate_twin(problem, truth)
