@@ -23,8 +23,8 @@ import scipy.sparse as sp
 from .geometry import Mesh, RegionSet
 from .operators import SparseOp, assemble_bulk_diffusion, \
     assemble_surface_diffusion, conormal_flux
-from .forward import _NODE_BLOCK, Trajectory, require_window, source_array, \
-    window_nodes
+from .forward import _NODE_BLOCK, Trajectory, require_window, row_sums, \
+    source_array, window_nodes
 
 _EXP_CLAMP = -700.0   # exponents below this evaluate to exact zero
 
@@ -289,7 +289,7 @@ def _gradient_energy(mesh: Mesh, levels: _Levels, z: np.ndarray,
     del du2
     db2 = np.square(z_gamma - z[:, mesh.bnd_cells])
     grad_levels += _per_level(levels.bnd, db2)
-    return grad_levels, 0.5 * (db2 @ mesh.bnd_geom)
+    return grad_levels, 0.5 * row_sums(db2, mesh.bnd_geom)
 
 
 def _pair_quantities(zb: np.ndarray, zg: np.ndarray, dt: float, mesh: Mesh,
@@ -314,8 +314,9 @@ def _pair_quantities(zb: np.ndarray, zg: np.ndarray, dt: float, mesh: Mesh,
     dzg = np.roll(z_g, -1, axis=1) - z_g
     grad_levels, grad_surf = _gradient_energy(mesh, levels, z, z_g)
     zero = np.zeros(len(z))
-    surf = [zero, zero, grad_surf, zero, dtzg**2 @ ds, div_s**2 @ ds,
-            np.sum(dzg**2, axis=1) / ds[0], z_g**2 @ ds, flux**2 @ ds]
+    surf = [zero, zero, grad_surf, zero, row_sums(dtzg**2, ds),
+            row_sums(div_s**2, ds), np.sum(dzg**2, axis=1) / ds[0],
+            row_sums(z_g**2, ds), row_sums(flux**2, ds)]
 
     def squared(rows):
         """The level sums of ``rows`` squared in place."""
@@ -327,7 +328,7 @@ def _pair_quantities(zb: np.ndarray, zg: np.ndarray, dt: float, mesh: Mesh,
     dtz /= 2.0 * dt
     div_b = pair.op_bulk.apply(z, z_g)
     if obs is not None:
-        surf += [zero, zero, (dtzg - div_s + flux) ** 2 @ ds]
+        surf += [zero, zero, row_sums((dtzg - div_s + flux) ** 2, ds)]
         bulk[:, 5] = squared(dtz - div_b)
     bulk[:, 0] = squared(dtz)
     bulk[:, 1] = squared(div_b)
@@ -341,66 +342,30 @@ def _pair_quantities(zb: np.ndarray, zg: np.ndarray, dt: float, mesh: Mesh,
 
 
 def _window_groups(blocks, names: tuple, t0: float, t1: float):
-    """The window's nodes, _NODE_BLOCK at a time from the first, read from
+    """The window's nodes, at most _NODE_BLOCK at a time, read from
     consecutive blocks of states.
 
-    ``blocks`` yields ``(start, Trajectory)`` in node order, each block
-    beginning at or before the first state not seen yet, and every window
-    node an interior row of exactly one block (``march`` and
+    ``blocks`` yields ``(start, Trajectory)`` in node order, with every
+    window node an interior row of exactly one block (``march`` and
     ``Trajectory.blocks`` cut them so; one whole trajectory will do).
-    Yields (times, dt, tables): the group's node times, and the named
-    tables on its rows with one state more on each side.  The per-node
-    quantities use matrix-vector products, whose bits depend on how rows
-    are grouped, so a grouping fixed by the window keeps the sums
-    independent of how the blocks are cut.
-
-    A group within the new states of one block is a view of that block.
-    The states that a pending group needs from earlier blocks are copied,
-    since a march overwrites its blocks, into one buffer of _NODE_BLOCK + 2
-    rows per table, where a group that reaches back is assembled.  Reading
-    stops at the block in which the window ends.
+    Yields (times, dt, tables): the group's node times, and views of the
+    named tables on its rows with one state more on each side.  Every
+    per-node quantity depends only on its node's rows, so the sums do not
+    depend on how the blocks are cut.  Reading stops at the block in which
+    the window ends.
     """
-    buffer, first, done = None, 0, 0  # buffer rows: the states first..done-1
-    nodes, times = np.zeros(0, dtype=int), np.zeros(0)
-
-    def assemble(a, b):
-        """The states a..b-1 into the buffer's first rows: those before
-        ``done`` from the buffer, the others from the block."""
-        old = max(done - a, 0)
-        for buf, table in zip(buffer, tables):
-            if old and a > first:
-                buf[:old] = buf[a - first:done - first]
-            buf[old:b - a] = table[a + old - start:b - start]
-        return [buf[:b - a] for buf in buffer]
-
-    for start, block in blocks:
-        tables = [getattr(block, name) for name in names]
-        if buffer is None:
-            buffer = [np.empty((_NODE_BLOCK + 2, *table.shape[1:]))
-                      for table in tables]
-        end = start + block.n_nodes
+    seen = False
+    for _, block in blocks:
         ks = window_nodes(block, t0, t1)
-        nodes = np.append(nodes, start + ks)
-        times = np.append(times, block.times[ks])
-        # a row after the last node is an interior row here: none follows
-        ended = nodes.size and nodes[-1] < end - 2
-        while nodes.size >= _NODE_BLOCK or (ended and nodes.size):
-            count = min(nodes.size, _NODE_BLOCK)
-            a, b = nodes[0] - 1, nodes[count - 1] + 2
-            if a >= done:
-                group = [table[a - start:b - start] for table in tables]
-            else:
-                group, first = assemble(a, b), a
-            yield times[:count], block.dt, group
-            nodes, times = nodes[count:], times[count:]
-        if ended:
+        tables = [getattr(block, name) for name in names]
+        for first in range(0, ks.size, _NODE_BLOCK):
+            group = ks[first:first + _NODE_BLOCK]
+            yield block.times[group], block.dt, \
+                [table[group[0] - 1:group[-1] + 2] for table in tables]
+        seen = seen or ks.size > 0
+        # an interior row after the last window node: no later block has one
+        if seen and (not ks.size or ks[-1] < block.n_nodes - 2):
             return
-        # hold the pending group's states, or the last two for a next node
-        keep = nodes[0] - 1 if nodes.size else max(end - 2, first)
-        assemble(keep, end)
-        first, done = keep, end
-    if nodes.size:
-        yield times, block.dt, [buf[:nodes[-1] + 2 - first] for buf in buffer]
 
 
 def _window_sums(blocks, names: tuple, cfgs: list, levels: _Levels, powers,

@@ -44,6 +44,7 @@ from .forward import (
     SolverError,
     WindowNorm,
     mass_series,
+    row_sums,
 )
 from .inverse import (
     InverseProblem,
@@ -150,7 +151,8 @@ def _cmd_simulate(run: _Runner) -> int:
         new = block.rows(done - start)  # the states no earlier block held
         done = start + block.n_nodes
         my.append(mass_series(new, mesh))
-        mz = new.z @ mesh.cell_areas + new.z_gamma @ mesh.surface_weights
+        mz = (row_sums(new.z, mesh.cell_areas)
+              + row_sums(new.z_gamma, mesh.surface_weights))
         lows = zip(*(f.min(axis=-1) for f in (new.y, new.z, new.y_gamma,
                                               new.z_gamma)))
         rows += [(t, my[-1][k], mz[k], mesh.bulk_l2(new.y[k]),

@@ -414,8 +414,6 @@ def load_config(path: str | None = None, overrides: dict | None = None
     if regions.t1 > t_end + 1e-12:
         raise ConfigError(
             f"regions: window end t1={regions.t1} exceeds solver t_end={t_end}")
-    if typed["positivity"]["t_end"] <= 0:
-        raise ConfigError("positivity.t_end: must be positive")
 
     cl = typed["carleman"]
     if cl["lambda1"] < 1.0:
@@ -427,9 +425,17 @@ def load_config(path: str | None = None, overrides: dict | None = None
     if cl["n_test_fields"] > len(TEST_FIELDS):
         raise ConfigError(f"carleman.n_test_fields: at most {len(TEST_FIELDS)} "
                           f"test fields exist, got {cl['n_test_fields']}")
-    if typed["stability"]["scale"] <= 0:
-        raise ConfigError(f"stability.scale: must be positive, got "
-                          f"{typed['stability']['scale']!r}")
+    inv, pz = typed["inverse"], typed["positivity"]
+    for where, value in (("positivity.t_end", pz["t_end"]),
+                         ("stability.scale", typed["stability"]["scale"]),
+                         ("inverse.gradcheck_step", inv["gradcheck_step"])):
+        if value <= 0:
+            raise ConfigError(f"{where}: must be positive, got {value!r}")
+    for where, value in (("inverse.noise_level", inv["noise_level"]),
+                         ("inverse.reg_weight", inv["reg_weight"]),
+                         ("positivity.lipschitz_bound", pz["lipschitz_bound"])):
+        if value < 0:
+            raise ConfigError(f"{where}: must be at least 0, got {value!r}")
 
     return RunConfig(
         raw=raw, mesh=mesh, regions=regions, diffusion=diffusion,

@@ -28,13 +28,24 @@ class SolverError(RuntimeError):
     """Numerical failure inside a solve (singular system, NaN state)."""
 
 
-# States per block of a march; a multiple of 4, because OpenBLAS's
-# matrix-vector kernels take rows four at a time, so a per-node product over
-# a block's new states gives the bits of one product over the whole table.
+# States per block of a march: a bound on the rows that a march, a window
+# sweep or a per-node reduction holds at once
 _NODE_BLOCK = 16
 # every block after the first repeats the last two states of the one before:
 # the neighbours that a centered time difference reads
 _HALO = 2
+
+
+def row_sums(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j rows[..., j] * weights[j] for every row of ``rows``.
+
+    Each row is multiplied into a C-ordered array and reduced along it on
+    its own, so its bits depend only on that row; in a BLAS matrix-vector
+    product they also depend on the other rows of the call, the layout
+    and the alignment.  Per-node sums taken block by block thus keep
+    their bits however the blocks are cut.
+    """
+    return np.multiply(rows, weights, order="C").sum(axis=-1)
 
 
 def block_spans(n_nodes: int) -> list:
@@ -103,7 +114,7 @@ class ObservationRecord:
 
     def norm(self) -> float:
         """L2(omega x window) norm of the sampled time derivative."""
-        per_time = self.values**2 @ self.cell_weights
+        per_time = row_sums(self.values**2, self.cell_weights)
         return float(np.sqrt(per_time.sum() * self.dt))
 
 
@@ -572,15 +583,9 @@ class WindowObservation:
         self.values.append(values)
 
     def record(self) -> ObservationRecord:
-        """The record of every block added so far.
-
-        The values are column-major, as the gather of omega's columns
-        gives them, however the blocks were cut: the matrix-vector
-        products of the norm and the misfit depend on the layout.
-        """
+        """The record of every block added so far."""
         require_window(len(self.nodes), self.t0, self.t1)
-        values = np.asfortranarray(np.concatenate(self.values))
-        return ObservationRecord(values=values,
+        return ObservationRecord(values=np.concatenate(self.values),
                                  cell_indices=self.cells,
                                  time_indices=np.concatenate(self.nodes),
                                  cell_weights=self.weights, dt=self.dt)
@@ -588,43 +593,20 @@ class WindowObservation:
 
 class WindowNorm(WindowObservation):
     """The norm of ``WindowObservation``'s record, reduced as the blocks
-    arrive: each window node keeps sum_omega w (d_t z)^2, not its row.
-
-    ``ObservationRecord.norm`` takes one matrix-vector product over the
-    column-major record; OpenBLAS gives each row the same bits in any such
-    product, except the last ``len % 4`` rows, which it sums one by one.
-    So the per-node sums are taken _NODE_BLOCK rows at a time from the
-    first window node, column-major, and the last rows are summed with the
-    full group before them in one contiguous product, the tail of the
-    product over the record.
-    """
+    arrive: each window node keeps sum_omega w (d_t z)^2, not its row."""
 
     def __init__(self, regions: RegionSet, mesh: Mesh,
                  t0: float | None = None, t1: float | None = None):
         super().__init__(regions, mesh, t0, t1)
         self.sums: list = []
-        # squared rows not summed yet: at most two groups, column-major
-        self._rows = np.empty((2 * _NODE_BLOCK, self.cells.size), order="F")
-        self._held = 0
 
     def _keep(self, values: np.ndarray) -> None:
-        while len(values):
-            if self._held == 2 * _NODE_BLOCK:  # a row follows the first group
-                self.sums.append(self._rows[:_NODE_BLOCK] @ self.weights)
-                self._rows[:_NODE_BLOCK] = self._rows[_NODE_BLOCK:]
-                self._held = _NODE_BLOCK
-            take = min(2 * _NODE_BLOCK - self._held, len(values))
-            np.square(values[:take],
-                      out=self._rows[self._held:self._held + take])
-            self._held += take
-            values = values[take:]
+        self.sums.append(row_sums(np.square(values, out=values), self.weights))
 
     def norm(self) -> float:
         """``record().norm()`` of the blocks added so far."""
         require_window(len(self.nodes), self.t0, self.t1)
-        last = np.asfortranarray(self._rows[:self._held])
-        per_time = np.concatenate(self.sums + [last @ self.weights])
-        return float(np.sqrt(per_time.sum() * self.dt))
+        return float(np.sqrt(np.concatenate(self.sums).sum() * self.dt))
 
 
 def observe_blocks(blocks, regions: RegionSet, mesh: Mesh,
@@ -651,7 +633,8 @@ def observe(traj: Trajectory, regions: RegionSet, mesh: Mesh,
 def mass_series(traj: Trajectory, mesh: Mesh) -> np.ndarray:
     """Total bulk+surface content of the y pair per node (conserved when
     potentials, reactions, and sources vanish)."""
-    return traj.y @ mesh.cell_areas + traj.y_gamma @ mesh.surface_weights
+    return (row_sums(traj.y, mesh.cell_areas)
+            + row_sums(traj.y_gamma, mesh.surface_weights))
 
 
 # --- manufactured-solution verification -----------------------------------

@@ -22,6 +22,7 @@ from .forward import (
     Trajectory,
     observe,
     observe_blocks,
+    row_sums,
 )
 from .geometry import Mesh, RegionSet
 from .model import (
@@ -214,12 +215,10 @@ class InverseProblem:
         return observe(traj, self.regions, self.mesh)
 
     def validate_assumptions(self, coeffs: CoefficientVector,
-                             traj: Trajectory | None = None) -> dict:
+                             traj: Trajectory) -> dict:
         pot = self.to_potentials(coeffs)
         rep1 = validate_assumption_I(pot, pot, self.nl_f, self.nl_g, self.init,
                                      r=self.r_floor, p0=pot.p0)
-        if traj is None:
-            traj = self.simulate(coeffs)
         rep2 = validate_assumption_II(self.nl_f, self.nl_g, traj,
                                       self.regions.theta, self.r1_floor)
         return {"assumption_I": rep1, "assumption_II": rep2,
@@ -229,7 +228,7 @@ class InverseProblem:
 
     def _misfit(self, rec: ObservationRecord, data: ObservationRecord) -> float:
         d = rec.values - data.values
-        return 0.5 * float((d**2 @ rec.cell_weights).sum() * rec.dt)
+        return 0.5 * float(row_sums(d**2, rec.cell_weights).sum() * rec.dt)
 
     def _reg_weights(self, coeffs: CoefficientVector) -> np.ndarray:
         return np.concatenate([self.basis.patches(name)[1]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import ReactionSet, SemilinearSystem, Trajectory
+from .forward import ReactionSet, SemilinearSystem, Trajectory, row_sums
 from .geometry import Mesh
 from .model import DiffusionSpec, InitialData
 
@@ -66,16 +66,9 @@ def check_qp(reactions: ReactionSet, samples: np.ndarray) -> QPReport:
 
 
 def _negative_square(field: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted sum of the squared negative part over the last axis.
-
-    A block ``(n_nodes, k, n)`` is reduced draw by draw, with the one-draw
-    code, so each draw gets the bits of its own one-draw run and no copy of
-    the whole block is made; the draw axis comes last in the result.
-    """
-    if field.ndim == 3:
-        return np.stack([_negative_square(field[:, j], weights)
-                         for j in range(field.shape[1])], axis=-1)
-    return np.minimum(field, 0.0) ** 2 @ weights
+    """Weighted sum of the squared negative part over the last axis; a
+    block ``(n_nodes, k, n)`` gives each draw the bits of its one-draw run."""
+    return row_sums(np.minimum(field, 0.0) ** 2, weights)
 
 
 def sup_abs(field: np.ndarray) -> np.ndarray:

@@ -593,12 +593,20 @@ def _cut(traj, size):
             for n in range(0, traj.n_nodes, size)]
 
 
-@pytest.mark.parametrize("size", [16, 5])
+@pytest.mark.parametrize("size, shape", [
+    pytest.param(16, None, id="16"), pytest.param(5, None, id="5"),
+    pytest.param(16, (11, 26), id="16-11x26"),
+    pytest.param(5, (11, 26), id="5-11x26")])
 def test_window_sums_do_not_depend_on_how_the_states_are_cut(
-        mesh, regions, linear_system_run, size):
-    # the window nodes are grouped from the first, whatever the blocks, so
-    # every sum keeps its bits
+        mesh, regions, linear_system_run, size, shape):
+    # every per-node quantity depends only on its node's rows, so every sum
+    # keeps its bits whatever the blocks, also where n_theta and |omega|
+    # (130 cells on 11 x 26) are not multiples of 4
     pot, sources, traj = linear_system_run
+    if shape is not None:
+        mesh = build_polar_mesh(*shape, 1.0)
+        regions = build_regions(mesh, 0.2, 0.3, 0.45, 0.2, 0.8)
+        pot, sources, traj = _linear_run(mesh)
     pair = DiffusionPair.from_fields(mesh, 1.0, D_SURF)
     cfgs = [cfg_small(epsilon=0.5, **point) for point in _SWEEP_POINTS]
     assert shifted_sweep(_cut(traj, size), sources, cfgs, mesh, pair, pair,
@@ -625,8 +633,7 @@ def test_a_march_feeds_the_sweep_as_it_steps(mesh, regions, linear_system_run):
 
 def test_a_whole_trajectory_is_read_in_place(mesh, regions, linear_system_run,
                                              monkeypatch):
-    # a feed whose one block covers every group, the last one included,
-    # is not copied
+    # the groups of a one-block feed are views of it: nothing is copied
     pot, sources, traj = linear_system_run
     pair = DiffusionPair.from_fields(mesh, 1.0, D_SURF)
     quantities = carleman._pair_quantities
@@ -646,9 +653,9 @@ def test_a_whole_trajectory_is_read_in_place(mesh, regions, linear_system_run,
 
 
 def test_a_sweep_holds_one_group_at_a_time():
-    # the states kept for a pending group fill at most 18 rows per table,
-    # and each term's block-sized arrays are freed before the next term is
-    # formed: the traced working set stays under nine (16 x n_cells) arrays
+    # a group is a view of its block, and each term's block-sized arrays
+    # are freed before the next term is formed: the traced working set
+    # stays under nine (16 x n_cells) arrays
     # (a sweep that held every term of a group at once used 11 to 14)
     mesh = build_polar_mesh(32, 64, 1.0)
     regions = build_regions(mesh, 0.2, 0.3, 0.45, 0.2, 0.8)

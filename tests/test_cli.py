@@ -507,6 +507,14 @@ def test_unknown_config_key_is_refused(tmp_path, capsys, extra, key):
      "stability.scale: must be positive"),
     ("carleman-verify", {"carleman": {"tau_list": []}},
      "carleman.tau_list: expected at least one tau, got []"),
+    ("gradcheck", {"inverse": {"gradcheck_step": 0}},
+     "inverse.gradcheck_step: must be positive, got 0.0"),
+    ("reconstruct", {"inverse": {"noise_level": -0.1}},
+     "inverse.noise_level: must be at least 0, got -0.1"),
+    ("reconstruct", {"inverse": {"reg_weight": -1}},
+     "inverse.reg_weight: must be at least 0, got -1.0"),
+    ("positivity", {"positivity": {"lipschitz_bound": -0.5}},
+     "positivity.lipschitz_bound: must be at least 0, got -0.5"),
 ])
 def test_bad_config_value_is_refused(tmp_path, capsys, command, extra, message):
     cfg = write_config(tmp_path, extra)

@@ -16,6 +16,7 @@ from bulksurf.forward import (
     mass_series,
     mms_convergence,
     observe,
+    row_sums,
 )
 from bulksurf.geometry import build_polar_mesh, build_regions
 from bulksurf.model import (
@@ -431,14 +432,18 @@ def _cut(traj, size):
             for n in range(0, traj.n_nodes, size)]
 
 
-@pytest.mark.parametrize("t0", [0.2, 0.333])
-def test_window_norm_has_the_bits_of_the_record_norm(t0):
-    # the per-node sums are taken in groups counted from the first window
-    # node, whatever the blocks, as in the one product over the record:
-    # windows of 1 to 60 nodes, fed whole, as a march cuts them, and in
-    # blocks of 5 and 7 new states
+@pytest.mark.parametrize("t0, shape", [
+    pytest.param(0.2, (32, 64), id="0.2"),
+    pytest.param(0.333, (32, 64), id="0.333"),
+    pytest.param(0.2, (11, 26), id="0.2-11x26"),
+    pytest.param(0.333, (11, 26), id="0.333-11x26")])
+def test_window_norm_has_the_bits_of_the_record_norm(t0, shape):
+    # each node's sum depends only on its own row, so the norm has the bits
+    # of the record's whatever the blocks: windows of 1 to 60 nodes, fed
+    # whole, as a march cuts them, and in blocks of 5 and 7 new states; on
+    # 11 x 26, neither n_theta nor |omega| (130 cells) is a multiple of 4
     from bulksurf.forward import WindowNorm
-    mesh = build_polar_mesh(32, 64, 1.0)
+    mesh = build_polar_mesh(*shape, 1.0)
     traj = _ramp_trajectory(mesh, dt=0.01)
     traj.z[:] = np.random.default_rng(4).standard_normal(traj.z.shape)
     for n in range(60):
@@ -451,6 +456,30 @@ def test_window_norm_has_the_bits_of_the_record_norm(t0):
                 window_norm.add(start, block)
             assert window_norm.norm() == want, n
             assert window_norm.values == []
+
+
+@pytest.mark.parametrize("width", [1, 3, 5, 37, 129])
+def test_row_sums_give_each_row_the_bits_of_its_own_sum(width):
+    rng = np.random.default_rng(width)
+    rows = rng.standard_normal((40, width))
+    weights = rng.random(width)
+    want = [row_sums(row, weights) for row in rows]
+    # one float past an aligned start
+    misaligned = np.empty(rows.size + 1)[1:].reshape(rows.shape)
+    misaligned[:] = rows
+    for table in (rows, np.asfortranarray(rows), misaligned):
+        for size in (1, 3, 4, 7, 16, 40):
+            got = np.concatenate([row_sums(table[i:i + size], weights)
+                                  for i in range(0, len(table), size)])
+            assert got.tolist() == want, size
+    # a positivity-shaped block (nodes, draws, cells): each draw's rows
+    # keep the bits of the one-draw sums, the draw axis last
+    block = rng.standard_normal((18, 5, width))
+    sums = row_sums(block, weights)
+    for j in range(block.shape[1]):
+        assert sums[:, j].tolist() == row_sums(
+            np.ascontiguousarray(block[:, j]), weights).tolist()
+        assert sums[:, j].tolist() == row_sums(block[:, j], weights).tolist()
 
 
 def test_reactions_enter_all_four_equations(mesh, diffusion):
