@@ -271,8 +271,13 @@ def _fold(rows, cols, vals, shape) -> sp.csr_matrix:
 
 
 def _per_level(op: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
-    """``op`` applied to each row of a (block x items) array."""
-    return (op @ rows.T).T
+    """``op`` applied to each row of a (block x items) array, one row per
+    product: scipy would copy the transposed block of a multi-vector
+    product into item-major order first."""
+    out = np.empty((len(rows), op.shape[0]))
+    for k, row in enumerate(rows):
+        out[k] = op @ row
+    return out
 
 
 def _gradient_energy(mesh: Mesh, levels: _Levels, z: np.ndarray,
@@ -385,9 +390,10 @@ def _window_sums(blocks, names: tuple, cfgs: list, levels: _Levels, powers,
     minimum of alpha over the window grid, makes every config's weights
     finite (the estimates are ratios, so they do not depend on it).
     Endpoint nodes are excluded: the weight vanishes faster than any
-    polynomial there.  Each config weighs the whole window at once:
-    alpha = (K - E) / gamma on one (nodes x levels) table, and (s xi)^m =
-    (s E)^m gamma^{-m}.  Returns (sums, log_scale) per config,
+    polynomial there.  Each config weighs the window a group at a time:
+    alpha = (K - E) / gamma on a (group x levels) table, and (s xi)^m =
+    (s E)^m gamma^{-m}; every weight is elementwise, so its bits do not
+    depend on the groups.  Returns (sums, log_scale) per config,
     log_scale = -2 s alpha_ref.
     """
     if len({(cfg.t0, cfg.t1) for cfg in cfgs}) > 1:
@@ -402,8 +408,7 @@ def _window_sums(blocks, names: tuple, cfgs: list, levels: _Levels, powers,
         surf.append(q)
         bulk.append(b)
     require_window(len(node_times), t0, t1)
-    node_times = np.concatenate(node_times)
-    surf, bulk = np.concatenate(surf), np.concatenate(bulk)
+    node_times, surf = np.concatenate(node_times), np.concatenate(surf)
     powers = np.asarray(powers, dtype=float)
 
     out = []
@@ -412,14 +417,18 @@ def _window_sums(blocks, names: tuple, cfgs: list, levels: _Levels, powers,
         gamma = gamma_value(node_times, cfg)[:, None]
         # the grid minimum of alpha: division is monotone in each operand
         alpha_ref = float(num_alpha.min() / gamma.max())
-        w = exp_weight(cfg.s, num_alpha / gamma, shift=alpha_ref)
         spatial = (cfg.s * E) ** powers[:, None]
-        vals = w[:, :1] * spatial[:, 0] * surf
-        # a block of nodes at a time, so the products stay block-sized
-        for rows in range(0, len(vals), _NODE_BLOCK):
-            cut = slice(rows, rows + _NODE_BLOCK)
-            vals[cut, bulk_terms] += np.sum(bulk[cut] * w[cut, None, 1:]
+        vals = (exp_weight(cfg.s, num_alpha[:1] / gamma, shift=alpha_ref)
+                * spatial[:, 0] * surf)
+        # group by group, so the level weights and their products stay
+        # group-sized and the level sums are never copied into one table
+        rows = 0
+        for group in bulk:
+            cut = slice(rows, rows + len(group))
+            w = exp_weight(cfg.s, num_alpha[1:] / gamma[cut], shift=alpha_ref)
+            vals[cut, bulk_terms] += np.sum(group * w[:, None]
                                             * spatial[bulk_terms, 1:], axis=2)
+            rows = cut.stop
         out.append((dt * np.sum(vals * gamma ** -powers, axis=0),
                     -2.0 * cfg.s * alpha_ref))
     return out

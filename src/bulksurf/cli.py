@@ -160,6 +160,9 @@ def _cmd_simulate(run: _Runner) -> int:
                  for k, (t, low) in enumerate(zip(new.times, lows))]
         finite = finite and np.isfinite(new.y).all() and np.isfinite(new.z).all()
     final = block.state(-1)
+    # the LU, the system and the march buffer go before the CSVs are formatted
+    fill = system.factorization(cfg.dt).nnz
+    del system, block, new
     run.csv("series.csv", ["t", "mass_y", "mass_z", "l2_y", "l2_z", "min_state"],
             rows)
     run.csv("final_state.csv", ["cell", "y", "z"],
@@ -179,7 +182,7 @@ def _cmd_simulate(run: _Runner) -> int:
         run.checks["mass_conservation"] = bool(drift <= 1e-10)
         run.effective["mass_drift"] = float(drift)
     run.effective["observation_norm"] = window.norm()
-    return run.finish({"lu_fill_nnz": system.factorization(cfg.dt).nnz})
+    return run.finish({"lu_fill_nnz": fill})
 
 
 def _cmd_positivity(run: _Runner) -> int:
@@ -269,10 +272,11 @@ def _cmd_carleman_verify(run: _Runner) -> int:
                              a_expr=a_expr, d_expr=d_expr)
     dec_rows = [(tau, dec.residual_bulk, dec.residual_surface)
                 for tau, dec in zip(tau_list, decs)]
-    worst = max([0.0, *(v for row in dec_rows for v in row[1:])])
     run.csv("decomposition.csv", ["tau", "residual_bulk", "residual_surface"],
             dec_rows)
-    run.checks["decomposition_residuals"] = bool(worst <= 1e-8)
+    # a nan residual (an overflowing decomposition) fails the check
+    run.checks["decomposition_residuals"] = all(
+        v <= 1e-8 for row in dec_rows for v in row[1:])
 
     pair = DiffusionPair.from_fields(cfg.mesh, cfg.diffusion.a1,
                                      cfg.diffusion.d1)

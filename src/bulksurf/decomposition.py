@@ -21,6 +21,7 @@ not the chain rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,13 @@ class Decomposition:
 
 
 def _rel_residual(total: np.ndarray, target: np.ndarray, parts: list) -> float:
-    """L2 residual of total-target, relative to the component magnitude."""
+    """L2 residual of total-target, relative to the component magnitude:
+    nan when the components or their squares overflow, 0 when every
+    component is zero."""
     num = float(np.sqrt(np.mean((total - target) ** 2)))
     scale = float(np.sqrt(np.mean(sum(np.abs(p) for p in parts) ** 2)))
+    if not (math.isfinite(num) and math.isfinite(scale)):
+        return math.nan
     return num / scale if scale > 0 else 0.0
 
 

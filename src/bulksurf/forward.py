@@ -29,8 +29,11 @@ class SolverError(RuntimeError):
 
 
 # States per block of a march: a bound on the rows that a march, a window
-# sweep or a per-node reduction holds at once
-_NODE_BLOCK = 16
+# sweep or a per-node reduction holds at once.  Every per-node reduction is
+# one ``row_sums`` row or one sparse product per row, so no bit depends on
+# this number.  8 keeps the march buffer at 10 rows, about 1.3 MB at
+# 64x128; below that the two halo rows become a large share of each block
+_NODE_BLOCK = 8
 # every block after the first repeats the last two states of the one before:
 # the neighbours that a centered time difference reads
 _HALO = 2
@@ -213,9 +216,9 @@ class SemilinearSystem:
     The packed state is x = (y, z, y_gamma, z_gamma); ``blocks`` holds the
     slice of each field in it.  Diffusion, trace coupling and the mass
     vector depend on the mesh and the diffusivities only, so
-    ``with_potentials`` shares them, the stored pattern of K and the
-    factor order, and writes just the potential values into a copy of
-    K's data.
+    ``with_potentials`` shares them and the factor order, and keeps just
+    its own potential values.  K is stored once, in the factor order that
+    SuperLU reads, so a factorization fills its values without a gather.
     """
 
     def __init__(self, mesh: Mesh, diffusion: DiffusionSpec,
@@ -233,41 +236,34 @@ class SemilinearSystem:
                        slice(2 * nb, 2 * nb + ns), slice(2 * nb + ns, self.n_dof))
         self.mass = np.concatenate([mesh.cell_areas, mesh.cell_areas,
                                     mesh.surface_weights, mesh.surface_weights])
-        self._K_diffusion = self._assemble_diffusion()
-        # slots of the eight potential diagonals, in the order of
-        # ``_IMPLICIT_POTENTIALS``, and of the main diagonal in K's stored
-        # data: CSC stores column by column with sorted rows, so
-        # col * n + row ascends along the data and a search finds any entry
-        K, n = self._K_diffusion, self.n_dof
-        col = np.repeat(np.arange(n), np.diff(K.indptr))
-        stored = col * n + K.indices
-        dof = np.arange(n)
-        rows = np.concatenate([dof[self.blocks[i]]
-                               for _, i, _ in _IMPLICIT_POTENTIALS])
-        cols = np.concatenate([dof[self.blocks[j]]
-                               for _, _, j in _IMPLICIT_POTENTIALS])
-        self._pot_slots = np.searchsorted(stored, cols * n + rows)
-        self._diag_slots = np.searchsorted(stored, dof * n + dof)
         # factor order: each cell's (y, z) pair together, sector by sector
         # and ring by ring within a sector, then the (y_gamma, z_gamma)
-        # pairs; minimum degree finds less fill from this numbering.  The
-        # permuted pattern is sorted like ``stored``, and ``_factor_slots``
-        # gathers its data from K's stored data.
+        # pairs; minimum degree finds less fill from this numbering
         cells = np.arange(nb).reshape(mesh.n_r, ns).T.ravel()
         j = np.arange(ns)
+        n = self.n_dof
         self._perm = np.concatenate([np.stack([cells, nb + cells], 1).ravel(),
                                      2 * nb + np.stack([j, ns + j], 1).ravel()])
         self._perm_inverse = np.empty(n, dtype=np.intp)
-        self._perm_inverse[self._perm] = dof
-        row_f, col_f = self._perm_inverse[K.indices], self._perm_inverse[col]
-        self._factor_slots = np.argsort(col_f * n + row_f, kind="stable")
-        self._factor_indices = row_f[self._factor_slots].astype(K.indices.dtype)
-        self._factor_indptr = np.zeros(n + 1, dtype=K.indptr.dtype)
-        np.cumsum(np.bincount(col_f, minlength=n), out=self._factor_indptr[1:])
+        self._perm_inverse[self._perm] = np.arange(n)
+        self._K_diffusion = self._assemble_diffusion()
+        # slots in K's stored data of the eight potential diagonals, in the
+        # order of ``_IMPLICIT_POTENTIALS``, and of the main diagonal, in
+        # packed order: CSC stores column by column with sorted rows, so
+        # col * n + row ascends along the data and a search finds any entry
+        K, inv = self._K_diffusion, self._perm_inverse
+        stored = np.repeat(np.arange(n), np.diff(K.indptr)) * n + K.indices
+        rows = np.concatenate([inv[self.blocks[r]]
+                               for _, r, _ in _IMPLICIT_POTENTIALS])
+        cols = np.concatenate([inv[self.blocks[c]]
+                               for _, _, c in _IMPLICIT_POTENTIALS])
+        self._pot_slots = np.searchsorted(stored, cols * n + rows)
+        self._diag_slots = np.searchsorted(stored, inv * n + inv)
         self._set_potentials(potentials or PotentialSet.from_values(mesh))
 
     def _assemble_diffusion(self) -> sp.csc_matrix:
-        """Integrated diffusion + trace coupling: the potential-free part of K.
+        """Integrated diffusion + trace coupling: the potential-free part of
+        K, with rows and columns in factor order (``_perm_inverse``).
 
         The four y-z coupling diagonals are stored as explicit zeros, so the
         pattern holds a slot for every potential entry.
@@ -301,20 +297,21 @@ class SemilinearSystem:
             rows.append(m.row + orow)
             cols.append(m.col + ocol)
             vals.append(m.data)
+        inv = self._perm_inverse
         return sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            (np.concatenate(vals),
+             (inv[np.concatenate(rows)], inv[np.concatenate(cols)])),
             shape=(self.n_dof, self.n_dof))
 
     def _set_potentials(self, pot: PotentialSet) -> None:
-        """Write the area-weighted potentials into a copy of K's data and
-        reset the LU cache.
+        """Keep the area-weighted potential values, in the order of
+        ``_pot_slots``, and reset the LU cache.
 
         Also fixes ``lipschitz``, the Lipschitz scale of the explicit part
         plus the potential magnitudes, for the step-size guard.
         """
         self.potentials = pot
-        self._K_data = self._K_diffusion.data.copy()
-        self._K_data[self._pot_slots] += np.concatenate([
+        self._pot_values = np.concatenate([
             self.mass[self.blocks[i]] * getattr(pot, name)
             for name, i, _ in _IMPLICIT_POTENTIALS])
         L = max(float(np.abs(getattr(pot, name)).max())
@@ -334,32 +331,31 @@ class SemilinearSystem:
 
     def implicit_matrix(self, dt: float) -> sp.csc_matrix:
         """S = diag(mass/dt) - K, with K the diffusion, coupling and
-        potential blocks, filled on K's stored pattern.
+        potential blocks, in packed order.
 
-        Entries that come out zero (the coupling diagonals of zero
-        potentials) are dropped, so S stores exactly its nonzeros.
+        The factor-order values are mapped back through ``_perm``; entries
+        that come out zero (the coupling diagonals of zero potentials) are
+        dropped, so S stores exactly its nonzeros.
         """
-        K = self._K_diffusion
-        return self._on_pattern(self._implicit_data(dt), K.indices, K.indptr)
-
-    def _implicit_data(self, dt: float) -> np.ndarray:
-        """S's values on K's stored pattern."""
-        data = -self._K_data
-        data[self._diag_slots] += self.mass / dt
-        return data
-
-    def _on_pattern(self, data, indices, indptr) -> sp.csc_matrix:
-        # eliminate_zeros works in place: the shared pattern must not change
-        S = sp.csc_matrix((data, indices.copy(), indptr.copy()),
-                          shape=(self.n_dof, self.n_dof))
+        K, n = self._K_diffusion, self.n_dof
+        col = np.repeat(self._perm, np.diff(K.indptr))
+        S = sp.csc_matrix((self._implicit_data(dt), (self._perm[K.indices], col)),
+                          shape=(n, n))
         S.eliminate_zeros()
         return S
+
+    def _implicit_data(self, dt: float) -> np.ndarray:
+        """S's values on K's stored pattern: -k - p is the double -(k + p)."""
+        data = -self._K_diffusion.data
+        data[self._pot_slots] -= self._pot_values
+        data[self._diag_slots] += self.mass / dt
+        return data
 
     def factorization(self, dt: float) -> PermutedLU:
         """Sparse LU of the implicit matrix, one per step size.
 
-        SuperLU factors ``P S P^T`` in the factor order of ``__init__``,
-        filled from K's data through a precomputed gather, so no sparse
+        SuperLU factors ``P S P^T``, filled on K's stored pattern, which
+        is already in the factor order of ``__init__``, so no sparse
         indexing runs here.  The minimum-degree ordering on A^T + A suits
         this nearly symmetric matrix: it roughly halves the fill of
         SuperLU's default COLAMD.  Relaxed supernodes (``relax``) and
@@ -368,8 +364,11 @@ class SemilinearSystem:
         """
         key = float(dt)
         if key not in self._lu_cache:
-            S = self._on_pattern(self._implicit_data(dt)[self._factor_slots],
-                                 self._factor_indices, self._factor_indptr)
+            K = self._K_diffusion
+            # eliminate_zeros works in place: the shared pattern must not change
+            S = sp.csc_matrix((self._implicit_data(dt), K.indices.copy(),
+                               K.indptr.copy()), shape=K.shape)
+            S.eliminate_zeros()
             try:
                 lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A",
                                relax=1, panel_size=1)

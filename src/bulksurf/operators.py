@@ -49,15 +49,20 @@ class SparseOp:
     def apply(self, u: np.ndarray, u_boundary: np.ndarray | None = None) -> np.ndarray:
         """Divergence-form action div(a grad u) (bulk needs the boundary trace).
 
-        ``u`` is one field, or a (k, n) block of k fields acted on row by row.
+        ``u`` is one field, or a (k, n) block of k fields acted on row by
+        row: a multi-vector product would first copy the transposed block.
         """
-        out = (self.matrix @ u.T).T
-        if self.boundary is not None:
-            if u_boundary is None:
-                raise ValueError("bulk operator needs the surface trace field")
-            out += (self.boundary @ u_boundary.T).T
-        out /= self.weights
-        return out
+        if self.boundary is not None and u_boundary is None:
+            raise ValueError("bulk operator needs the surface trace field")
+        rows = u.reshape(-1, u.shape[-1])
+        traces = None if u_boundary is None else u_boundary.reshape(len(rows), -1)
+        out = np.empty((len(rows), self.dimension))
+        for k, row in enumerate(rows):
+            out[k] = self.matrix @ row
+            if self.boundary is not None:
+                out[k] += self.boundary @ traces[k]
+            out[k] /= self.weights
+        return out.reshape(u.shape[:-1] + (self.dimension,))
 
     def energy_pairing(self, u, v, u_boundary=None, v_boundary=None) -> float:
         """Flux-consistent discrete int a grad(u).grad(v)."""

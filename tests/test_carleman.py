@@ -648,8 +648,8 @@ def test_a_whole_trajectory_is_read_in_place(mesh, regions, linear_system_run,
     carleman_sweep(0.0, [(0, traj)], [cfg_small()], mesh, pair, regions)
     shifted_sweep([(0, traj)], sources, [cfg_small(epsilon=0.5)], mesh, pair,
                   pair, regions, pot)
-    # 57 window nodes: three full groups and a last one, per field pair
-    assert in_place == [True] * 12
+    # 57 window nodes: seven full groups and a last one, per field pair
+    assert in_place == [True] * 24
 
 
 def test_a_sweep_holds_one_group_at_a_time():
@@ -676,6 +676,34 @@ def test_a_sweep_holds_one_group_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak < budget, (peak, budget)
+
+
+def test_folds_copy_no_block():
+    # scipy copies the transposed operand of a multi-vector product; the
+    # folds take one row per product, so on an (8 x n_cells) block the
+    # level sums trace less than half a block and a sparse apply less than
+    # its one-block result and a half, with each row's bits as on its own
+    mesh = build_polar_mesh(32, 64, 1.0)
+    levels = carleman._Levels.of(mesh)
+    op = DiffusionPair.from_fields(mesh, 1.0 + 0.3 * mesh.cell_r, D_SURF).op_bulk
+    rng = np.random.default_rng(4)
+    block = rng.standard_normal((8, mesh.n_cells))
+    trace = rng.standard_normal((8, mesh.n_theta))
+
+    def traced(fold):
+        tracemalloc.start()
+        try:
+            return fold(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sums, peak = traced(lambda: carleman._per_level(levels.areas, block))
+    assert peak < 0.5 * block.nbytes, (peak, block.nbytes)
+    div, peak = traced(lambda: op.apply(block, trace))
+    assert peak < 1.5 * block.nbytes, (peak, block.nbytes)
+    np.testing.assert_array_equal(sums, [levels.areas @ row for row in block])
+    np.testing.assert_array_equal(
+        div, [op.apply(row, row_trace) for row, row_trace in zip(block, trace)])
 
 
 # --- the level sums against a per-node, per-cell walk -----------------------

@@ -4,11 +4,13 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
 
 import bulksurf
+import bulksurf.cli
 import bulksurf.forward
 import bulksurf.positivity
 from bulksurf.cli import main, write_csv
@@ -123,6 +125,26 @@ def test_simulate_reads_the_fill_without_building_L_and_U(
     assert len(factors) == 1
     lu = factors[0]
     assert read_summary(out)["lu_fill_nnz"] == lu.nnz == lu.L.nnz + lu.U.nnz
+
+
+def test_simulate_lets_its_factorization_go_before_the_csvs(tmp_path,
+                                                            monkeypatch):
+    # the fill is read first; the LU (1.3 million entries at 64x128) is
+    # freed before the CSV rows are formatted
+    factorization = SemilinearSystem.factorization
+    refs, alive = [], []
+
+    def spy(self, dt):
+        lu = factorization(self, dt)
+        refs.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(SemilinearSystem, "factorization", spy)
+    write = bulksurf.cli.write_csv
+    monkeypatch.setattr(bulksurf.cli, "write_csv", lambda *a: alive.append(
+        [ref() is not None for ref in refs]) or write(*a))
+    assert run_cli("simulate", write_config(tmp_path), tmp_path / "out") == 0
+    assert refs and alive == [[False] * len(refs)] * 3
 
 
 def test_simulate_reproducible_bytes(tmp_path):
@@ -288,6 +310,24 @@ def test_carleman_verify_command(tmp_path):
     assert "observation" in header  # per-term breakdown present
 
 
+@pytest.mark.parametrize("tau", [400, 2000])
+def test_overflowing_decomposition_fails_its_check(tmp_path, tau):
+    # on 8x16 the weighted components overflow at these tau: their residuals
+    # read nan and fail the check, while tau = 200 still passes beside them
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert run_cli("carleman-verify", write_config(
+            tmp_path, {"carleman": {"tau_list": [200, tau]}}), out) == 1
+    checks = read_summary(out)["checks"]
+    assert checks.pop("decomposition_residuals") is False
+    assert all(checks.values()), checks
+    with open(out / "decomposition.csv") as fh:
+        rows = [line.strip().split(",") for line in fh][1:]
+    assert [row[0] for row in rows] == ["200", str(tau)]
+    assert max(float(v) for v in rows[0][1:]) <= 1e-8
+    assert rows[1][1:] == ["nan", "nan"]
+
+
 def test_carleman_verify_walks_each_field_once(tmp_path, monkeypatch):
     # the sparse applies depend on the field alone: one bulk and one surface
     # apply per window node and field, whatever the number of (lam, s) points
@@ -429,6 +469,22 @@ def test_gradcheck_command(tmp_path):
     summary = read_summary(out)
     assert summary["checks"]["gradient_matches_fd"]
     assert summary["effective"]["worst_rel_err"] <= 1e-5
+
+
+@pytest.mark.parametrize("step, passed", [(0.05, False), (1e-3, True)])
+def test_gradcheck_fails_at_a_coarse_step(tmp_path, step, passed):
+    # negative control: at step 0.05 the central differences miss the
+    # adjoint by about 3e-4, beyond the 1e-5 tolerance, and the check says
+    # so; the same points and directions pass at step 1e-3
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mesh": {"n_r": 8, "n_theta": 16}, "inverse": {
+        "gradcheck_points": 2, "gradcheck_directions": 2,
+        "gradcheck_step": step}}))
+    out = tmp_path / "out"
+    assert run_cli("gradcheck", str(path), out, seed=3) == (0 if passed else 1)
+    summary = read_summary(out)
+    assert summary["checks"] == {"gradient_matches_fd": passed}
+    assert (summary["effective"]["worst_rel_err"] <= 1e-5) == passed
 
 
 def test_reconstruct_command(tmp_path):

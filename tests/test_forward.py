@@ -152,6 +152,21 @@ def test_with_potentials_matches_fresh_system(mesh, diffusion):
     assert derived._perm is base._perm
 
 
+def test_a_system_stores_the_pattern_once(mesh, diffusion):
+    # K is kept in factor order only: no array of K.nnz entries sits beside
+    # its own data and indices, in a system or in a with_potentials copy
+    base = SemilinearSystem(mesh, diffusion)
+    derived = base.with_potentials(
+        PotentialSet.from_values(mesh, p12=0.1, p21=0.3 + 0.1 * mesh.cell_r))
+    K = base._K_diffusion
+    for system in (base, derived):
+        system.factorization(0.01)
+        assert system._K_diffusion is K
+        sized = [name for name, value in vars(system).items()
+                 if isinstance(value, np.ndarray) and value.size == K.nnz]
+        assert sized == []
+
+
 def _sparse_formula(system, dt):
     """The reference implicit matrix diag(mass/dt) - (K + P) in scipy
     sparse arithmetic, with K the diffusion and trace coupling blocks and
@@ -604,7 +619,7 @@ def test_block_solve_refuses_a_ragged_block():
 
 @pytest.mark.parametrize("k", [None, 3])
 def test_solve_stacks_the_blocks_of_march(k):
-    # one state (k None) or a block of k; 41 nodes make blocks of 16 new
+    # one state (k None) or a block of k; 41 nodes make blocks of 8 new
     # states, each after the first led by the two states before it
     system, reactions, sources, init = _block_problem(k=k or 1)
     if k is None:
@@ -619,7 +634,8 @@ def test_solve_stacks_the_blocks_of_march(k):
         np.testing.assert_array_equal(block.packed, traj.packed[start:spans[-1][1]])
         np.testing.assert_array_equal(block.times, traj.times[start:spans[-1][1]])
         np.testing.assert_array_equal(block.z, traj.z[start:spans[-1][1]])
-    assert spans == [(0, 16), (14, 32), (30, 41)] == block_spans(41)
+    assert spans == [(0, 8), (6, 16), (14, 24), (22, 32), (30, 40),
+                     (38, 41)] == block_spans(41)
     assert [(start, start + b.n_nodes) for start, b in traj.blocks()] == spans
 
 
