@@ -23,8 +23,8 @@ import scipy.sparse as sp
 from .geometry import Mesh, RegionSet
 from .operators import SparseOp, assemble_bulk_diffusion, \
     assemble_surface_diffusion, conormal_flux
-from .forward import _NODE_BLOCK, Trajectory, require_window, row_sums, \
-    source_array, window_nodes
+from .forward import Trajectory, require_window, row_sums, source_array, \
+    window_rows
 
 _EXP_CLAMP = -700.0   # exponents below this evaluate to exact zero
 
@@ -346,42 +346,17 @@ def _pair_quantities(zb: np.ndarray, zg: np.ndarray, dt: float, mesh: Mesh,
     return np.stack(surf, axis=1), bulk
 
 
-def _window_groups(blocks, names: tuple, t0: float, t1: float):
-    """The window's nodes, at most _NODE_BLOCK at a time, read from
-    consecutive blocks of states.
-
-    ``blocks`` yields ``(start, Trajectory)`` in node order, with every
-    window node an interior row of exactly one block (``march`` and
-    ``Trajectory.blocks`` cut them so; one whole trajectory will do).
-    Yields (times, dt, tables): the group's node times, and views of the
-    named tables on its rows with one state more on each side.  Every
-    per-node quantity depends only on its node's rows, so the sums do not
-    depend on how the blocks are cut.  Reading stops at the block in which
-    the window ends.
-    """
-    seen = False
-    for _, block in blocks:
-        ks = window_nodes(block, t0, t1)
-        tables = [getattr(block, name) for name in names]
-        for first in range(0, ks.size, _NODE_BLOCK):
-            group = ks[first:first + _NODE_BLOCK]
-            yield block.times[group], block.dt, \
-                [table[group[0] - 1:group[-1] + 2] for table in tables]
-        seen = seen or ks.size > 0
-        # an interior row after the last window node: no later block has one
-        if seen and (not ks.size or ks[-1] < block.n_nodes - 2):
-            return
-
-
 def _window_sums(blocks, names: tuple, cfgs: list, levels: _Levels, powers,
                  bulk_terms: list, quantities) -> list:
     """Weighted window sums of every term at every config.
 
-    ``blocks`` are consecutive states as ``_window_groups`` reads them, and
-    ``quantities(dt, *tables)`` gives, at the interior rows of the named
-    tables of one group, the surface numbers q (nodes x terms) and the bulk
-    level sums b (nodes x terms ``bulk_terms`` x levels).  Term j at a
-    config is
+    ``blocks`` are consecutive blocks of states, such as ``march`` and
+    ``Trajectory.blocks`` cut them, and ``quantities(dt, *tables)`` gives,
+    at the interior rows of the named tables of a block's ``window_rows``
+    (one group), the surface numbers q (nodes x terms) and the bulk level
+    sums b (nodes x terms ``bulk_terms`` x levels).  Every per-node
+    quantity depends only on its node's rows, so the sums do not depend on
+    how the blocks are cut.  Term j at a config is
 
         dt sum_k ( w_j[k, surface] q_j(k) + sum_l w_j[k, l] b_j(k)_l ),
         w_j = e^{-2 s (alpha - alpha_ref)} (s xi)^{powers[j]},
@@ -391,9 +366,9 @@ def _window_sums(blocks, names: tuple, cfgs: list, levels: _Levels, powers,
     finite (the estimates are ratios, so they do not depend on it).
     Endpoint nodes are excluded: the weight vanishes faster than any
     polynomial there.  Each config weighs the window a group at a time:
-    alpha = (K - E) / gamma on a (group x levels) table, and (s xi)^m =
-    (s E)^m gamma^{-m}; every weight is elementwise, so its bits do not
-    depend on the groups.  Returns (sums, log_scale) per config,
+    alpha = (K - E) / gamma on a (group x [surface, levels]) table, and
+    (s xi)^m = (s E)^m gamma^{-m}; every weight is elementwise, so its bits
+    do not depend on the groups.  Returns (sums, log_scale) per config,
     log_scale = -2 s alpha_ref.
     """
     if len({(cfg.t0, cfg.t1) for cfg in cfgs}) > 1:
@@ -401,35 +376,31 @@ def _window_sums(blocks, names: tuple, cfgs: list, levels: _Levels, powers,
     if not cfgs:
         return []
     t0, t1 = cfgs[0].t0, cfgs[0].t1
-    node_times, surf, bulk, dt = [], [], [], 0.0
-    for times, dt, tables in _window_groups(blocks, names, t0, t1):
-        q, b = quantities(dt, *tables)
-        node_times.append(times)
-        surf.append(q)
-        bulk.append(b)
-    require_window(len(node_times), t0, t1)
-    node_times, surf = np.concatenate(node_times), np.concatenate(surf)
+    groups, dt = [], 0.0
+    for block in blocks:
+        rows = window_rows(block, t0, t1)
+        if rows is not None:
+            dt = rows.dt
+            groups.append((rows.times[1:-1], *quantities(
+                dt, *(getattr(rows, name) for name in names))))
+    require_window(len(groups), t0, t1)
     powers = np.asarray(powers, dtype=float)
 
     out = []
     for cfg in cfgs:
         num_alpha, E = weight_factors(cfg, levels.eta)
-        gamma = gamma_value(node_times, cfg)[:, None]
+        gammas = [gamma_value(times, cfg)[:, None] for times, _, _ in groups]
         # the grid minimum of alpha: division is monotone in each operand
-        alpha_ref = float(num_alpha.min() / gamma.max())
+        alpha_ref = float(num_alpha.min() / max(g.max() for g in gammas))
         spatial = (cfg.s * E) ** powers[:, None]
-        vals = (exp_weight(cfg.s, num_alpha[:1] / gamma, shift=alpha_ref)
-                * spatial[:, 0] * surf)
-        # group by group, so the level weights and their products stay
-        # group-sized and the level sums are never copied into one table
-        rows = 0
-        for group in bulk:
-            cut = slice(rows, rows + len(group))
-            w = exp_weight(cfg.s, num_alpha[1:] / gamma[cut], shift=alpha_ref)
-            vals[cut, bulk_terms] += np.sum(group * w[:, None]
-                                            * spatial[bulk_terms, 1:], axis=2)
-            rows = cut.stop
-        out.append((dt * np.sum(vals * gamma ** -powers, axis=0),
+        vals = []
+        for (_, q, b), gamma in zip(groups, gammas):
+            w = exp_weight(cfg.s, num_alpha / gamma, shift=alpha_ref)
+            v = w[:, :1] * spatial[:, 0] * q
+            v[:, bulk_terms] += np.sum(b * w[:, None, 1:]
+                                       * spatial[bulk_terms, 1:], axis=2)
+            vals.append(v * gamma ** -powers)
+        out.append((dt * np.sum(np.concatenate(vals), axis=0),
                     -2.0 * cfg.s * alpha_ref))
     return out
 
@@ -463,11 +434,11 @@ def carleman_sweep(tau: float, blocks, cfgs: list, mesh: Mesh,
                    pair: DiffusionPair, regions: RegionSet) -> list:
     """carleman_ratio at each config of ``cfgs``, from one walk of the window.
 
-    ``blocks`` yields the field's consecutive states as ``(start,
-    Trajectory)``, such as ``march`` or ``Trajectory.blocks`` give them; only
-    the z pair is read.  The field quantities at each window node (sparse
-    applies, fluxes, gradient energies) are computed once, summed per eta0
-    level, and weighted for every config.
+    ``blocks`` yields the field's consecutive blocks of states, such as
+    ``march`` or ``Trajectory.blocks`` give them; only the z pair is read.
+    The field quantities at each window node (sparse applies, fluxes,
+    gradient energies) are computed once, summed per eta0 level, and
+    weighted for every config.
     """
     terms = {**_NORM_TERMS, **_RHS_TERMS}
     n = len(_NORM_TERMS)
@@ -495,7 +466,7 @@ def carleman_ratio(tau: float, traj: Trajectory, cfg: CarlemanConfig,
     weighted residual terms of the heat operators.  Both sides share one
     exponent shift, so the ratio is shift-invariant.
     """
-    return carleman_sweep(tau, [(0, traj)], [cfg], mesh, pair, regions)[0]
+    return carleman_sweep(tau, traj.blocks(), [cfg], mesh, pair, regions)[0]
 
 
 def require_unit_disk(mesh: Mesh) -> None:
@@ -522,11 +493,10 @@ def shifted_sweep(blocks, sources: dict, cfgs: list, mesh: Mesh,
                   regions: RegionSet, potentials) -> list:
     """shifted_ratio at each config of ``cfgs``, from one walk of the window.
 
-    ``blocks`` yields the solution's consecutive states as ``(start,
-    Trajectory)``; a ``march`` can feed it as it steps.  Each window node's
-    quantities of the y pair (tau = -3), the z pair (tau = 0), the
-    observation and the sources are computed once, summed per eta0 level,
-    and weighted for every config.
+    ``blocks`` yields the solution's consecutive blocks of states; a
+    ``march`` can feed it as it steps.  Each window node's quantities of the
+    y pair (tau = -3), the z pair (tau = 0), the observation and the sources
+    are computed once, summed per eta0 level, and weighted for every config.
     """
     require_p0_floor(potentials)
     src = {key: source_array(key, sources.get(key), mesh)
@@ -585,7 +555,7 @@ def shifted_ratio(traj: Trajectory, sources: dict, cfg: CarlemanConfig,
     arrays; a missing key is zero.  Refuses to run unless p21 and q21 sit
     above the coercivity floor.
     """
-    return shifted_sweep([(0, traj)], sources, [cfg], mesh, pair1, pair2,
+    return shifted_sweep(traj.blocks(), sources, [cfg], mesh, pair1, pair2,
                          regions, potentials)[0]
 
 

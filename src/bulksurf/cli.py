@@ -145,11 +145,10 @@ def _cmd_simulate(run: _Runner) -> int:
                               nl_f=cfg.nl_f, nl_g=cfg.nl_g)
     # the run is reduced block by block as it steps: no table of states
     window = WindowNorm(cfg.regions, mesh)
-    rows, my, finite, done = [], [], True, 0
-    for start, block in system.march(cfg.init, cfg.t_end, cfg.dt):
-        window.add(start, block)
-        new = block.rows(done - start)  # the states no earlier block held
-        done = start + block.n_nodes
+    rows, my, finite = [], [], True
+    for block in system.march(cfg.init, cfg.t_end, cfg.dt):
+        window.add(block)
+        new = block.new_rows()
         my.append(mass_series(new, mesh))
         mz = (row_sums(new.z, mesh.cell_areas)
               + row_sums(new.z_gamma, mesh.surface_weights))

@@ -150,13 +150,16 @@ def mn_decompositions(taus, z_field: SpaceTimeField, cfg: CarlemanConfig,
 
     out = []
     for tau in taus:
-        *bulk_vals, f_vals = on_grid(bulk_fn, (x1, x2), float(tau))
-        *surf_vals, g_vals = on_grid(surf_fn, (th,), float(tau))
-        out.append(Decomposition(
-            residual_bulk=_rel_residual(sum(bulk_vals), f_vals,
-                                        [*bulk_vals, f_vals]),
-            residual_surface=_rel_residual(sum(surf_vals), g_vals,
-                                           [*surf_vals, g_vals])))
+        # a large tau overflows the weighted components: the non-finite
+        # values give a nan residual, which fails the check, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            *bulk_vals, f_vals = on_grid(bulk_fn, (x1, x2), float(tau))
+            *surf_vals, g_vals = on_grid(surf_fn, (th,), float(tau))
+            out.append(Decomposition(
+                residual_bulk=_rel_residual(sum(bulk_vals), f_vals,
+                                            [*bulk_vals, f_vals]),
+                residual_surface=_rel_residual(sum(surf_vals), g_vals,
+                                               [*surf_vals, g_vals])))
     return out
 
 
@@ -167,32 +170,30 @@ def mn_decomposition(tau: float, z_field: SpaceTimeField, cfg: CarlemanConfig,
 
 
 def field_to_trajectory(z_field: SpaceTimeField, mesh: Mesh,
-                        times: np.ndarray, dt: float | None = None) -> Trajectory:
-    """Sample a closed-form field into a trajectory (z pair only).
-
-    ``dt`` is the grid step, ``times[1] - times[0]`` when not given; a grid
-    cut out of a longer one needs it, since that difference need not equal
-    the step bit for bit.  The y pair is a read-only zero view.
-    """
+                        times: np.ndarray) -> Trajectory:
+    """Sample a closed-form field into a trajectory (z pair only), with the
+    step ``times[1] - times[0]``.  The y pair is a read-only zero view."""
     times = np.asarray(times, dtype=float)
     return _sampled(z_field, z_field.on_circle(mesh.R_domain), mesh, times,
-                    float(times[1] - times[0]) if dt is None else dt)
+                    float(times[1] - times[0]))
 
 
 def field_blocks(z_field: SpaceTimeField, mesh: Mesh, times: np.ndarray,
                  dt: float):
     """``field_to_trajectory`` cut into the blocks of ``Trajectory.blocks``,
-    each sampled when it is asked for: a sweep holds one block at a time."""
+    each sampled when it is asked for: a sweep holds one block at a time.
+    ``dt`` is the grid step; a grid cut out of a longer one needs it, since
+    ``times[1] - times[0]`` need not equal the step bit for bit."""
     zg_field = z_field.on_circle(mesh.R_domain)
     for start, stop in block_spans(len(times)):
-        yield start, _sampled(z_field, zg_field, mesh, times[start:stop], dt)
+        yield _sampled(z_field, zg_field, mesh, times[start:stop], dt, start)
 
 
 def _sampled(z_field: SpaceTimeField, zg_field, mesh: Mesh, times: np.ndarray,
-             dt: float) -> Trajectory:
+             dt: float, start: int = 0) -> Trajectory:
     """The z pair at every time of ``times``, one lambdified call per field."""
     z = z_field.value(times[:, None], mesh.cell_xy)
     zg = zg_field.value(times[:, None], mesh.surface_theta)
     return Trajectory(times=times, y=np.broadcast_to(0.0, z.shape), z=z,
                       y_gamma=np.broadcast_to(0.0, zg.shape), z_gamma=zg,
-                      dt=dt)
+                      dt=dt, start=start)

@@ -65,7 +65,9 @@ class Trajectory:
     """Uniformly spaced states; row k of each table is the state at times[k].
 
     A solve of a block of k states gives tables with a draw axis after the
-    time axis, ``(n_nodes, k, n_cells)``.
+    time axis, ``(n_nodes, k, n_cells)``.  ``start`` is the index of the
+    first state in the run it was cut from (0 for a whole run); only the
+    code that cuts blocks sets it.
     """
 
     times: np.ndarray
@@ -75,6 +77,7 @@ class Trajectory:
     z_gamma: np.ndarray
     dt: float
     packed: np.ndarray | None = None  # the (n_nodes, n_dof) states of a solve
+    start: int = 0
 
     @property
     def n_nodes(self) -> int:
@@ -97,12 +100,18 @@ class Trajectory:
         return Trajectory(times=self.times[cut], y=self.y[cut], z=self.z[cut],
                           y_gamma=self.y_gamma[cut], z_gamma=self.z_gamma[cut],
                           dt=self.dt,
-                          packed=None if self.packed is None else self.packed[cut])
+                          packed=None if self.packed is None else self.packed[cut],
+                          start=self.start + start)
 
     def blocks(self):
         """This trajectory cut into the blocks ``march`` yields, as views."""
         for start, stop in block_spans(self.n_nodes):
-            yield start, self.rows(start, stop)
+            yield self.rows(start, stop)
+
+    def new_rows(self) -> "Trajectory":
+        """The states of this block that the block before it did not hold:
+        all but the _HALO leading states of a block after the first."""
+        return self.rows(_HALO if self.start else 0)
 
 
 @dataclass
@@ -424,26 +433,26 @@ class SemilinearSystem:
         out[:] = x_new
         return out
 
-    def _trajectory(self, times: np.ndarray, X: np.ndarray,
-                    dt: float) -> Trajectory:
+    def _trajectory(self, times: np.ndarray, X: np.ndarray, dt: float,
+                    start: int = 0) -> Trajectory:
         """The packed states X at ``times`` as a Trajectory of views."""
         sy, sz, syg, szg = self.blocks
         return Trajectory(times=times, y=X[..., sy], z=X[..., sz],
                           y_gamma=X[..., syg], z_gamma=X[..., szg],
-                          dt=float(dt), packed=X)
+                          dt=float(dt), packed=X, start=start)
 
     def march(self, init: InitialData, t_end: float, dt: float,
               sources=None, reactions: ReactionSet | None = None,
               t_start: float = 0.0):
         """Integrate ``init`` from t_start to t_end, a block of states at a time.
 
-        Yields ``(start, block)`` per span of ``block_spans``: ``block`` is a
-        Trajectory of consecutive states, the first of which is state
-        ``start``.  Its tables are views of one buffer of _NODE_BLOCK +
-        _HALO rows that the next steps overwrite, so read or copy a block
-        before asking for the next.  ``init`` holds one state, or a block of
-        k states when every field has a leading axis of length k; the block
-        shares one LU and is advanced in one step per time node.
+        Yields a block per span of ``block_spans``: a Trajectory of
+        consecutive states, the first of which is state ``block.start``.
+        Its tables are views of one buffer of _NODE_BLOCK + _HALO rows that
+        the next steps overwrite, so read or copy a block before asking for
+        the next.  ``init`` holds one state, or a block of k states when
+        every field has a leading axis of length k; the block shares one LU
+        and is advanced in one step per time node.
         """
         srcs = _normalize_sources(sources, self.mesh)
         times = _time_nodes(t_start, t_end, dt)
@@ -472,7 +481,7 @@ class SemilinearSystem:
                         f"step {k} (t={times[k - 1]:.6g}): {exc}") from exc
                 t = t + dt
             rows = stop - start
-            yield start, self._trajectory(times[start:stop], X[:rows], dt)
+            yield self._trajectory(times[start:stop], X[:rows], dt, start)
 
     def solve(self, init: InitialData, t_end: float, dt: float,
               sources=None, reactions: ReactionSet | None = None,
@@ -484,11 +493,11 @@ class SemilinearSystem:
         """
         times = _time_nodes(t_start, t_end, dt)
         X = None
-        for start, block in self.march(init, t_end, dt, sources=sources,
-                                       reactions=reactions, t_start=t_start):
+        for block in self.march(init, t_end, dt, sources=sources,
+                                reactions=reactions, t_start=t_start):
             if X is None:
                 X = np.empty((times.size, *block.packed.shape[1:]))
-            X[start:start + block.n_nodes] = block.packed
+            X[block.start:block.start + block.n_nodes] = block.packed
         return self._trajectory(times, X, dt)
 
     def coefficient_fields(self, x: np.ndarray, x_next: np.ndarray) -> np.ndarray:
@@ -539,6 +548,20 @@ def window_nodes(traj: Trajectory, t0: float, t1: float) -> np.ndarray:
                               & (traj.times[2:] < t1 - tol))
 
 
+def window_rows(block: Trajectory, t0: float, t1: float) -> Trajectory | None:
+    """The rows of ``block`` from the state before its first window node to
+    the state after its last, as views; None when it holds no window node.
+
+    Each state with two neighbours is an interior row of exactly one block
+    of ``march`` or ``Trajectory.blocks``, so these rows of consecutive
+    blocks hold each window node of the run once, at most _NODE_BLOCK of
+    them at a time.  This is the one walk of the window: the observation
+    and the weighted Carleman sums both read it.
+    """
+    ks = window_nodes(block, t0, t1)
+    return block.rows(int(ks[0]) - 1, int(ks[-1]) + 2) if ks.size else None
+
+
 def require_window(n_nodes: int, t0: float, t1: float) -> None:
     """Refuse a window that holds no node of the states read."""
     if not n_nodes:
@@ -550,10 +573,8 @@ class WindowObservation:
     """The centered time derivative of z on omega inside (t0, t1), gathered
     from consecutive blocks of states such as ``march`` yields.
 
-    ``add`` takes the window nodes that are interior rows of a block; since
-    every state with two neighbours is an interior row of exactly one block,
-    the record depends on the states only through their restriction to
-    omega x (t0, t1).
+    ``add`` takes a block's ``window_rows``, so the record depends on the
+    states only through their restriction to omega x (t0, t1).
     """
 
     def __init__(self, regions: RegionSet, mesh: Mesh,
@@ -566,17 +587,16 @@ class WindowObservation:
         self.nodes: list = []
         self.dt = 0.0
 
-    def add(self, start: int, block: Trajectory) -> None:
-        """Difference the window nodes of ``block``, whose first state is
-        state ``start``."""
-        ks = window_nodes(block, self.t0, self.t1)
+    def add(self, block: Trajectory) -> None:
+        """Difference the window nodes of ``block``."""
+        rows = window_rows(block, self.t0, self.t1)
         self.dt = block.dt
-        if ks.size:
-            # the nodes are consecutive: gather their omega values and the
-            # two neighbouring rows once, then difference the shifted rows
-            z = block.z[ks[0] - 1:ks[-1] + 2, self.cells]
+        if rows is not None:
+            # gather the omega values of the nodes and their two neighbouring
+            # rows once, then difference the shifted rows
+            z = rows.z[:, self.cells]
             self._keep((z[2:] - z[:-2]) / (2 * block.dt))
-            self.nodes.append(start + ks)
+            self.nodes.append(rows.start + np.arange(1, rows.n_nodes - 1))
 
     def _keep(self, values: np.ndarray) -> None:
         self.values.append(values)
@@ -613,8 +633,8 @@ def observe_blocks(blocks, regions: RegionSet, mesh: Mesh,
                    t1: float | None = None) -> ObservationRecord:
     """The record of consecutive blocks of states such as ``march`` yields."""
     window = WindowObservation(regions, mesh, t0, t1)
-    for start, block in blocks:
-        window.add(start, block)
+    for block in blocks:
+        window.add(block)
     return window.record()
 
 
@@ -626,7 +646,7 @@ def observe(traj: Trajectory, regions: RegionSet, mesh: Mesh,
     window are used, so the record depends on the trajectory only through
     its restriction to omega x (t0, t1).
     """
-    return observe_blocks([(0, traj)], regions, mesh, t0, t1)
+    return observe_blocks([traj], regions, mesh, t0, t1)
 
 
 def mass_series(traj: Trajectory, mesh: Mesh) -> np.ndarray:

@@ -77,10 +77,6 @@ def sup_abs(field: np.ndarray) -> np.ndarray:
     return np.maximum(field.max(axis=(0, -1)), -field.min(axis=(0, -1)))
 
 
-def _fields(traj: Trajectory) -> tuple:
-    return traj.y, traj.z, traj.y_gamma, traj.z_gamma
-
-
 def negative_part_energy(traj: Trajectory, mesh: Mesh) -> dict:
     """Series E-(t) = |u-|^2_{L2(Omega)} + |u_gamma-|^2_{L2(Gamma)} per pair."""
     areas, ds = mesh.cell_areas, mesh.surface_weights
@@ -96,20 +92,36 @@ def negative_part_energy_monotone(traj: Trajectory, mesh: Mesh) -> dict:
     trajectories pass trivially and genuine growth is flagged.  For a block
     trajectory every entry is per draw.
     """
-    return _monotone(negative_part_energy(traj, mesh),
-                     np.max([sup_abs(f) for f in _fields(traj)], axis=0),
-                     traj.dt)
+    return _reduce(traj.blocks(), mesh, traj.dt)["energy"]
 
 
-def _monotone(energy: dict, scale: np.ndarray, dt: float) -> dict:
-    """``energy`` with the checks of ``negative_part_energy_monotone`` for
-    the field scale ``scale`` (sup |state| over the four fields)."""
-    tol = 1e-8 * np.maximum(scale, 1e-300) ** 2 * dt
+def _reduce(blocks, mesh: Mesh, dt: float) -> dict:
+    """The per-node series of consecutive blocks of states, such as
+    ``march`` yields, each state read once: the times, the minimum over the
+    fields (``min_series`` and its minimum ``min_value``), the negative-part
+    energy with the checks of ``negative_part_energy_monotone``
+    (``energy``) and sup |y| (``sup_y``)."""
+    times, mins, ey, ez, sup = [], [], [], [], 0.0
+    for block in blocks:
+        new = block.new_rows()
+        fields = (new.y, new.z, new.y_gamma, new.z_gamma)
+        times.append(new.times)
+        mins.append(np.minimum.reduce([f.min(axis=-1) for f in fields]))
+        energy = negative_part_energy(new, mesh)
+        ey.append(energy["E_y"])
+        ez.append(energy["E_z"])
+        sup = np.maximum(sup, [sup_abs(f) for f in fields])
+
+    energy = {"E_y": np.concatenate(ey), "E_z": np.concatenate(ez)}
+    # the field scale is sup |state| over the four fields
+    tol = 1e-8 * np.maximum(sup.max(axis=0), 1e-300) ** 2 * dt
     for key in ("E_y", "E_z"):
         growth = np.diff(energy[key], axis=0).max(axis=0, initial=0.0)
         energy[f"{key}_monotone"] = growth <= tol
     energy["passed"] = energy["E_y_monotone"] & energy["E_z_monotone"]
-    return energy
+    min_series = np.concatenate(mins)
+    return {"times": np.concatenate(times), "min_value": min_series.min(axis=0),
+            "min_series": min_series, "energy": energy, "sup_y": sup[0]}
 
 
 def implicit_offdiagonal_report(system: SemilinearSystem, dt: float) -> dict:
@@ -139,10 +151,8 @@ def positivity_experiment(mesh: Mesh, diffusion: DiffusionSpec,
     system and one LU, and every per-draw entry then carries that axis
     last.
 
-    The states are reduced block by block, as ``march`` yields them: the
-    minimum over the fields per node (``min_series``), the negative-part
-    energy with its monotonicity checks (``energy``) and sup |y|
-    (``sup_y``).  The whole trajectory is kept only with
+    The states are reduced block by block, as ``march`` yields them, into
+    the series of ``_reduce``.  The whole trajectory is kept only with
     ``keep_trajectory``; its blocks are reduced the same way.
     """
     qp = check_qp(reactions, np.linspace(0.0, 2.0, 41))
@@ -159,29 +169,8 @@ def positivity_experiment(mesh: Mesh, diffusion: DiffusionSpec,
         blocks = traj.blocks()
     else:
         blocks = system.march(init, t_end, dt, reactions=reactions)
-    times, mins, ey, ez, sup = [], [], [], [], 0.0
-    done = 0
-    for start, block in blocks:
-        new = block.rows(done - start)  # the states no earlier block held
-        done = start + block.n_nodes
-        fields = _fields(new)
-        times.append(new.times)
-        mins.append(np.minimum.reduce([f.min(axis=-1) for f in fields]))
-        energy = negative_part_energy(new, mesh)
-        ey.append(energy["E_y"])
-        ez.append(energy["E_z"])
-        sup = np.maximum(sup, [sup_abs(f) for f in fields])
-
-    min_series = np.concatenate(mins)
-    out = {
-        "times": np.concatenate(times),
-        "min_value": min_series.min(axis=0),
-        "min_series": min_series,
-        "energy": _monotone({"E_y": np.concatenate(ey),
-                             "E_z": np.concatenate(ez)}, sup.max(axis=0), dt),
-        "sup_y": sup[0],
-        "matrix_check": implicit_offdiagonal_report(system, dt),
-    }
+    out = {**_reduce(blocks, mesh, dt),
+           "matrix_check": implicit_offdiagonal_report(system, dt)}
     if keep_trajectory:
         out["trajectory"] = traj
     return out

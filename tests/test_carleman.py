@@ -440,7 +440,7 @@ _SWEEP_POINTS = [dict(lam=2.0), dict(lam=2.0, s=8.0), dict(lam=3.0, s=5.0),
 def test_ratio_rhs_vs_independent_quadrature(mesh, pair, regions, smooth_traj,
                                              tau):
     cfgs = [cfg_small(**point) for point in _SWEEP_POINTS]
-    outs = carleman_sweep(tau, [(0, smooth_traj)], cfgs, mesh, pair, regions)
+    outs = carleman_sweep(tau, [smooth_traj], cfgs, mesh, pair, regions)
     for cfg, out in zip(cfgs, outs):
         want = {**_independent_rhs_terms(tau, smooth_traj, cfg, mesh, pair,
                                          regions),
@@ -458,7 +458,7 @@ def test_ratio_rhs_vs_independent_quadrature(mesh, pair, regions, smooth_traj,
 def test_sweep_refuses_configs_with_different_windows(mesh, pair, regions,
                                                       smooth_traj):
     with pytest.raises(ValueError, match="share the window"):
-        carleman_sweep(0.0, [(0, smooth_traj)], [cfg_small(), cfg_small(t1=0.7)],
+        carleman_sweep(0.0, [smooth_traj], [cfg_small(), cfg_small(t1=0.7)],
                        mesh, pair, regions)
 
 
@@ -554,7 +554,7 @@ def test_shifted_ratio_parts_vs_independent_quadrature(mesh, regions,
     eps = 0.5
     cfgs = [cfg_small(epsilon=eps, **point) for point in
             [dict(lam=2.0, s=default_s1(2.0, 0.2, 0.8)), *_SWEEP_POINTS]]
-    outs = shifted_sweep([(0, traj)], sources, cfgs, mesh, pair, pair, regions,
+    outs = shifted_sweep([traj], sources, cfgs, mesh, pair, pair, regions,
                          pot)
     for cfg, out in zip(cfgs, outs):
         lam, s = cfg.lam, cfg.s
@@ -589,7 +589,7 @@ def test_shifted_ratio_parts_vs_independent_quadrature(mesh, regions,
 def _cut(traj, size):
     """``traj`` in blocks of ``size`` new states, each after the first led by
     the two states before it, as a march would yield them."""
-    return [(max(n - 2, 0), traj.rows(max(n - 2, 0), n + size))
+    return [traj.rows(max(n - 2, 0), n + size)
             for n in range(0, traj.n_nodes, size)]
 
 
@@ -611,11 +611,11 @@ def test_window_sums_do_not_depend_on_how_the_states_are_cut(
     cfgs = [cfg_small(epsilon=0.5, **point) for point in _SWEEP_POINTS]
     assert shifted_sweep(_cut(traj, size), sources, cfgs, mesh, pair, pair,
                          regions, pot) == \
-        shifted_sweep([(0, traj)], sources, cfgs, mesh, pair, pair, regions,
+        shifted_sweep([traj], sources, cfgs, mesh, pair, pair, regions,
                       pot)
     assert carleman_sweep(0.0, _cut(traj, size), cfgs, mesh, pair,
                           regions) == \
-        carleman_sweep(0.0, [(0, traj)], cfgs, mesh, pair, regions)
+        carleman_sweep(0.0, [traj], cfgs, mesh, pair, regions)
 
 
 def test_a_march_feeds_the_sweep_as_it_steps(mesh, regions, linear_system_run):
@@ -627,7 +627,7 @@ def test_a_march_feeds_the_sweep_as_it_steps(mesh, regions, linear_system_run):
                                         traj.z_gamma)))
     assert shifted_sweep(system.march(init, 0.8, 0.01, sources=sources),
                          sources, cfgs, mesh, pair, pair, regions, pot) == \
-        shifted_sweep([(0, traj)], sources, cfgs, mesh, pair, pair, regions,
+        shifted_sweep([traj], sources, cfgs, mesh, pair, pair, regions,
                       pot)
 
 
@@ -645,11 +645,11 @@ def test_a_whole_trajectory_is_read_in_place(mesh, regions, linear_system_run,
         return quantities(zb, zg, *args, **kwargs)
 
     monkeypatch.setattr(carleman, "_pair_quantities", spy)
-    carleman_sweep(0.0, [(0, traj)], [cfg_small()], mesh, pair, regions)
-    shifted_sweep([(0, traj)], sources, [cfg_small(epsilon=0.5)], mesh, pair,
+    carleman_sweep(0.0, [traj], [cfg_small()], mesh, pair, regions)
+    shifted_sweep([traj], sources, [cfg_small(epsilon=0.5)], mesh, pair,
                   pair, regions, pot)
-    # 57 window nodes: seven full groups and a last one, per field pair
-    assert in_place == [True] * 24
+    # a group is a block's window rows: one group per field pair
+    assert in_place == [True] * 3
 
 
 def test_a_sweep_holds_one_group_at_a_time():
@@ -766,7 +766,7 @@ def test_level_sums_match_a_per_cell_walk(n_r, n_theta):
         "sin(pi*(t - 0.2)/0.6)*(1 + x1/3 + x2**2/5)"), mesh, _time_grid())
     want = _per_cell_sums(0.0, field.z, field.z_gamma, field, cfg, mesh, pair,
                           regions.omega)
-    got = carleman_sweep(0.0, [(0, field)], [cfg], mesh, pair, regions)[0]["parts"]
+    got = carleman_sweep(0.0, [field], [cfg], mesh, pair, regions)[0]["parts"]
     np.testing.assert_allclose(list(got.values()), want, rtol=1e-12, atol=0)
 
     y = _per_cell_sums(-3.0, traj.y, traj.y_gamma, traj, cfg, mesh, pair)
@@ -790,7 +790,7 @@ def test_level_sums_match_a_per_cell_walk(n_r, n_theta):
             * np.sum(W * (cfg.s * xi) ** -3.0 * f1),
             "f2_g2": lam ** (2 * eps) * traj.dt * np.sum(W * f2),
             "norms_y": y.sum(), "norms_z": z[:9].sum()}
-    got = shifted_sweep([(0, traj)], sources, [cfg], mesh, pair, pair, regions,
+    got = shifted_sweep([traj], sources, [cfg], mesh, pair, pair, regions,
                         pot)[0]["parts"]
     for key, val in want.items():
         assert got[key] == pytest.approx(val, rel=1e-12, abs=0.0), key

@@ -328,6 +328,22 @@ def test_overflowing_decomposition_fails_its_check(tmp_path, tau):
     assert rows[1][1:] == ["nan", "nan"]
 
 
+def test_overflowing_decomposition_warns_nothing(tmp_path, capsys):
+    # the overflow is the check's to report: with RuntimeWarning raised as an
+    # error the run still ends, fails only decomposition_residuals and
+    # writes nothing to stderr
+    import warnings
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("carleman-verify", write_config(
+            tmp_path, {"carleman": {"tau_list": [400, 200, 2000]}}), out) == 1
+    assert capsys.readouterr().err == ""
+    checks = read_summary(out)["checks"]
+    assert checks.pop("decomposition_residuals") is False
+    assert all(checks.values()), checks
+
+
 def test_carleman_verify_walks_each_field_once(tmp_path, monkeypatch):
     # the sparse applies depend on the field alone: one bulk and one surface
     # apply per window node and field, whatever the number of (lam, s) points
@@ -399,6 +415,8 @@ def test_peak_memory_does_not_grow_with_the_run(tmp_path, monkeypatch, command):
     # at 32x64, 100 more time nodes would add at least 100 rows of the old
     # table to the traced peak; reduced block by block, the peak grows by
     # less than a quarter of that
+    from sympy.core.cache import clear_cache
+
     import bulksurf.decomposition as decomposition
     # the decomposition check costs the same at any run length
     monkeypatch.setattr(decomposition, "mn_decompositions", lambda taus, *a, **k:
@@ -410,6 +428,9 @@ def test_peak_memory_does_not_grow_with_the_run(tmp_path, monkeypatch, command):
     for L in (0.5, 1.5):
         path = write_config(tmp_path, {"mesh": {"n_r": 32, "n_theta": 64},
                                        **run_of(L)})
+        # sympy's cache holds what earlier tests left in it: start each
+        # traced run from an empty one, whatever ran before
+        clear_cache()
         tracemalloc.start()
         try:
             assert run_cli(command, path, tmp_path / f"out{L}") == 0

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +19,8 @@ from bulksurf.forward import (
     mms_convergence,
     observe,
     row_sums,
+    window_nodes,
+    window_rows,
 )
 from bulksurf.geometry import build_polar_mesh, build_regions
 from bulksurf.model import (
@@ -443,7 +447,7 @@ def test_observe_matches_the_centered_difference_per_node(mesh):
 def _cut(traj, size):
     """``traj`` in blocks of ``size`` new states, each after the first led by
     the two states before it, as a march would yield them."""
-    return [(max(n - 2, 0), traj.rows(max(n - 2, 0), n + size))
+    return [traj.rows(max(n - 2, 0), n + size)
             for n in range(0, traj.n_nodes, size)]
 
 
@@ -464,11 +468,11 @@ def test_window_norm_has_the_bits_of_the_record_norm(t0, shape):
     for n in range(60):
         regions = build_regions(mesh, 0.2, 0.3, 0.45, t0, t0 + 0.035 + 0.01 * n)
         want = observe(traj, regions, mesh).norm()
-        for blocks in ([(0, traj)], list(traj.blocks()), _cut(traj, 5),
+        for blocks in ([traj], list(traj.blocks()), _cut(traj, 5),
                        _cut(traj, 7)):
             window_norm = WindowNorm(regions, mesh)
-            for start, block in blocks:
-                window_norm.add(start, block)
+            for block in blocks:
+                window_norm.add(block)
             assert window_norm.norm() == want, n
             assert window_norm.values == []
 
@@ -629,14 +633,60 @@ def test_solve_stacks_the_blocks_of_march(k):
     traj = system.solve(init, 0.5, 0.01, **kw)
     assert traj.n_nodes == 41
     spans = []
-    for start, block in system.march(init, 0.5, 0.01, **kw):
-        spans.append((start, start + block.n_nodes))
-        np.testing.assert_array_equal(block.packed, traj.packed[start:spans[-1][1]])
-        np.testing.assert_array_equal(block.times, traj.times[start:spans[-1][1]])
-        np.testing.assert_array_equal(block.z, traj.z[start:spans[-1][1]])
+    for block in system.march(init, 0.5, 0.01, **kw):
+        spans.append((block.start, block.start + block.n_nodes))
+        cut = slice(*spans[-1])
+        np.testing.assert_array_equal(block.packed, traj.packed[cut])
+        np.testing.assert_array_equal(block.times, traj.times[cut])
+        np.testing.assert_array_equal(block.z, traj.z[cut])
     assert spans == [(0, 8), (6, 16), (14, 24), (22, 32), (30, 40),
                      (38, 41)] == block_spans(41)
-    assert [(start, start + b.n_nodes) for start, b in traj.blocks()] == spans
+    assert [(b.start, b.start + b.n_nodes) for b in traj.blocks()] == spans
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2, 3, 8, 9, 10, 11, 16, 17, 41])
+def test_the_blocks_of_a_run_hold_each_state_and_window_node_once(n_nodes):
+    # new_rows of consecutive blocks concatenate to the run, and their
+    # window_rows hold each window node once, at the index that start gives
+    system, _, _, init = _block_problem(k=1)
+    one = InitialData(init.y0[0], init.z0[0], init.y0_gamma[0], init.z0_gamma[0])
+    t_end = 0.01 * (n_nodes - 1)
+    traj = system.solve(one, t_end, 0.01)
+    assert traj.n_nodes == n_nodes
+    for t0, t1 in ((-1.0, 1.0), (0.025, 0.2), (0.045, 0.075)):
+        want = window_nodes(traj, t0, t1).tolist()
+        for blocks in (system.march(one, t_end, 0.01), traj.blocks()):
+            new, nodes = [], []
+            for block in blocks:
+                new.append(block.new_rows().packed.copy())
+                rows = window_rows(block, t0, t1)
+                if rows is not None:
+                    ks = rows.start + np.arange(1, rows.n_nodes - 1)
+                    np.testing.assert_array_equal(
+                        rows.packed, traj.packed[ks[0] - 1:ks[-1] + 2])
+                    np.testing.assert_array_equal(rows.times[1:-1],
+                                                  traj.times[ks])
+                    nodes += ks.tolist()
+            np.testing.assert_array_equal(np.concatenate(new), traj.packed)
+            assert nodes == want, (t0, t1)
+
+
+def test_only_forward_knows_how_a_run_is_cut():
+    # the block size and the halo are forward's: every other module reads
+    # blocks through start, new_rows and window_rows
+    src = pathlib.Path(bulksurf.forward.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "forward.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & {"_NODE_BLOCK", "_HALO"}, path.name
 
 
 def _one_state_trajectory():
