@@ -170,6 +170,8 @@ def _cmd_simulate(run: _Runner) -> int:
             [(j, final.y0_gamma[j], final.z0_gamma[j])
              for j in range(mesh.n_theta)])
 
+    # cannot fail here: march raises SolverError on a non-finite state
+    # before this loop reads it
     run.checks["state_finite"] = bool(finite)
     pot = cfg.potentials
     pure_diffusion = all(np.abs(getattr(pot, n)).max() == 0.0
@@ -262,6 +264,8 @@ def _cmd_carleman_verify(run: _Runner) -> int:
     vanish = weight_vanishing_report(base, dt=cfg.dt)
     run.checks["weight_vanishing"] = bool(vanish["passed"])
     sig = sigma_bounds_report(cfg.mesh, cfg.diffusion.a1, cfg.diffusion.beta)
+    # cannot fail here: DiffusionSpec.validate enforces a1 >= beta, and
+    # |x| < 1 at every cell of the unit disk
     run.checks["sigma_bounds"] = bool(sig["passed"])
 
     dec_cfg = CarlemanConfig(lam=1.0, s=2.0, t0=t0, t1=t1, epsilon=eps)
@@ -471,17 +475,20 @@ def _cmd_stability(run: _Runner) -> int:
     ident_ok = all(
         max(r["v_rel_err"], r["u_rel_err"], r["v_gamma_rel_err"],
             r["u_gamma_rel_err"]) <= ident_tol for r in rep.records)
+    # half the perturbation gives half the response, up to linear_tol; the
+    # deviation grows with the scale, so a large scale fails the check
+    linear_tol, spread_tol = 0.05, 10.0
     linear_ok = all(
         r["obs_norm_half_scale"] == 0.0 if r["obs_norm"] == 0.0 else
-        abs(r["obs_norm_half_scale"] / r["obs_norm"] - 0.5) <= 0.05
+        abs(r["obs_norm_half_scale"] / r["obs_norm"] - 0.5) <= linear_tol
         for r in rep.records)
     run.checks["midtime_identities"] = bool(ident_ok)
     run.checks["linear_response"] = bool(linear_ok)
-    run.checks["ratio_spread"] = bool(rep.spread <= 10.0)
+    run.checks["ratio_spread"] = bool(rep.spread <= spread_tol)
     run.effective.update({
         "scale": scale, "label": "half-window variant",
-        "identity_tolerance": ident_tol, "spread_tolerance": 10.0,
-        "linear_response_tolerance": 0.10})
+        "identity_tolerance": ident_tol, "spread_tolerance": spread_tol,
+        "linear_response_tolerance": linear_tol})
     return run.finish({"max_ratio": rep.max_ratio,
                        "median_ratio": rep.median_ratio,
                        "spread": rep.spread,

@@ -156,10 +156,13 @@ def _load_csv_field(path: str, n: int, where: str) -> np.ndarray:
             parts = line.split(",")
             if len(parts) != 2:
                 raise ConfigError(f"{where}: {path}:{line_no}: expected 'index,value'")
-            i = int(parts[0])
+            try:
+                i, value = int(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {path}:{line_no}: {exc}") from None
             if not (0 <= i < n):
                 raise ConfigError(f"{where}: {path}:{line_no}: index {i} out of range")
-            out[i] = float(parts[1])
+            out[i] = value
             seen[i] = True
     if not seen.all():
         raise ConfigError(f"{where}: {path}: missing {int((~seen).sum())} of {n} entries")
@@ -168,23 +171,32 @@ def _load_csv_field(path: str, n: int, where: str) -> np.ndarray:
 
 def parse_field_spec(spec, mesh: Mesh, where: str, on_surface: bool = False
                      ) -> np.ndarray:
-    """Number, expression string, or {"csv": path} to a full field array."""
+    """Number, expression string, or {"csv": path} to a full field array;
+    a NaN or infinite value anywhere on the mesh is refused."""
     n = mesh.n_theta if on_surface else mesh.n_cells
     if isinstance(spec, (int, float)):
-        return np.full(n, float(spec))
-    if isinstance(spec, dict):
-        if "csv" in spec:
-            return _load_csv_field(spec["csv"], n, where)
-        raise ConfigError(f"{where}: field spec dict must carry a 'csv' key")
-    if isinstance(spec, str):
+        arr = np.full(n, float(spec))
+    elif isinstance(spec, dict):
+        if "csv" not in spec:
+            raise ConfigError(f"{where}: field spec dict must carry a 'csv' key")
+        arr = _load_csv_field(spec["csv"], n, where)
+    elif isinstance(spec, str):
         if on_surface:
             names = {"theta": mesh.surface_theta, "s": mesh.surface_nodes}
         else:
             xy = mesh.cell_xy
             names = {"x1": xy[:, 0], "x2": xy[:, 1],
                      "r": mesh.cell_r, "theta": mesh.cell_theta}
-        return compile_expression(spec, tuple(names), where)(*names.values())
-    raise ConfigError(f"{where}: unsupported field spec {spec!r}")
+        # a NaN or inf is refused below, not warned about
+        with np.errstate(all="ignore"):
+            arr = compile_expression(spec, tuple(names), where)(*names.values())
+    else:
+        raise ConfigError(f"{where}: unsupported field spec {spec!r}")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ConfigError(f"{where}: expected finite values, got {arr[bad[0]]} "
+                          f"at index {bad[0]}")
+    return arr
 
 
 @dataclass
@@ -318,6 +330,12 @@ def _typed(value, default, where: str):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the largest float
+        finite = False
+    if not finite:
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     if not isinstance(default, int):
         return float(value)
     if not (isinstance(value, int) or value.is_integer()):
@@ -362,12 +380,12 @@ def load_config(path: str | None = None, overrides: dict | None = None
         raise ConfigError(f"regions: {exc}")
 
     df = typed["diffusion"]
+    fields = {k: parse_field_spec(df[k], mesh, f"diffusion.{k}",
+                                  on_surface=k.startswith("d"))
+              for k in ("a1", "a2", "d1", "d2")}
     try:
         diffusion = DiffusionSpec.from_values(
-            mesh, beta=df["beta"], beta_gamma=df["beta_gamma"],
-            **{k: parse_field_spec(df[k], mesh, f"diffusion.{k}",
-                                   on_surface=k.startswith("d"))
-               for k in ("a1", "a2", "d1", "d2")})
+            mesh, beta=df["beta"], beta_gamma=df["beta_gamma"], **fields)
     except ValueError as exc:
         raise ConfigError(f"diffusion: {exc}")
 

@@ -28,7 +28,8 @@ import numpy as np
 import sympy as sp
 
 from .carleman import CarlemanConfig
-from .fields import T, TH, X1, X2, SpaceTimeField, lambdify_set, sympy_expr
+from .fields import (T, TH, X1, X2, SpaceTimeField, divergence_a_grad,
+                     lambdify_set, sympy_expr)
 from .forward import Trajectory, block_spans
 from .geometry import Mesh
 
@@ -96,22 +97,17 @@ def mn_decompositions(taus, z_field: SpaceTimeField, cfg: CarlemanConfig,
 
     adv = a * (sp.diff(eta0, X1) * sp.diff(psi, X1)
                + sp.diff(eta0, X2) * sp.diff(psi, X2))
-    div_a_grad_psi = (sp.diff(a * sp.diff(psi, X1), X1)
-                      + sp.diff(a * sp.diff(psi, X2), X2))
-    div_a_grad_eta = (sp.diff(a * sp.diff(eta0, X1), X1)
-                      + sp.diff(a * sp.diff(eta0, X2), X2))
 
     bulk_parts = {
         "M11": 2 * lam * (s * xi + half_tau) * adv,
         "M12": sp.diff(psi, T),
         "M21": -(lam**2) * s**2 * xi**2 * sig * psi,
-        "M22": -div_a_grad_psi,
+        "M22": -divergence_a_grad(a, psi),
         "M23": (half_tau - s * alpha) * dlog * psi,
     }
-    Lz = sp.diff(z, T) - (sp.diff(a * sp.diff(z, X1), X1)
-                          + sp.diff(a * sp.diff(z, X2), X2))
+    Lz = sp.diff(z, T) - divergence_a_grad(a, z)
     f_tilde = (sp.exp(-s * alpha) * xi**half_tau * Lz
-               - lam * (s * xi + half_tau) * div_a_grad_eta * psi
+               - lam * (s * xi + half_tau) * divergence_a_grad(a, eta0) * psi
                + (lam**2 * TAU**2 / 4 - s * lam**2 * xi * (1 - TAU)) * sig * psi)
 
     circle = {X1: sp.cos(TH), X2: sp.sin(TH)}

@@ -628,25 +628,20 @@ class WindowNorm(WindowObservation):
         return float(np.sqrt(np.concatenate(self.sums).sum() * self.dt))
 
 
-def observe_blocks(blocks, regions: RegionSet, mesh: Mesh,
-                   t0: float | None = None,
-                   t1: float | None = None) -> ObservationRecord:
-    """The record of consecutive blocks of states such as ``march`` yields."""
+def observe(blocks, regions: RegionSet, mesh: Mesh,
+            t0: float | None = None, t1: float | None = None) -> ObservationRecord:
+    """Sample the centered time derivative of z on omega inside (t0, t1)
+    from consecutive blocks of states: a march, or ``[traj]`` for a whole
+    trajectory.
+
+    Only nodes whose full centered stencil lies strictly inside the open
+    window are used, so the record depends on the states only through
+    their restriction to omega x (t0, t1).
+    """
     window = WindowObservation(regions, mesh, t0, t1)
     for block in blocks:
         window.add(block)
     return window.record()
-
-
-def observe(traj: Trajectory, regions: RegionSet, mesh: Mesh,
-            t0: float | None = None, t1: float | None = None) -> ObservationRecord:
-    """Sample the centered time derivative of z on omega inside (t0, t1).
-
-    Only nodes whose full centered stencil lies strictly inside the open
-    window are used, so the record depends on the trajectory only through
-    its restriction to omega x (t0, t1).
-    """
-    return observe_blocks([traj], regions, mesh, t0, t1)
 
 
 def mass_series(traj: Trajectory, mesh: Mesh) -> np.ndarray:

@@ -21,7 +21,6 @@ from .forward import (
     SolverError,
     Trajectory,
     observe,
-    observe_blocks,
     row_sums,
 )
 from .geometry import Mesh, RegionSet
@@ -211,9 +210,6 @@ class InverseProblem:
         return self.system_for(coeffs).solve(self.init, self.regions.t1,
                                              self.dt)
 
-    def observation(self, traj: Trajectory) -> ObservationRecord:
-        return observe(traj, self.regions, self.mesh)
-
     def validate_assumptions(self, coeffs: CoefficientVector,
                              traj: Trajectory) -> dict:
         pot = self.to_potentials(coeffs)
@@ -239,8 +235,7 @@ class InverseProblem:
         t1 is reduced block by block, so no table of states is held."""
         march = self.system_for(coeffs).march(self.init, self.regions.t1,
                                               self.dt)
-        return self._misfit(observe_blocks(march, self.regions, self.mesh),
-                            data)
+        return self._misfit(observe(march, self.regions, self.mesh), data)
 
     def objective_and_gradient(self, coeffs: CoefficientVector,
                                data: ObservationRecord, reg_weight: float = 0.0,
@@ -252,7 +247,7 @@ class InverseProblem:
         """
         system = self.system_for(coeffs)
         traj = system.solve(self.init, self.regions.t1, self.dt)
-        rec = self.observation(traj)
+        rec = observe([traj], self.regions, self.mesh)
         J = self._misfit(rec, data)
 
         X, N, dt = traj.packed, traj.n_nodes - 1, self.dt
@@ -361,7 +356,7 @@ def simulate_twin(problem: InverseProblem, true_coeffs: CoefficientVector,
             "reference setup violates the model assumptions: "
             f"I={checks['assumption_I'].margins} "
             f"II={checks['assumption_II'].margins}")
-    rec = problem.observation(traj)
+    rec = observe([traj], problem.regions, problem.mesh)
     if noise_level > 0:
         rng = np.random.default_rng(seed)
         rms = float(np.sqrt(np.mean(rec.values**2)))
@@ -456,7 +451,7 @@ def stability_ensemble(problem: InverseProblem,
     t1 = regions.t1
     state_theta = ref_traj.state(k_theta)
     pot_ref = system_ref.potentials
-    ref_obs = observe(ref_traj, regions, mesh, t0=theta, t1=t1)
+    ref_obs = observe([ref_traj], regions, mesh, t0=theta, t1=t1)
     blocks = system_ref.blocks
 
     # mid-time identities: one fine substep of both systems off theta
@@ -479,9 +474,8 @@ def stability_ensemble(problem: InverseProblem,
 
     def response_norm(system):
         """Observation norm on (theta, t1) of ``system`` minus the reference."""
-        obs = observe_blocks(system.march(state_theta, t1, problem.dt,
-                                          t_start=theta),
-                             regions, mesh, t0=theta, t1=t1)
+        obs = observe(system.march(state_theta, t1, problem.dt, t_start=theta),
+                      regions, mesh, t0=theta, t1=t1)
         return replace(obs, values=obs.values - ref_obs.values).norm()
 
     records = []

@@ -208,18 +208,19 @@ class InitialData:
 
 @dataclass
 class CheckReport:
-    """Outcome of an assumption validator: the flag and the minimum margins."""
+    """Outcome of an assumption validator: the minimum margin of each
+    inequality; it passes iff every margin is >= 0 (a NaN margin fails)."""
 
-    passed: bool
     margins: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(m >= 0 for m in self.margins.values())
 
 
 def _record(report: CheckReport, name: str, margin_field: np.ndarray) -> None:
-    """Record the minimum margin; a negative one fails the report."""
-    m = float(margin_field.min())
-    report.margins[name] = m
-    if m < 0:
-        report.passed = False
+    """Record the minimum margin of ``margin_field``."""
+    report.margins[name] = float(margin_field.min())
 
 
 def validate_assumption_I(pot: PotentialSet, pot_tilde: PotentialSet,
@@ -236,7 +237,7 @@ def validate_assumption_I(pot: PotentialSet, pot_tilde: PotentialSet,
 
     Report-only: never raises on violation.
     """
-    rep = CheckReport(passed=True)
+    rep = CheckReport()
     _record(rep, "y0_tilde >= r", init_tilde.y0 - r)
     _record(rep, "y0_gamma_tilde >= r", init_tilde.y0_gamma - r)
     _record(rep, "z0_tilde >= 0", init_tilde.z0)
@@ -270,7 +271,7 @@ def validate_assumption_II(nl_f: Nonlinearity, nl_g: Nonlinearity,
             f"theta={theta} outside trajectory range "
             f"[{traj_tilde.times[0]}, {traj_tilde.times[-1]}]"
         )
-    rep = CheckReport(passed=True)
+    rep = CheckReport()
     k = traj_tilde.index_at(theta)
 
     f_th = nl_f(traj_tilde.y[k], traj_tilde.z[k])

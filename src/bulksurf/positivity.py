@@ -9,8 +9,6 @@ on the implicit matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .forward import ReactionSet, SemilinearSystem, Trajectory, row_sums
@@ -18,31 +16,19 @@ from .geometry import Mesh
 from .model import DiffusionSpec, InitialData
 
 
-@dataclass
-class QPReport:
-    f1_ok: bool
-    f2_ok: bool
-    g1_ok: bool
-    g2_ok: bool
-    worst_violation: tuple | None = None  # (function id, sample point, value)
-
-    @property
-    def passed(self) -> bool:
-        return self.f1_ok and self.f2_ok and self.g1_ok and self.g2_ok
-
-
-def check_qp(reactions: ReactionSet, samples: np.ndarray) -> QPReport:
+def check_qp(reactions: ReactionSet, samples: np.ndarray) -> tuple | None:
     """Evaluate the quasi-positivity sign conditions on a nonnegative grid.
 
     Checks f1(0, v) >= 0 and g1(0, v) >= 0 over sample values v, and
-    f2(u, 0) >= 0 and g2(u, 0) >= 0 over sample values u.
+    f2(u, 0) >= 0 and g2(u, 0) >= 0 over sample values u.  Returns the
+    worst violation as (function id, sample, value), or None when every
+    sign condition holds.
     """
     v = np.asarray(samples, dtype=float)
     if v.size == 0 or v.min() < 0:
         raise ValueError("samples must be a nonempty nonnegative grid")
     zero = np.zeros_like(v)
 
-    flags = {}
     worst = None
     for fid, fn, args in (
         ("f1", reactions.f1, (zero, v)),
@@ -51,18 +37,12 @@ def check_qp(reactions: ReactionSet, samples: np.ndarray) -> QPReport:
         ("g2", reactions.g2, (v, zero)),
     ):
         if fn is None:
-            flags[fid] = True
             continue
         vals = np.asarray(fn(*args), dtype=float)
-        ok = bool(vals.min() >= 0)
-        flags[fid] = ok
-        if not ok:
-            i = int(np.argmin(vals))
-            if worst is None or vals[i] < worst[2]:
-                worst = (fid, float(v[i]), float(vals[i]))
-    return QPReport(f1_ok=flags["f1"], f2_ok=flags["f2"],
-                    g1_ok=flags["g1"], g2_ok=flags["g2"],
-                    worst_violation=worst)
+        i = int(np.argmin(vals))
+        if not vals[i] >= 0 and (worst is None or vals[i] < worst[2]):
+            worst = (fid, float(v[i]), float(vals[i]))
+    return worst
 
 
 def _negative_square(field: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -155,9 +135,9 @@ def positivity_experiment(mesh: Mesh, diffusion: DiffusionSpec,
     the series of ``_reduce``.  The whole trajectory is kept only with
     ``keep_trajectory``; its blocks are reduced the same way.
     """
-    qp = check_qp(reactions, np.linspace(0.0, 2.0, 41))
-    if not qp.passed:
-        raise ValueError(f"quasi-positivity fails: {qp.worst_violation}")
+    worst = check_qp(reactions, np.linspace(0.0, 2.0, 41))
+    if worst is not None:
+        raise ValueError(f"quasi-positivity fails: {worst}")
     floor = min(init.y0.min(), init.z0.min(),
                 init.y0_gamma.min(), init.z0_gamma.min())
     if floor < 0:

@@ -164,6 +164,29 @@ def test_missing_csv_field_names_the_field(tmp_path, capsys):
     assert "potentials.p13" in err and "not found" in err
 
 
+@pytest.mark.parametrize("field, row, message", [
+    ("potentials.p11", "x,1", "invalid literal for int() with base 10: 'x'"),
+    ("initial.y0", "0,abc", "could not convert string to float: 'abc'"),
+    ("diffusion.a1", "0.5,1", "invalid literal for int() with base 10: '0.5'"),
+    ("potentials.q13", "0,nan", None),
+])
+def test_bad_csv_field_is_refused(tmp_path, capsys, field, row, message):
+    # a bad row names the field, the file and the line once; a NaN value
+    # is refused by the finiteness check of every field
+    section, name = field.split(".")
+    n = 16 if name.startswith("q") else 8 * 16
+    path = tmp_path / "field.csv"
+    path.write_text("index,value\n" + row + "\n"
+                    + "".join(f"{i},1.0\n" for i in range(1, n)))
+    cfg = write_config(tmp_path, {section: {name: {"csv": str(path)}}})
+    assert run_cli("simulate", cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    want = (f"configuration error: {field}: {path}:2: {message}" if message
+            else f"configuration error: {field}: expected finite values, "
+                 f"got nan at index 0")
+    assert err == [want]
+
+
 def test_p0_floor_violation_is_named(tmp_path, capsys):
     cfg = write_config(tmp_path, {"potentials": {"p21": 0.1}})
     assert run_cli("simulate", cfg, tmp_path / "out") == 1
@@ -532,6 +555,21 @@ def test_stability_command(tmp_path):
     assert summary["effective"]["label"] == "half-window variant"
 
 
+@pytest.mark.parametrize("scale, linear", [(0.3, True), (0.7, False)])
+def test_linear_response_fails_at_a_large_scale(tmp_path, scale, linear):
+    # at the default config the 10th draw's half-scale response is off by
+    # 0.0566 at scale 0.7, past the 0.05 bound; at 0.3 every draw is within
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"stability": {"n_draws": 12, "scale": scale}}))
+    out = tmp_path / "out"
+    assert run_cli("stability", str(path), out) == (0 if linear else 1)
+    summary = read_summary(out)
+    assert summary["checks"] == {"midtime_identities": True,
+                                 "linear_response": linear,
+                                 "ratio_spread": True}
+    assert summary["effective"]["linear_response_tolerance"] == 0.05
+
+
 def test_removed_stability_mode_is_refused(tmp_path, capsys):
     cfg = write_config(tmp_path, {"stability": {"mode": "forward_from_theta"}})
     assert run_cli("stability", cfg, tmp_path / "out") == 1
@@ -592,6 +630,24 @@ def test_unknown_config_key_is_refused(tmp_path, capsys, extra, key):
      "inverse.reg_weight: must be at least 0, got -1.0"),
     ("positivity", {"positivity": {"lipschitz_bound": -0.5}},
      "positivity.lipschitz_bound: must be at least 0, got -0.5"),
+    # JSON NaN, Infinity and integers beyond every float, and fields that
+    # are not finite on the mesh
+    ("simulate", {"solver": {"dt": float("nan")}},
+     "solver.dt: expected a finite number, got nan"),
+    ("stability", {"stability": {"scale": float("nan")}},
+     "stability.scale: expected a finite number, got nan"),
+    ("reconstruct", {"inverse": {"noise_level": float("inf")}},
+     "inverse.noise_level: expected a finite number, got inf"),
+    ("carleman-verify", {"carleman": {"tau_list": [0, float("-inf")]}},
+     "carleman.tau_list[1]: expected a finite number, got -inf"),
+    ("simulate", {"potentials": {"p11": "log(x1 - 2)"}},
+     "potentials.p11: expected finite values, got nan at index 0"),
+    ("simulate", {"diffusion": {"a1": "sqrt(x1 - 2)"}},
+     "diffusion.a1: expected finite values, got nan at index 0"),
+    ("simulate", {"potentials": {"q12": float("inf")}},
+     "potentials.q12: expected finite values, got inf at index 0"),
+    ("simulate", {"mesh": {"n_r": 10**400}},
+     "mesh.n_r: expected a finite number, got 1000"),
 ])
 def test_bad_config_value_is_refused(tmp_path, capsys, command, extra, message):
     cfg = write_config(tmp_path, extra)

@@ -223,14 +223,35 @@ def test_every_attribute_is_read():
 
 
 def _returned_dict_keys(file_name, tree) -> set:
-    """(file, "function.key") for each string key of a dict literal that a
-    function returns as it stands (``return {"passed": ok, ...}``)."""
-    return {(file_name, f"{fn.name}.{key.value}")
-            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict)
-            for key in node.value.keys
-            if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+    """(file, "function.key") for each string key of a dict that a function
+    returns: a dict literal returned as it stands (``return {"passed": ok,
+    ...}``), or a local name it returns (``return report``), with the keys
+    of the dict literals bound to that name and the keys stored into it
+    (``report["passed"] = ok``)."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        returned = {node.value.id for node in nodes
+                    if isinstance(node, ast.Return)
+                    and isinstance(node.value, ast.Name)}
+        keys = []
+        for node in nodes:
+            if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
+                keys += node.value.keys
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if (isinstance(target, ast.Name) and target.id in returned
+                            and isinstance(node.value, ast.Dict)):
+                        keys += node.value.keys
+                    elif (isinstance(target, ast.Subscript)
+                          and isinstance(target.value, ast.Name)
+                          and target.value.id in returned):
+                        keys.append(target.slice)
+        found |= {(file_name, f"{fn.name}.{key.value}") for key in keys
+                  if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+    return found
 
 
 def _keys_read(tree) -> set:

@@ -402,14 +402,14 @@ def test_observe_stationary_is_zero(mesh, diffusion):
     init = InitialData.from_values(mesh, y0=1.0, z0=2.0)
     traj = system.solve(init, t_end=1.0, dt=0.05)
     regions = build_regions(mesh, 0.2, 0.3, 0.45, 0.2, 0.8)
-    rec = observe(traj, regions, mesh)
+    rec = observe([traj], regions, mesh)
     assert rec.norm() < 1e-11
 
 
 def test_observe_linear_ramp(mesh):
     regions = build_regions(mesh, 0.2, 0.3, 0.45, 0.2, 0.8)
     traj = _ramp_trajectory(mesh)
-    rec = observe(traj, regions, mesh)
+    rec = observe([traj], regions, mesh)
     np.testing.assert_allclose(rec.values, 1.0, rtol=1e-12)
     area = mesh.cell_areas[regions.omega].sum()
     # stencil-interior nodes only: quadrature covers (t0, t1) up to O(dt)
@@ -427,8 +427,8 @@ def test_observe_locality(mesh):
     t2.z[before] -= 3.0
     after = t2.times >= 0.8 - 1e-12
     t2.z[after] += 11.0
-    r1 = observe(t1, regions, mesh)
-    r2 = observe(t2, regions, mesh)
+    r1 = observe([t1], regions, mesh)
+    r2 = observe([t2], regions, mesh)
     np.testing.assert_array_equal(r1.values, r2.values)
 
 
@@ -438,7 +438,7 @@ def test_observe_matches_the_centered_difference_per_node(mesh):
     traj.z[:] = np.random.default_rng(3).standard_normal(traj.z.shape)
     omega = regions.omega
     for t0, t1 in ((0.2, 0.8), (0.33, 0.61)):
-        rec = observe(traj, regions, mesh, t0=t0, t1=t1)
+        rec = observe([traj], regions, mesh, t0=t0, t1=t1)
         want = [(traj.z[k + 1, omega] - traj.z[k - 1, omega]) / (2 * traj.dt)
                 for k in rec.time_indices]
         np.testing.assert_array_equal(rec.values, want)
@@ -467,7 +467,7 @@ def test_window_norm_has_the_bits_of_the_record_norm(t0, shape):
     traj.z[:] = np.random.default_rng(4).standard_normal(traj.z.shape)
     for n in range(60):
         regions = build_regions(mesh, 0.2, 0.3, 0.45, t0, t0 + 0.035 + 0.01 * n)
-        want = observe(traj, regions, mesh).norm()
+        want = observe([traj], regions, mesh).norm()
         for blocks in ([traj], list(traj.blocks()), _cut(traj, 5),
                        _cut(traj, 7)):
             window_norm = WindowNorm(regions, mesh)

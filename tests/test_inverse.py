@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bulksurf.forward
-from bulksurf.forward import SolverError
+from bulksurf.forward import SolverError, observe
 from bulksurf.geometry import build_polar_mesh, build_regions
 from bulksurf.inverse import (
     InverseProblem,
@@ -139,7 +139,8 @@ def test_objective_reduces_the_march(problem, truth, data, monkeypatch):
     # the misfit of the stored trajectory's record
     rng = np.random.default_rng(12)
     c = truth.unpack(truth.pack() + 0.3 * rng.standard_normal(truth.pack().size))
-    want = problem._misfit(problem.observation(problem.simulate(c)), data)
+    want = problem._misfit(observe([problem.simulate(c)], problem.regions,
+                                   problem.mesh), data)
     solves = []
     solve = bulksurf.forward.SemilinearSystem.solve
     monkeypatch.setattr(bulksurf.forward.SemilinearSystem, "solve",
