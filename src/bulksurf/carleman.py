@@ -23,8 +23,8 @@ import scipy.sparse as sp
 from .geometry import Mesh, RegionSet
 from .operators import SparseOp, assemble_bulk_diffusion, \
     assemble_surface_diffusion, conormal_flux
-from .forward import Trajectory, require_window, row_sums, source_array, \
-    window_rows
+from .forward import Trajectory, node_energies, require_window, row_sums, \
+    source_array, window_rows
 
 _EXP_CLAMP = -700.0   # exponents below this evaluate to exact zero
 
@@ -319,9 +319,9 @@ def _pair_quantities(zb: np.ndarray, zg: np.ndarray, dt: float, mesh: Mesh,
     dzg = np.roll(z_g, -1, axis=1) - z_g
     grad_levels, grad_surf = _gradient_energy(mesh, levels, z, z_g)
     zero = np.zeros(len(z))
-    surf = [zero, zero, grad_surf, zero, row_sums(dtzg**2, ds),
-            row_sums(div_s**2, ds), np.sum(dzg**2, axis=1) / ds[0],
-            row_sums(z_g**2, ds), row_sums(flux**2, ds)]
+    surf = [zero, zero, grad_surf, zero, node_energies(dtzg, ds),
+            node_energies(div_s, ds), np.sum(dzg**2, axis=1) / ds[0],
+            node_energies(z_g, ds), node_energies(flux, ds)]
 
     def squared(rows):
         """The level sums of ``rows`` squared in place."""
@@ -333,7 +333,7 @@ def _pair_quantities(zb: np.ndarray, zg: np.ndarray, dt: float, mesh: Mesh,
     dtz /= 2.0 * dt
     div_b = pair.op_bulk.apply(z, z_g)
     if obs is not None:
-        surf += [zero, zero, row_sums((dtzg - div_s + flux) ** 2, ds)]
+        surf += [zero, zero, node_energies(dtzg - div_s + flux, ds)]
         bulk[:, 5] = squared(dtz - div_b)
     bulk[:, 0] = squared(dtz)
     bulk[:, 1] = squared(div_b)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carleman import TEST_FIELDS
+from .forward import _COEFF_NAMES
 from .geometry import Mesh, RegionSet, build_polar_mesh, build_regions
-from .inverse import _COEFF_NAMES
 from .model import (
     _BULK_NAMES,
     _SURF_NAMES,
@@ -263,14 +263,11 @@ DEFAULT_CONFIG = {
     "seed": 1234,
 }
 
-# Values passed on as given and checked where they are read: field specs
-# by parse_field_spec, initial guesses (a number or one value per patch) by
-# InverseProblem.coefficient_vector.  Expression strings, the keys whose
-# default is a string, pass as given too.
+# Field specs, passed on as given and checked by parse_field_spec.
+# Expression strings, the keys whose default is a string, pass as given too.
 _AS_GIVEN = ({f"potentials.{n}" for n in _BULK_NAMES + _SURF_NAMES}
              | {f"diffusion.{n}" for n in ("a1", "a2", "d1", "d2")}
-             | {f"initial.{n}" for n in ("y0", "z0", "y0_gamma", "z0_gamma")}
-             | {f"inverse.guess.{n}" for n in _COEFF_NAMES})
+             | {f"initial.{n}" for n in ("y0", "z0", "y0_gamma", "z0_gamma")})
 # The list and the maps whose entries are coefficient names.
 _BY_COEFF = ("inverse.free", "inverse.truth", "inverse.guess")
 # The int keys that count nothing, at least 0; every other one at least 1.
@@ -294,10 +291,13 @@ def _typed(value, default, where: str):
     ``_BY_COEFF`` take any coefficient name, typed like their first
     default entry.  A number is a JSON number, never a bool, and an int
     where the default is an int; where the default is None it may be null.
-    A list holds numbers, which become floats, or coefficient names.
+    A list holds numbers, which become floats, or coefficient names; an
+    initial guess is a number or a list of them, one per patch.
     """
     if where in _AS_GIVEN or isinstance(default, str):
         return value
+    if where.startswith("inverse.guess."):
+        default = [] if isinstance(value, list) else 0.0
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"{where}: expected a map, got {value!r}")
@@ -356,7 +356,8 @@ def load_config(path: str | None = None, overrides: dict | None = None
         with open(path) as fh:
             try:
                 user = json.load(fh)
-            except json.JSONDecodeError as exc:
+            # a JSONDecodeError, or an integer past Python's digit limit
+            except ValueError as exc:
                 raise ConfigError(f"config {path} is not valid JSON: {exc}")
         if not isinstance(user, dict):
             raise ConfigError(f"config {path}: expected a JSON object at the "
@@ -399,10 +400,8 @@ def load_config(path: str | None = None, overrides: dict | None = None
                                               **fields)
     except ValueError as exc:
         raise ConfigError(f"potentials: {exc}")
-    if p0 > 0 and not potentials.stability_admissible():
-        # the negation, potential by potential, of stability_admissible
-        low = [name for name in ("p21", "q21")
-               if not getattr(potentials, name).min() >= p0]
+    low = potentials.below_p0()
+    if p0 > 0 and low:
         raise ConfigError(
             f"potentials: {', '.join(low)} below p0 floor: stability "
             f"admissibility fails (min p21 {potentials.p21.min():.3g}, min q21 "

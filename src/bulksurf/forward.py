@@ -51,6 +51,18 @@ def row_sums(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.multiply(rows, weights, order="C").sum(axis=-1)
 
 
+def node_energies(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_omega w v^2 at each node row of ``values``: one ``row_sums`` row
+    per node, so its bits do not depend on the block the row sits in."""
+    return row_sums(np.square(values), weights)
+
+
+def window_energy(blocks, dt: float) -> float:
+    """dt times the sum of the per-node energies in ``blocks``, consecutive
+    ``node_energies`` arrays: the squared L2(omega x window) norm."""
+    return float(np.concatenate(blocks).sum() * dt)
+
+
 def block_spans(n_nodes: int) -> list:
     """(start, stop) of each block of ``n_nodes`` states: block j brings the
     new states j*_NODE_BLOCK up to (j+1)*_NODE_BLOCK, after j > 0 the _HALO
@@ -126,8 +138,8 @@ class ObservationRecord:
 
     def norm(self) -> float:
         """L2(omega x window) norm of the sampled time derivative."""
-        per_time = row_sums(self.values**2, self.cell_weights)
-        return float(np.sqrt(per_time.sum() * self.dt))
+        return math.sqrt(window_energy(
+            [node_energies(self.values, self.cell_weights)], self.dt))
 
 
 @dataclass(frozen=True)
@@ -145,14 +157,10 @@ class ReactionSet:
     lipschitz_bound: float = 0.0
 
     def rates(self, y, z, yg, zg):
-        y, z = np.maximum(y, 0.0), np.maximum(z, 0.0)
-        yg, zg = np.maximum(yg, 0.0), np.maximum(zg, 0.0)
-        zero_b = 0.0
-        out = []
-        for fn, args in ((self.f1, (y, z)), (self.f2, (y, z)),
-                         (self.g1, (yg, zg)), (self.g2, (yg, zg))):
-            out.append(fn(*args) if fn is not None else zero_b)
-        return out
+        y, z, yg, zg = (np.maximum(f, 0.0) for f in (y, z, yg, zg))
+        return [0.0 if fn is None else fn(*args)
+                for fn, args in ((self.f1, (y, z)), (self.f2, (y, z)),
+                                 (self.g1, (yg, zg)), (self.g2, (yg, zg)))]
 
 
 class PermutedLU:
@@ -217,6 +225,10 @@ def _normalize_sources(sources, mesh: Mesh):
 _IMPLICIT_POTENTIALS = (("p11", 0, 0), ("p12", 0, 1), ("p21", 1, 0),
                         ("p22", 1, 1), ("q11", 2, 2), ("q12", 2, 3),
                         ("q21", 3, 2), ("q22", 3, 3))
+
+# The coupling coefficients of ``coefficient_fields``, in the order of the
+# packed blocks (y, z, y_gamma, z_gamma) they enter: ``coefficient_blocks``
+_COEFF_NAMES = ("p13", "p21", "q13", "q21")
 
 
 class SemilinearSystem:
@@ -521,6 +533,11 @@ class SemilinearSystem:
         out[..., szg] = x_next[..., syg]
         return out
 
+    def coefficient_blocks(self) -> tuple:
+        """(name, packed block) of each coupling coefficient, in the layout
+        of ``coefficient_fields``."""
+        return tuple(zip(_COEFF_NAMES, self.blocks))
+
     def explicit_jacobian_T(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """``(dE/dx)^T w`` for the explicit terms ``p13 f(y, z)`` and
         ``q13 g(y_gamma, z_gamma)`` at the state ``x``: the adjoint's pull
@@ -539,13 +556,13 @@ class SemilinearSystem:
         return out
 
 
-def window_nodes(traj: Trajectory, t0: float, t1: float) -> np.ndarray:
-    """Indices of the nodes whose centered stencil lies in ``traj`` and
-    strictly inside (t0, t1), possibly none; the times ascend, so the
-    indices are consecutive."""
-    tol = 1e-9 * max(traj.dt, 1e-30)
-    return 1 + np.flatnonzero((traj.times[:-2] > t0 + tol)
-                              & (traj.times[2:] < t1 - tol))
+def window_nodes(times: np.ndarray, dt: float, t0: float, t1: float
+                 ) -> np.ndarray:
+    """Indices of the nodes whose centered stencil lies in ``times``, a grid
+    of step ``dt``, and strictly inside (t0, t1), possibly none; the times
+    ascend, so the indices are consecutive."""
+    tol = 1e-9 * max(dt, 1e-30)
+    return 1 + np.flatnonzero((times[:-2] > t0 + tol) & (times[2:] < t1 - tol))
 
 
 def window_rows(block: Trajectory, t0: float, t1: float) -> Trajectory | None:
@@ -558,8 +575,18 @@ def window_rows(block: Trajectory, t0: float, t1: float) -> Trajectory | None:
     them at a time.  This is the one walk of the window: the observation
     and the weighted Carleman sums both read it.
     """
-    ks = window_nodes(block, t0, t1)
+    ks = window_nodes(block.times, block.dt, t0, t1)
     return block.rows(int(ks[0]) - 1, int(ks[-1]) + 2) if ks.size else None
+
+
+def window_times(t0: float, t1: float, dt: float) -> np.ndarray:
+    """The times of a run from 0 in steps of ``dt`` that ``window_rows``
+    keeps: from the state before the first node of the window (t0, t1) to
+    the state after the last."""
+    times = _time_nodes(0.0, t1, dt)
+    ks = window_nodes(times, dt, t0, t1)
+    require_window(ks.size, t0, t1)
+    return times[ks[0] - 1:ks[-1] + 2]
 
 
 def require_window(n_nodes: int, t0: float, t1: float) -> None:
@@ -620,12 +647,12 @@ class WindowNorm(WindowObservation):
         self.sums: list = []
 
     def _keep(self, values: np.ndarray) -> None:
-        self.sums.append(row_sums(np.square(values, out=values), self.weights))
+        self.sums.append(node_energies(values, self.weights))
 
     def norm(self) -> float:
         """``record().norm()`` of the blocks added so far."""
         require_window(len(self.nodes), self.t0, self.t1)
-        return float(np.sqrt(np.concatenate(self.sums).sum() * self.dt))
+        return math.sqrt(window_energy(self.sums, self.dt))
 
 
 def observe(blocks, regions: RegionSet, mesh: Mesh,
@@ -670,19 +697,16 @@ def manufactured_problem(mesh: Mesh, diffusion: DiffusionSpec,
 
     Y = SpaceTimeField(y_expr)
     Z = SpaceTimeField(z_expr)
-    pot = {name: float(np.asarray(getattr(potentials, name)).ravel()[0])
+
+    def constant(arr, what):
+        if np.ptp(arr) != 0:
+            raise ValueError(f"manufactured sources need constant {what}")
+        return float(arr[0])
+
+    pot = {name: constant(getattr(potentials, name), "potentials")
            for name, _, _ in _IMPLICIT_POTENTIALS}
-    for name in pot:
-        arr = getattr(potentials, name)
-        if np.ptp(arr) != 0:
-            raise ValueError("manufactured sources need constant potentials")
-    a1 = float(diffusion.a1[0])
-    a2 = float(diffusion.a2[0])
-    d1 = float(diffusion.d1[0])
-    d2 = float(diffusion.d2[0])
-    for arr in (diffusion.a1, diffusion.a2, diffusion.d1, diffusion.d2):
-        if np.ptp(arr) != 0:
-            raise ValueError("manufactured sources need constant diffusivities")
+    a1, a2, d1, d2 = (constant(getattr(diffusion, k), "diffusivities")
+                      for k in ("a1", "a2", "d1", "d2"))
 
     R = mesh.R_domain
     src_f1 = (sym.diff(Y.expr, SYM_T) - divergence_a_grad(a1, Y.expr)

@@ -86,17 +86,8 @@ class RegionSet:
 
 
 def build_polar_mesh(n_r: int, n_theta: int, R_domain: float = 1.0) -> Mesh:
-    """Build the polar finite-volume mesh.
-
-    Parameters
-    ----------
-    n_r : int
-        Radial cell count, at least 4.
-    n_theta : int
-        Angular cell count, at least 8 and even.
-    R_domain : float
-        Disk radius.
-    """
+    """The polar finite-volume mesh of the disk of radius ``R_domain``:
+    ``n_r`` >= 4 rings of ``n_theta`` (even, >= 8) sectors."""
     if n_r < 4:
         raise ValueError(f"n_r={n_r} below minimum 4: resolution unusable")
     if n_theta < 8 or n_theta % 2 != 0:
@@ -120,26 +111,16 @@ def build_polar_mesh(n_r: int, n_theta: int, R_domain: float = 1.0) -> Mesh:
     surface_weights = np.full(n_theta, R_domain * dth)
     trace_map = (n_r - 1) * n_theta + np.arange(n_theta)
 
-    # interior faces: radial (between rings i, i+1) and angular (periodic in j)
-    fa, fb, fg = [], [], []
-    j_all = np.arange(n_theta)
-    for i in range(1, n_r):
-        a = (i - 1) * n_theta + j_all
-        b = i * n_theta + j_all
-        fa.append(a)
-        fb.append(b)
-        # face at radius i*dr: length i*dr*dth, center distance dr
-        fg.append(np.full(n_theta, i * dth))
-    for i in range(1, n_r + 1):
-        a = (i - 1) * n_theta + j_all
-        b = (i - 1) * n_theta + (j_all + 1) % n_theta
-        fa.append(a)
-        fb.append(b)
-        # radial face: length dr, arc distance r_i*dth
-        fg.append(np.full(n_theta, dr / (r_centers[i - 1] * dth)))
-    faces_a = np.concatenate(fa)
-    faces_b = np.concatenate(fb)
-    faces_geom = np.concatenate(fg)
+    # interior faces, ring by ring: first those between rings i and i+1
+    # (at radius i dr: length i dr dth, center distance dr), then those
+    # between sectors j and j+1, periodic in j (length dr, arc distance
+    # r_i dth)
+    cells = np.arange(n_r * n_theta).reshape(n_r, n_theta)
+    faces_a = np.concatenate([cells[:-1].ravel(), cells.ravel()])
+    faces_b = np.concatenate([cells[1:].ravel(),
+                              np.roll(cells, -1, axis=1).ravel()])
+    faces_geom = np.repeat(np.concatenate([ring[:-1] * dth,
+                                           dr / (r_centers * dth)]), n_theta)
 
     # boundary faces: outermost cell to its surface node over half a cell
     bnd_cells = trace_map.copy()

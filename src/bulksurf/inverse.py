@@ -16,15 +16,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from .forward import (
+    _COEFF_NAMES,
     ObservationRecord,
     SemilinearSystem,
     SolverError,
     Trajectory,
+    node_energies,
     observe,
-    row_sums,
+    window_energy,
 )
 from .geometry import Mesh, RegionSet
 from .model import (
+    P0_FLOORED,
     DiffusionSpec,
     InitialData,
     Nonlinearity,
@@ -86,10 +89,6 @@ def build_patch_basis(mesh: Mesh, n_patch_r: int = 4, n_patch_theta: int = 4,
         surf_measure=surf.T @ mesh.surface_weights)
 
 
-# in the order of the packed blocks (y, z, y_gamma, z_gamma) they enter
-_COEFF_NAMES = ("p13", "p21", "q13", "q21")
-
-
 @dataclass(frozen=True)
 class CoefficientVector:
     """Patch values of the four coupling coefficients with projection bounds."""
@@ -107,7 +106,7 @@ class CoefficientVector:
         out = {}
         for name in _COEFF_NAMES:
             v = np.clip(getattr(self, name), -self.R_bound, self.R_bound)
-            if name in ("p21", "q21"):
+            if name in P0_FLOORED:
                 v = np.maximum(v, self.p0)
             out[name] = v
         return replace(self, **out)
@@ -127,12 +126,8 @@ class CoefficientVector:
         return replace(self, **out)
 
     def bounds(self) -> list[tuple[float, float]]:
-        out = []
-        for name in self.free:
-            lo = self.p0 if name in ("p21", "q21") else -self.R_bound
-            for _ in range(len(getattr(self, name))):
-                out.append((lo, self.R_bound))
-        return out
+        return [(self.p0 if name in P0_FLOORED else -self.R_bound, self.R_bound)
+                for name in self.free for _ in getattr(self, name)]
 
     def l2_distance(self, other: "CoefficientVector", basis: PatchBasis) -> float:
         """Measure-weighted distance over all four components."""
@@ -183,7 +178,7 @@ class InverseProblem:
         pot, system = self.base_potentials, self._base_system
         given = {"p13": p13, "p21": p21, "q13": q13, "q21": q21}
         vals = {}
-        for name, block in zip(_COEFF_NAMES, system.blocks):
+        for name, block in system.coefficient_blocks():
             P, measure = self.basis.patches(name)
             v = given[name]
             if v is None:  # the block's mass is the field's cell weight
@@ -223,8 +218,8 @@ class InverseProblem:
     # -- objective / adjoint -------------------------------------------------
 
     def _misfit(self, rec: ObservationRecord, data: ObservationRecord) -> float:
-        d = rec.values - data.values
-        return 0.5 * float(row_sums(d**2, rec.cell_weights).sum() * rec.dt)
+        return 0.5 * window_energy(
+            [node_energies(rec.values - data.values, rec.cell_weights)], rec.dt)
 
     def _reg_weights(self, coeffs: CoefficientVector) -> np.ndarray:
         return np.concatenate([self.basis.patches(name)[1]
@@ -279,7 +274,7 @@ class InverseProblem:
 
         w = M * acc
         grads = {name: -(self.basis.patches(name)[0].T @ w[block])
-                 for name, block in zip(_COEFF_NAMES, system.blocks)}
+                 for name, block in system.coefficient_blocks()}
         flat = np.concatenate([grads[name] for name in coeffs.free])
         if reg_weight > 0 and prior is not None:
             d = coeffs.pack() - prior.pack()
@@ -467,8 +462,8 @@ def stability_ensemble(problem: InverseProblem,
         packed ``dc``; a ValueError when that leaves the admissible set."""
         pot = pot_ref.with_fields(**{
             name: getattr(pot_ref, name) + dc[block]
-            for name, block in zip(_COEFF_NAMES, blocks)})
-        if pot.p21.min() < pot_ref.p0 or pot.q21.min() < pot_ref.p0:
+            for name, block in system_ref.coefficient_blocks()})
+        if pot.below_p0():
             raise ValueError("perturbation below the p0 floor")
         return system_ref.with_potentials(pot)
 

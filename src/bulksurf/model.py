@@ -69,6 +69,8 @@ class DiffusionSpec:
 
 _BULK_NAMES = ("p11", "p12", "p13", "p21", "p22")
 _SURF_NAMES = ("q11", "q12", "q13", "q21", "q22")
+# the coupling potentials held above the coercivity floor p0
+P0_FLOORED = ("p21", "q21")
 
 
 @dataclass(frozen=True)
@@ -118,11 +120,15 @@ class PotentialSet:
                     f"sup={sup:.6g} > R_bound={self.R_bound:.6g}"
                 )
 
+    def below_p0(self) -> list:
+        """The coupling potentials, p21 and q21, that drop below the floor
+        p0 somewhere; a NaN value counts as below."""
+        return [name for name in P0_FLOORED
+                if not getattr(self, name).min() >= self.p0]
+
     def stability_admissible(self) -> bool:
-        """True if p21 and q21 sit above the coercivity floor p0 everywhere."""
-        if self.p0 <= 0:
-            return False
-        return bool(self.p21.min() >= self.p0 and self.q21.min() >= self.p0)
+        """True if p0 > 0 and p21 and q21 sit above it everywhere."""
+        return self.p0 > 0 and not self.below_p0()
 
     def with_fields(self, **updates) -> "PotentialSet":
         """Copy with some fields replaced; re-verifies the sup-norm bound."""
@@ -254,8 +260,8 @@ def validate_assumption_I(pot: PotentialSet, pot_tilde: PotentialSet,
     _record(rep, "surface reaction floor", surf)
 
     for label, ps in (("", pot), ("tilde ", pot_tilde)):
-        _record(rep, f"{label}p21 >= p0", ps.p21 - p0)
-        _record(rep, f"{label}q21 >= p0", ps.q21 - p0)
+        for name in P0_FLOORED:
+            _record(rep, f"{label}{name} >= p0", getattr(ps, name) - p0)
     return rep
 
 

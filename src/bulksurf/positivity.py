@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import ReactionSet, SemilinearSystem, Trajectory, row_sums
+from .forward import ReactionSet, SemilinearSystem, Trajectory, node_energies
 from .geometry import Mesh
 from .model import DiffusionSpec, InitialData
 
@@ -45,12 +45,6 @@ def check_qp(reactions: ReactionSet, samples: np.ndarray) -> tuple | None:
     return worst
 
 
-def _negative_square(field: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted sum of the squared negative part over the last axis; a
-    block ``(n_nodes, k, n)`` gives each draw the bits of its one-draw run."""
-    return row_sums(np.minimum(field, 0.0) ** 2, weights)
-
-
 def sup_abs(field: np.ndarray) -> np.ndarray:
     """max |field| over the time and cell axes (per draw for a block),
     without a temporary copy of the table."""
@@ -58,11 +52,12 @@ def sup_abs(field: np.ndarray) -> np.ndarray:
 
 
 def negative_part_energy(traj: Trajectory, mesh: Mesh) -> dict:
-    """Series E-(t) = |u-|^2_{L2(Omega)} + |u_gamma-|^2_{L2(Gamma)} per pair."""
-    areas, ds = mesh.cell_areas, mesh.surface_weights
-    ey = _negative_square(traj.y, areas) + _negative_square(traj.y_gamma, ds)
-    ez = _negative_square(traj.z, areas) + _negative_square(traj.z_gamma, ds)
-    return {"E_y": ey, "E_z": ez}
+    """Series E-(t) = |u-|^2_{L2(Omega)} + |u_gamma-|^2_{L2(Gamma)} per pair;
+    a block ``(n_nodes, k, n)`` gives each draw the bits of its one-draw run."""
+    def pair(bulk, surface):
+        return (node_energies(np.minimum(bulk, 0.0), mesh.cell_areas)
+                + node_energies(np.minimum(surface, 0.0), mesh.surface_weights))
+    return {"E_y": pair(traj.y, traj.y_gamma), "E_z": pair(traj.z, traj.z_gamma)}
 
 
 def negative_part_energy_monotone(traj: Trajectory, mesh: Mesh) -> dict:

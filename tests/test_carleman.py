@@ -713,7 +713,7 @@ def _per_cell_sums(tau, zb, zg, traj, cfg, mesh, pair, omega=None):
     carleman_ratio's three right-hand-side terms, node by node with one
     weight per cell (no eta0 levels): the parts records' order and powers."""
     eta = np.append(0.0, eta0_and_gradient(mesh.cell_xy)[0])
-    ks = window_nodes(traj, cfg.t0, cfg.t1)
+    ks = window_nodes(traj.times, traj.dt, cfg.t0, cfg.t1)
     alpha, xi, _ = weight_tables(cfg, eta, traj.times[ks])
     W = exp_weight(cfg.s, alpha, shift=alpha.min())
     areas, ds, dt, lam = mesh.cell_areas, mesh.surface_weights, traj.dt, cfg.lam
@@ -778,8 +778,8 @@ def test_level_sums_match_a_per_cell_walk(n_r, n_theta):
     # the sources on the (nodes x (surface, cells)) weight table: the
     # surface column takes the arc-length total of g1^2 or g2^2
     eta = np.append(0.0, eta0_and_gradient(mesh.cell_xy)[0])
-    alpha, xi, _ = weight_tables(cfg, eta,
-                                 traj.times[window_nodes(traj, cfg.t0, cfg.t1)])
+    ks = window_nodes(traj.times, traj.dt, cfg.t0, cfg.t1)
+    alpha, xi, _ = weight_tables(cfg, eta, traj.times[ks])
     W = exp_weight(cfg.s, alpha, shift=alpha.min())
     f1, f2 = (np.append(mesh.surface_weights @ sources[g] ** 2,
                         mesh.cell_areas * sources[f] ** 2)

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import types
 import weakref
 
 import numpy as np
@@ -378,8 +377,7 @@ def test_carleman_verify_walks_each_field_once(tmp_path, monkeypatch):
     assert run_cli("carleman-verify", path, tmp_path / "out") == 0
     cfg = load_config(path)
     times = np.arange(0.0, cfg.t_end + cfg.dt / 2, cfg.dt)
-    n_window = len(window_nodes(types.SimpleNamespace(times=times, dt=cfg.dt),
-                                cfg.regions.t0, cfg.regions.t1))
+    n_window = len(window_nodes(times, cfg.dt, cfg.regions.t0, cfg.regions.t1))
     n_fields = cfg.carleman["n_test_fields"]
     assert 0 < len(calls) <= 2 * n_fields * n_window
 
@@ -398,12 +396,11 @@ def test_carleman_verify_samples_only_the_window(tmp_path, monkeypatch):
     cfg = load_config(path)
     t0, t1, dt = cfg.regions.t0, cfg.regions.t1, cfg.dt
     full = np.arange(0.0, cfg.t_end + dt / 2, dt)
-    inside = full[window_nodes(types.SimpleNamespace(times=full, dt=dt), t0, t1)]
+    inside = full[window_nodes(full, dt, t0, t1)]
     assert len(grids) == cfg.carleman["n_test_fields"]
     for times in grids:
         assert t0 - dt - 1e-12 <= times[0] and times[-1] <= t1 + dt + 1e-12
-        sliced = types.SimpleNamespace(times=times, dt=dt)
-        np.testing.assert_array_equal(times[window_nodes(sliced, t0, t1)],
+        np.testing.assert_array_equal(times[window_nodes(times, dt, t0, t1)],
                                       inside)
 
 
@@ -570,6 +567,42 @@ def test_linear_response_fails_at_a_large_scale(tmp_path, scale, linear):
     assert summary["effective"]["linear_response_tolerance"] == 0.05
 
 
+def test_identity_tolerance_does_not_grow_with_the_scale(tmp_path):
+    # the first-step identity errors (0.035 at the default config) do not
+    # depend on the scale, and neither does the tolerance they are held to
+    tolerances = []
+    for scale in (1e-3, 0.6):
+        path = tmp_path / f"config-{scale}.json"
+        path.write_text(json.dumps({"stability": {"n_draws": 4,
+                                                  "scale": scale}}))
+        out = tmp_path / f"out-{scale}"
+        run_cli("stability", str(path), out)
+        summary = read_summary(out)
+        assert summary["checks"]["midtime_identities"]
+        tolerances.append(summary["effective"]["identity_tolerance"])
+    assert tolerances[0] == tolerances[1] < 0.1
+
+
+def test_ratio_spread_fails_for_an_omega_of_one_ring(tmp_path):
+    # omega is the innermost ring and (theta, t1) is 0.11 long, so a draw's
+    # response is read mostly where its p21 perturbation sits near the
+    # centre; the draw whose perturbation nearly vanishes there has a ratio
+    # 17.5 times the median, past the bound of 10
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "mesh": {"n_r": 8, "n_theta": 16},
+        "regions": {"rho_prime": 0.07, "rho_dprime": 0.08, "rho_omega": 0.1,
+                    "t0": 0.2, "t1": 0.42},
+        "stability": {"n_draws": 40}, "seed": 7}))
+    out = tmp_path / "out"
+    assert run_cli("stability", str(path), out) == 1
+    summary = read_summary(out)
+    assert summary["checks"] == {"midtime_identities": True,
+                                 "linear_response": True,
+                                 "ratio_spread": False}
+    assert summary["spread"] > summary["effective"]["spread_tolerance"] == 10.0
+
+
 def test_removed_stability_mode_is_refused(tmp_path, capsys):
     cfg = write_config(tmp_path, {"stability": {"mode": "forward_from_theta"}})
     assert run_cli("stability", cfg, tmp_path / "out") == 1
@@ -648,6 +681,14 @@ def test_unknown_config_key_is_refused(tmp_path, capsys, extra, key):
      "potentials.q12: expected finite values, got inf at index 0"),
     ("simulate", {"mesh": {"n_r": 10**400}},
      "mesh.n_r: expected a finite number, got 1000"),
+    # an initial guess is a number or one number per patch
+    ("reconstruct", {"inverse": {"guess": {"p13": float("nan"), "q21": 1.0}}},
+     "inverse.guess.p13: expected a finite number, got nan"),
+    ("reconstruct", {"inverse": {"guess": {"p13": [0.5, float("inf"), 0.5,
+                                                   0.5]}}},
+     "inverse.guess.p13[1]: expected a finite number, got inf"),
+    ("reconstruct", {"inverse": {"guess": {"q21": "1.0"}}},
+     "inverse.guess.q21: expected a number"),
 ])
 def test_bad_config_value_is_refused(tmp_path, capsys, command, extra, message):
     cfg = write_config(tmp_path, extra)
@@ -664,6 +705,17 @@ def test_non_object_config_file_is_refused(tmp_path, capsys, top):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(
         f"configuration error: config {path}: expected a JSON object"), err
+
+
+def test_integer_past_the_digit_limit_is_invalid_json(tmp_path, capsys):
+    # Python's json refuses to convert an integer of over 4,300 digits
+    path = tmp_path / "config.json"
+    path.write_text('{"seed": 1' + "0" * 5000 + "}")
+    assert run_cli("simulate", str(path), tmp_path / "out") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"configuration error: config {path} is not valid JSON"), err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_added_truth_entry_follows_the_defaults(tmp_path):

@@ -21,6 +21,7 @@ from bulksurf.forward import (
     row_sums,
     window_nodes,
     window_rows,
+    window_times,
 )
 from bulksurf.geometry import build_polar_mesh, build_regions
 from bulksurf.model import (
@@ -654,7 +655,7 @@ def test_the_blocks_of_a_run_hold_each_state_and_window_node_once(n_nodes):
     traj = system.solve(one, t_end, 0.01)
     assert traj.n_nodes == n_nodes
     for t0, t1 in ((-1.0, 1.0), (0.025, 0.2), (0.045, 0.075)):
-        want = window_nodes(traj, t0, t1).tolist()
+        want = window_nodes(traj.times, traj.dt, t0, t1).tolist()
         for blocks in (system.march(one, t_end, 0.01), traj.blocks()):
             new, nodes = [], []
             for block in blocks:
@@ -669,6 +670,19 @@ def test_the_blocks_of_a_run_hold_each_state_and_window_node_once(n_nodes):
                     nodes += ks.tolist()
             np.testing.assert_array_equal(np.concatenate(new), traj.packed)
             assert nodes == want, (t0, t1)
+
+
+@pytest.mark.parametrize("t0, t1", [(0.2, 0.8), (0.333, 0.61), (0.015, 0.06)])
+def test_window_times_are_the_times_of_the_window_rows(t0, t1):
+    # the grid a sampled field needs: the run's own times, from the state
+    # before the first window node to the state after the last
+    system, _, _, init = _block_problem(k=1)
+    one = InitialData(init.y0[0], init.z0[0], init.y0_gamma[0], init.z0_gamma[0])
+    traj = system.solve(one, 1.0, 0.01)
+    np.testing.assert_array_equal(window_times(t0, t1, 0.01),
+                                  window_rows(traj, t0, t1).times)
+    with pytest.raises(ValueError, match="no interior stencil nodes"):
+        window_times(0.2, 0.215, 0.01)
 
 
 def test_only_forward_knows_how_a_run_is_cut():

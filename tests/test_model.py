@@ -38,6 +38,19 @@ def test_stability_admissible_flag(mesh):
     assert not pot2.stability_admissible()
 
 
+def test_below_p0_names_each_potential_under_the_floor(mesh):
+    # a NaN value is not above the floor either
+    pot = PotentialSet.from_values(mesh, p21=1.0, q21=1.0, p0=0.5)
+    assert pot.below_p0() == []
+    q21 = np.full(mesh.n_theta, 1.0)
+    q21[3] = np.nan
+    assert pot.with_fields(q21=q21).below_p0() == ["q21"]
+    low = pot.with_fields(p21=np.full(mesh.n_cells, 0.25), q21=q21)
+    assert low.below_p0() == ["p21", "q21"]
+    assert not low.stability_admissible()
+    assert PotentialSet.from_values(mesh, p21=1.0, q21=1.0).below_p0() == []
+
+
 def test_power_nonlinearity_values():
     const = make_power_nonlinearity(0, 0, (2.0, 2.0))
     assert const(np.array([3.0]), np.array([5.0]))[0] == 1.0
