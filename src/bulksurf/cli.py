@@ -135,8 +135,9 @@ class _Runner:
 
 
 def _s1(cfg: RunConfig, lam: float) -> float:
-    """The configured s1, or the default floor at ``lam``."""
-    return cfg.carleman["s1"] or default_s1(lam, cfg.regions.t0, cfg.regions.t1)
+    """The configured s1, or the default floor at ``lam`` when it is null."""
+    s1 = cfg.carleman["s1"]
+    return default_s1(lam, cfg.regions.t0, cfg.regions.t1) if s1 is None else s1
 
 
 def _cmd_simulate(run: _Runner) -> int:
@@ -216,9 +217,11 @@ def _cmd_positivity(run: _Runner) -> int:
     run.csv("energy.csv", ["t", "E_neg_y", "E_neg_z", "min_over_fields"],
             [(t, mono["E_y"][k, 0], mono["E_z"][k, 0], out["min_series"][k, 0])
              for k, t in enumerate(out["times"])])
-    # holds by construction once matrix_check passes: an implicit matrix with
-    # nonpositive off-diagonals and the positive-part reactions keep every
-    # step nonnegative, so only a failed matrix_check can make this fail
+    # holds by construction once matrix_check passes and
+    # positivity.lipschitz_bound bounds the reactions: the step guard then
+    # keeps x/dt plus the positive-part rates nonnegative, and an implicit
+    # matrix with nonpositive off-diagonals keeps the step nonnegative.  An
+    # understated bound lets a strongly decaying reaction make this fail
     run.checks["minimum_nonnegative"] = bool(ok.all())
     run.checks["negative_energy_monotone"] = bool(mono["passed"].all())
     return run.finish({"matrix_check": out["matrix_check"]})

@@ -439,6 +439,8 @@ def load_config(path: str | None = None, overrides: dict | None = None
         raise ConfigError("carleman: epsilon must lie in (0, 1)")
     if not cl["tau_list"]:
         raise ConfigError("carleman.tau_list: expected at least one tau, got []")
+    if cl["s1"] is not None and cl["s1"] <= 0:
+        raise ConfigError(f"carleman.s1: must be positive, got {cl['s1']!r}")
     if cl["n_test_fields"] > len(TEST_FIELDS):
         raise ConfigError(f"carleman.n_test_fields: at most {len(TEST_FIELDS)} "
                           f"test fields exist, got {cl['n_test_fields']}")

@@ -248,13 +248,18 @@ class SemilinearSystem:
                  nl_g: Nonlinearity | None = None):
         self.mesh = mesh
         self.diffusion = diffusion
-        self.nl_f = nl_f
-        self.nl_g = nl_g
 
         nb, ns = mesh.n_cells, mesh.n_theta
         self.n_dof = 2 * nb + 2 * ns
-        self.blocks = (slice(0, nb), slice(nb, 2 * nb),
-                       slice(2 * nb, 2 * nb + ns), slice(2 * nb + ns, self.n_dof))
+        self.blocks = sy, sz, syg, szg = (
+            slice(0, nb), slice(nb, 2 * nb),
+            slice(2 * nb, 2 * nb + ns), slice(2 * nb + ns, self.n_dof))
+        # the explicit terms, each (coefficient, nonlinearity, row block,
+        # partner block): p13 f(y, z) enters the y rows and q13
+        # g(y_gamma, z_gamma) the y_gamma rows, each when it is given
+        self._explicit = tuple(
+            term for term in (("p13", nl_f, sy, sz), ("q13", nl_g, syg, szg))
+            if term[1] is not None)
         self.mass = np.concatenate([mesh.cell_areas, mesh.cell_areas,
                                     mesh.surface_weights, mesh.surface_weights])
         # factor order: each cell's (y, z) pair together, sector by sector
@@ -337,10 +342,8 @@ class SemilinearSystem:
             for name, i, _ in _IMPLICIT_POTENTIALS])
         L = max(float(np.abs(getattr(pot, name)).max())
                 for name, _, _ in _IMPLICIT_POTENTIALS)
-        if self.nl_f is not None:
-            L = max(L, float(np.abs(pot.p13).max()) * self.nl_f.lipschitz_bound)
-        if self.nl_g is not None:
-            L = max(L, float(np.abs(pot.q13).max()) * self.nl_g.lipschitz_bound)
+        for name, nl, _, _ in self._explicit:
+            L = max(L, float(np.abs(getattr(pot, name)).max()) * nl.lipschitz_bound)
         self.lipschitz = L
         self._lu_cache: dict[float, PermutedLU] = {}
 
@@ -419,18 +422,15 @@ class SemilinearSystem:
                 f"dt={dt} exceeds the explicit-part stability bound 0.5/L={0.5 / L:.3g}")
         if lu is None:
             lu = self.factorization(dt)
-        pot = self.potentials
-        sy, sz, syg, szg = self.blocks
-        y, z, yg, zg = x[..., sy], x[..., sz], x[..., syg], x[..., szg]
         # the right-hand side M (x/dt + E) is built in one array: the explicit
         # terms are added to x/dt block by block, then scaled by the mass
         E = x / dt
-        if self.nl_f is not None:
-            E[..., sy] += pot.p13 * self.nl_f(y, z)
-        if self.nl_g is not None:
-            E[..., syg] += pot.q13 * self.nl_g(yg, zg)
+        for name, nl, rows, partner in self._explicit:
+            E[..., rows] += getattr(self.potentials, name) * nl(
+                x[..., rows], x[..., partner])
         if reactions is not None:
-            for block, rate in zip(self.blocks, reactions.rates(y, z, yg, zg)):
+            rates = reactions.rates(*(x[..., block] for block in self.blocks))
+            for block, rate in zip(self.blocks, rates):
                 E[..., block] += rate
         if sources is not None:
             for block, key in zip(self.blocks, ("f1", "f2", "g1", "g2")):
@@ -525,11 +525,9 @@ class SemilinearSystem:
         """
         sy, sz, syg, szg = self.blocks
         out = np.zeros(x.shape)
-        if self.nl_f is not None:
-            out[..., sy] = self.nl_f(x[..., sy], x[..., sz])
+        for _, nl, rows, partner in self._explicit:
+            out[..., rows] = nl(x[..., rows], x[..., partner])
         out[..., sz] = x_next[..., sy]
-        if self.nl_g is not None:
-            out[..., syg] = self.nl_g(x[..., syg], x[..., szg])
         out[..., szg] = x_next[..., syg]
         return out
 
@@ -542,17 +540,12 @@ class SemilinearSystem:
         """``(dE/dx)^T w`` for the explicit terms ``p13 f(y, z)`` and
         ``q13 g(y_gamma, z_gamma)`` at the state ``x``: the adjoint's pull
         of a mass-weighted ``w`` through one step's explicit part."""
-        sy, sz, syg, szg = self.blocks
-        pot = self.potentials
         out = np.zeros(x.shape)
-        if self.nl_f is not None:
-            fy, fz = self.nl_f.partials(x[..., sy], x[..., sz])
-            out[..., sy] += pot.p13 * fy * w[..., sy]
-            out[..., sz] += pot.p13 * fz * w[..., sy]
-        if self.nl_g is not None:
-            gy, gz = self.nl_g.partials(x[..., syg], x[..., szg])
-            out[..., syg] += pot.q13 * gy * w[..., syg]
-            out[..., szg] += pot.q13 * gz * w[..., syg]
+        for name, nl, rows, partner in self._explicit:
+            c = getattr(self.potentials, name)
+            d_rows, d_partner = nl.partials(x[..., rows], x[..., partner])
+            out[..., rows] += c * d_rows * w[..., rows]
+            out[..., partner] += c * d_partner * w[..., rows]
         return out
 
 

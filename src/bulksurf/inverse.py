@@ -199,21 +199,26 @@ class InverseProblem:
     def system_for(self, coeffs: CoefficientVector) -> SemilinearSystem:
         return self._base_system.with_potentials(self.to_potentials(coeffs))
 
-    def simulate(self, coeffs: CoefficientVector) -> Trajectory:
-        """The solve up to the window end t1: the observation reads nothing
-        later."""
-        return self.system_for(coeffs).solve(self.init, self.regions.t1,
-                                             self.dt)
+    def reference(self, coeffs: CoefficientVector
+                  ) -> tuple[SemilinearSystem, Trajectory]:
+        """The system of ``coeffs`` and its solve up to the window end t1
+        (the observation reads nothing later): the reference run of the
+        twin data and of the stability ensemble.
 
-    def validate_assumptions(self, coeffs: CoefficientVector,
-                             traj: Trajectory) -> dict:
-        pot = self.to_potentials(coeffs)
+        Raises ValueError, naming every margin, unless Assumptions I and II
+        hold there.
+        """
+        system = self.system_for(coeffs)
+        traj = system.solve(self.init, self.regions.t1, self.dt)
+        pot = system.potentials
         rep1 = validate_assumption_I(pot, pot, self.nl_f, self.nl_g, self.init,
                                      r=self.r_floor, p0=pot.p0)
         rep2 = validate_assumption_II(self.nl_f, self.nl_g, traj,
                                       self.regions.theta, self.r1_floor)
-        return {"assumption_I": rep1, "assumption_II": rep2,
-                "passed": rep1.passed and rep2.passed}
+        if not (rep1.passed and rep2.passed):
+            raise ValueError("reference setup violates the model assumptions: "
+                             f"I={rep1.margins} II={rep2.margins}")
+        return system, traj
 
     # -- objective / adjoint -------------------------------------------------
 
@@ -238,7 +243,7 @@ class InverseProblem:
                                ) -> tuple[float, np.ndarray]:
         """Exact gradient of the discrete objective via the adjoint sweep.
 
-        The sweep starts at the window end t1, where ``simulate`` stops.
+        The sweep starts at the window end t1, where the forward solve stops.
         """
         system = self.system_for(coeffs)
         traj = system.solve(self.init, self.regions.t1, self.dt)
@@ -341,16 +346,11 @@ def simulate_twin(problem: InverseProblem, true_coeffs: CoefficientVector,
                   noise_level: float = 0.0, seed: int = 0) -> ObservationRecord:
     """Synthetic observation from known coefficients, with optional noise.
 
-    Validates the model assumptions on the reference setup first; noise is
-    additive Gaussian scaled to the RMS of the clean record.
+    The run is ``problem.reference``, which refuses a setup that violates
+    the model assumptions; noise is additive Gaussian scaled to the RMS of
+    the clean record.
     """
-    traj = problem.simulate(true_coeffs)
-    checks = problem.validate_assumptions(true_coeffs, traj)
-    if not checks["passed"]:
-        raise ValueError(
-            "reference setup violates the model assumptions: "
-            f"I={checks['assumption_I'].margins} "
-            f"II={checks['assumption_II'].margins}")
+    _, traj = problem.reference(true_coeffs)
     rec = observe([traj], problem.regions, problem.mesh)
     if noise_level > 0:
         rng = np.random.default_rng(seed)
@@ -436,11 +436,7 @@ def stability_ensemble(problem: InverseProblem,
     mesh, regions = problem.mesh, problem.regions
     rng = np.random.default_rng(seed)
 
-    system_ref = problem.system_for(reference_coeffs)
-    ref_traj = system_ref.solve(problem.init, regions.t1, problem.dt)
-    checks = problem.validate_assumptions(reference_coeffs, ref_traj)
-    if not checks["passed"]:
-        raise ValueError("reference setup violates the model assumptions")
+    system_ref, ref_traj = problem.reference(reference_coeffs)
     k_theta = ref_traj.index_at(regions.theta)
     theta = float(ref_traj.times[k_theta])
     t1 = regions.t1

@@ -246,6 +246,26 @@ def test_positivity_command(tmp_path):
     assert os.path.exists(out / "energy.csv")
 
 
+def test_minimum_nonnegative_fails_for_an_understated_lipschitz_bound(
+        tmp_path, capsys):
+    # f1 = -1000 u is quasi-positive and leaves the implicit matrix's sign
+    # check to pass, but the default bound 1 lets dt 0.01 through the step
+    # guard, and the explicit decay drives y below zero.  Stated truly, the
+    # bound makes the guard refuse the step size instead
+    reactions = {"reactions": {"f1": "-1000*u"}}
+    out = tmp_path / "out"
+    assert run_cli("positivity", write_config(tmp_path, {"positivity": reactions}),
+                   out) == 1
+    summary = read_summary(out)
+    assert summary["checks"] == {"minimum_nonnegative": False,
+                                 "negative_energy_monotone": False}
+    assert summary["matrix_check"]["offdiag_nonpositive"]
+    cfg = write_config(tmp_path, {"positivity": {**reactions,
+                                                 "lipschitz_bound": 1000}})
+    assert run_cli("positivity", cfg, tmp_path / "guarded") == 1
+    assert "exceeds the explicit-part stability bound" in capsys.readouterr().err
+
+
 def test_positivity_computes_the_negative_part_energy_once(tmp_path,
                                                            monkeypatch):
     # block by block, each state's energy once: the states passed in are
@@ -689,6 +709,11 @@ def test_unknown_config_key_is_refused(tmp_path, capsys, extra, key):
      "inverse.guess.p13[1]: expected a finite number, got inf"),
     ("reconstruct", {"inverse": {"guess": {"q21": "1.0"}}},
      "inverse.guess.q21: expected a number"),
+    # null derives s1 from lambda; a number must be a valid weight parameter
+    ("carleman-verify", {"carleman": {"s1": 0}},
+     "carleman.s1: must be positive, got 0"),
+    ("carleman-verify", {"carleman": {"s1": -1}},
+     "carleman.s1: must be positive, got -1"),
 ])
 def test_bad_config_value_is_refused(tmp_path, capsys, command, extra, message):
     cfg = write_config(tmp_path, extra)

@@ -703,6 +703,21 @@ def test_only_forward_knows_how_a_run_is_cut():
         assert not names & {"_NODE_BLOCK", "_HALO"}, path.name
 
 
+def test_only_the_constructor_reads_the_nonlinearities():
+    # SemilinearSystem keeps its explicit terms in one tuple that its
+    # __init__ builds from nl_f and nl_g; every other method loops over it
+    tree = ast.parse(pathlib.Path(bulksurf.forward.__file__).read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "SemilinearSystem")
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+            continue
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(method)
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not names & {"nl_f", "nl_g"}, method.name
+
+
 def _one_state_trajectory():
     system, _, _, init = _block_problem(k=1)
     one = InitialData(init.y0[0], init.z0[0], init.y0_gamma[0], init.z0_gamma[0])

@@ -139,8 +139,9 @@ def test_objective_reduces_the_march(problem, truth, data, monkeypatch):
     # the misfit of the stored trajectory's record
     rng = np.random.default_rng(12)
     c = truth.unpack(truth.pack() + 0.3 * rng.standard_normal(truth.pack().size))
-    want = problem._misfit(observe([problem.simulate(c)], problem.regions,
-                                   problem.mesh), data)
+    traj = problem.system_for(c).solve(problem.init, problem.regions.t1,
+                                       problem.dt)
+    want = problem._misfit(observe([traj], problem.regions, problem.mesh), data)
     solves = []
     solve = bulksurf.forward.SemilinearSystem.solve
     monkeypatch.setattr(bulksurf.forward.SemilinearSystem, "solve",
@@ -365,6 +366,17 @@ def test_stability_factorization_count(problem, truth, monkeypatch):
 def test_stability_refuses_a_zero_scale(problem, truth):
     with pytest.raises(ValueError, match="perturbation_scale must be positive"):
         stability_ensemble(problem, truth, n_draws=2, perturbation_scale=0.0)
+
+
+def test_stability_refusal_names_the_margins(problem, truth):
+    # the twin data and the ensemble read one reference run, which names
+    # every margin when Assumption I or II fails: here y0 = 1.5 < r = 5
+    strict = replace(problem, r_floor=5.0)
+    for run in (lambda: simulate_twin(strict, truth),
+                lambda: stability_ensemble(strict, truth, n_draws=2)):
+        with pytest.raises(ValueError, match=r"violates the model assumptions: "
+                           r"I=\{'y0_tilde >= r': -3\.5, .*\} II=\{"):
+            run()
 
 
 def test_checkpoint_budget_guard():
