@@ -245,29 +245,25 @@ class _Levels:
         require_unit_disk(mesh)
         eta, index = np.unique(eta0_and_gradient(mesh.cell_xy)[0],
                                return_inverse=True)
-        n_faces = mesh.faces_a.size
-        half = np.tile(0.5 * mesh.faces_geom, 2)
+        n, n_faces, bnd = eta.size, mesh.faces_a.size, mesh.bnd_cells
+        # sparse (levels x items) operators; entries at one position add up
         return cls(
             eta=np.append(0.0, eta),
-            areas=_fold(index, np.arange(mesh.n_cells), mesh.cell_areas,
-                        (eta.size, mesh.n_cells)),
-            faces=_fold(np.concatenate([index[mesh.faces_a],
-                                        index[mesh.faces_b]]),
-                        np.tile(np.arange(n_faces), 2), half,
-                        (eta.size, n_faces)),
-            bnd=_fold(index[mesh.bnd_cells], np.arange(mesh.bnd_cells.size),
-                      0.5 * mesh.bnd_geom, (eta.size, mesh.bnd_cells.size)))
+            areas=sp.csr_matrix((mesh.cell_areas, (index, np.arange(mesh.n_cells))),
+                                shape=(n, mesh.n_cells)),
+            faces=sp.csr_matrix(
+                (np.tile(0.5 * mesh.faces_geom, 2),
+                 (np.concatenate([index[mesh.faces_a], index[mesh.faces_b]]),
+                  np.tile(np.arange(n_faces), 2))), shape=(n, n_faces)),
+            bnd=sp.csr_matrix((0.5 * mesh.bnd_geom,
+                               (index[bnd], np.arange(bnd.size))),
+                              shape=(n, bnd.size)))
 
     def on(self, cells: np.ndarray) -> sp.csr_matrix:
         """``areas`` with only the columns of ``cells`` kept."""
         keep = np.zeros(self.areas.shape[1])
         keep[cells] = 1.0
         return self.areas.multiply(keep).tocsr()
-
-
-def _fold(rows, cols, vals, shape) -> sp.csr_matrix:
-    """Sparse (levels x items) operator; entries at one position add up."""
-    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 def _per_level(op: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:

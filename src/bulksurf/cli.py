@@ -296,6 +296,8 @@ def _cmd_carleman_verify(run: _Runner) -> int:
     pair = DiffusionPair.from_fields(cfg.mesh, cfg.diffusion.a1,
                                      cfg.diffusion.d1)
     names = list(TEST_FIELDS)[:cl["n_test_fields"]]
+    parts = ("observation", "bulk_residual", "surface_residual", "bulk_zeroth",
+             "bulk_gradient", "surf_zeroth", "surf_conormal")
     # the sweep reads the nodes strictly inside (t0, t1) and their two
     # neighbours: the fields are sampled there and nowhere else
     times_traj = window_times(t0, t1, cfg.dt)
@@ -307,16 +309,11 @@ def _cmd_carleman_verify(run: _Runner) -> int:
                               cfg.dt)
         outs = carleman_sweep(0.0, blocks, cfgs, cfg.mesh, pair, cfg.regions)
         rows += [(name, 0.0, c.s, c.lam, out["lhs"], out["rhs"], out["ratio"],
-                  out["log_scale"], *(out["parts"][key] for key in (
-                      "observation", "bulk_residual", "surface_residual",
-                      "bulk_zeroth", "bulk_gradient", "surf_zeroth",
-                      "surf_conormal")))
+                  out["log_scale"], *(out["parts"][key] for key in parts))
                  for c, out in zip(cfgs, outs)]
     run.csv("ratio_sweep.csv",
             ["field", "tau", "s", "lambda", "lhs", "rhs", "ratio", "log_scale",
-             "observation", "bulk_residual", "surface_residual",
-             "bulk_zeroth", "bulk_gradient", "surf_zeroth", "surf_conormal"],
-            rows)
+             *parts], rows)
     run.checks["ratio_non_growth"] = _non_growth([r[6] for r in rows])
     return run.finish({"margins": margins, "sigma": sig})
 
@@ -342,14 +339,13 @@ def _cmd_shifted_verify(run: _Runner) -> int:
                                       cfg.diffusion.d2)
     outs = shifted_sweep(blocks, sources, cfgs, cfg.mesh, pair1, pair2,
                          cfg.regions, cfg.potentials)
+    parts = ("observation", "f1_g1", "f2_g2", "norms_y", "norms_z")
     rows = [(c.s, c.lam, eps, out["lhs"], out["rhs"], out["ratio"],
-             out["log_scale"], *(out["parts"][key] for key in (
-                 "observation", "f1_g1", "f2_g2", "norms_y", "norms_z")))
+             out["log_scale"], *(out["parts"][key] for key in parts))
             for c, out in zip(cfgs, outs)]
     run.csv("shifted_sweep.csv",
             ["s", "lambda", "epsilon", "lhs", "rhs", "ratio", "log_scale",
-             "observation", "f1_g1", "f2_g2", "norms_y", "norms_z"],
-            rows)
+             *parts], rows)
     run.checks["shifted_ratio_non_growth"] = _non_growth([r[5] for r in rows])
     return run.finish()
 

@@ -37,6 +37,8 @@ _NODE_BLOCK = 8
 # every block after the first repeats the last two states of the one before:
 # the neighbours that a centered time difference reads
 _HALO = 2
+# fixed-point passes of ``step_difference`` before it gives up
+_MAX_DIFFERENCE_PASSES = 8
 
 
 def row_sums(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -124,22 +126,6 @@ class Trajectory:
         """The states of this block that the block before it did not hold:
         all but the _HALO leading states of a block after the first."""
         return self.rows(_HALO if self.start else 0)
-
-
-@dataclass
-class ObservationRecord:
-    """Time derivative of z sampled on omega cells inside a time window."""
-
-    values: np.ndarray        # (n_times, n_omega_cells)
-    cell_indices: np.ndarray
-    time_indices: np.ndarray
-    cell_weights: np.ndarray  # cell areas restricted to omega
-    dt: float
-
-    def norm(self) -> float:
-        """L2(omega x window) norm of the sampled time derivative."""
-        return math.sqrt(window_energy(
-            [node_energies(self.values, self.cell_weights)], self.dt))
 
 
 @dataclass(frozen=True)
@@ -548,6 +534,50 @@ class SemilinearSystem:
             out[..., partner] += c * d_partner * w[..., rows]
         return out
 
+    def coefficient_gradient(self, traj: Trajectory, cells: np.ndarray,
+                             load: np.ndarray) -> np.ndarray:
+        """The adjoint sweep of ``traj``, a solve of this system, for an
+        objective whose derivative in the z values of ``cells`` at node n
+        is ``load[n]``: from mu = 0 at the last state, one transposed solve
+        on the forward LU per step back.  Returns M sum_n mu^{n+1} * F[n],
+        F the ``coefficient_fields``: minus the gradient density."""
+        X, dt, M = traj.packed, traj.dt, self.mass
+        lu = self.factorization(dt)
+        rows = self.blocks[1].start + cells
+        F = self.coefficient_fields(X[:-1], X[1:])
+        mu, acc = np.zeros(self.n_dof), np.zeros(self.n_dof)
+        for m in range(traj.n_nodes - 1, 0, -1):
+            rhs = (M / dt) * mu
+            rhs[rows] -= load[m]
+            rhs += self.explicit_jacobian_T(X[m], M * mu)
+            mu = lu.solve(rhs, trans="T")
+            acc += mu * F[m - 1]
+        return M * acc
+
+    def step_difference(self, x: np.ndarray, s_ref: np.ndarray, dt: float,
+                        dc: np.ndarray) -> np.ndarray:
+        """delta = s_pert - s_ref after one step of length ``dt`` from ``x``.
+
+        ``s_ref`` is this system's step; the perturbed system moves the
+        coupling coefficients by ``dc``, laid out like
+        ``coefficient_fields``.  Subtracting the two steps gives
+        S delta = M (dc * coefficient_fields(x, s_ref + delta)), which
+        fixed-point passes on this system's LU solve to round-off: each
+        contracts by about dt * |dp21|.
+        """
+        lu = self.factorization(dt)
+        delta = np.zeros(self.n_dof)
+        for _ in range(_MAX_DIFFERENCE_PASSES):
+            new = lu.solve(self.mass
+                           * (dc * self.coefficient_fields(x, s_ref + delta)))
+            update = np.abs(new - delta).max()
+            delta = new
+            if update <= 4 * np.finfo(float).eps * np.abs(delta).max():
+                return delta
+        raise SolverError(
+            f"first-step difference: no fixed point in {_MAX_DIFFERENCE_PASSES} "
+            f"passes (last update {update:.3g})")
+
 
 def window_nodes(times: np.ndarray, dt: float, t0: float, t1: float
                  ) -> np.ndarray:
@@ -587,6 +617,32 @@ def require_window(n_nodes: int, t0: float, t1: float) -> None:
     if not n_nodes:
         raise ValueError(
             f"window ({t0}, {t1}) leaves no interior stencil nodes in the trajectory")
+
+
+@dataclass
+class ObservationRecord:
+    """Time derivative of z sampled on omega cells inside a time window."""
+
+    values: np.ndarray        # (n_times, n_omega_cells)
+    cell_indices: np.ndarray
+    time_indices: np.ndarray
+    cell_weights: np.ndarray  # cell areas restricted to omega
+    dt: float
+
+    def norm(self) -> float:
+        """L2(omega x window) norm of the sampled time derivative."""
+        return math.sqrt(window_energy(
+            [node_energies(self.values, self.cell_weights)], self.dt))
+
+    def transpose(self, table: np.ndarray, n_nodes: int) -> np.ndarray:
+        """The centred difference's transpose: the (n_nodes, n_omega_cells)
+        z values whose sum against a run's z on omega equals the sum of
+        ``table`` against that run's record."""
+        out = np.zeros((n_nodes, self.cell_indices.size))
+        scaled = table / (2 * self.dt)
+        out[self.time_indices + 1] += scaled
+        out[self.time_indices - 1] -= scaled
+        return out
 
 
 class WindowObservation:

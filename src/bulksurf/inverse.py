@@ -2,9 +2,9 @@
 
 Unknowns are the four coupling coefficients (p13, q13, p21, q21) on a coarse
 piecewise-constant parametrization (bulk patches, surface arcs).  The
-gradient is the exact discrete adjoint of the IMEX stepping: how the
-coefficients enter a step is ``SemilinearSystem.coefficient_fields``, and
-the reverse sweep reuses the forward LU factorization via transposed solves.
+gradient is the exact discrete adjoint of the IMEX stepping: the sweep is
+``SemilinearSystem.coefficient_gradient``, loaded through the transpose of
+the observation's stencil, and this module reduces its density to patches.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .model import (
 )
 
 _MAX_CHECKPOINT_FLOATS = 5e7
-_MAX_DIFFERENCE_PASSES = 8
 
 
 @dataclass(frozen=True)
@@ -160,16 +159,15 @@ class InverseProblem:
         if self.regions.t1 > self.t_end + 1e-12:
             raise ValueError(f"window end t1={self.regions.t1} exceeds "
                              f"t_end={self.t_end}")
-        # every solve of this layer stops at the window end t1
-        n_nodes = math.ceil(self.regions.t1 / self.dt) + 1
-        n_dof = 2 * (self.mesh.n_cells + self.mesh.n_theta)
-        if n_nodes * n_dof > _MAX_CHECKPOINT_FLOATS:
-            raise ValueError(
-                "checkpoint storage exhausted: reduce t1/dt or the mesh")
         # every coefficient set shares this system's diffusion part
         self._base_system = SemilinearSystem(
             self.mesh, self.diffusion, self.base_potentials,
             nl_f=self.nl_f, nl_g=self.nl_g)
+        # every solve of this layer stops at the window end t1
+        n_nodes = math.ceil(self.regions.t1 / self.dt) + 1
+        if n_nodes * self._base_system.n_dof > _MAX_CHECKPOINT_FLOATS:
+            raise ValueError(
+                "checkpoint storage exhausted: reduce t1/dt or the mesh")
 
     def coefficient_vector(self, p13=None, p21=None, q13=None, q21=None,
                            free=("p13", "q21")) -> CoefficientVector:
@@ -211,7 +209,7 @@ class InverseProblem:
         system = self.system_for(coeffs)
         traj = system.solve(self.init, self.regions.t1, self.dt)
         pot = system.potentials
-        rep1 = validate_assumption_I(pot, pot, self.nl_f, self.nl_g, self.init,
+        rep1 = validate_assumption_I(pot, self.nl_f, self.nl_g, self.init,
                                      r=self.r_floor, p0=pot.p0)
         rep2 = validate_assumption_II(self.nl_f, self.nl_g, traj,
                                       self.regions.theta, self.r1_floor)
@@ -250,34 +248,10 @@ class InverseProblem:
         rec = observe([traj], self.regions, self.mesh)
         J = self._misfit(rec, data)
 
-        X, N, dt = traj.packed, traj.n_nodes - 1, self.dt
-        lu = system.factorization(dt)
-        M = system.mass
-
-        # gradient of the misfit wrt each state: z on the omega cells only
-        res = (rec.values - data.values) * rec.cell_weights[None, :] * dt
-        G = np.zeros((N + 1, rec.cell_indices.size))
-        for row, k in enumerate(rec.time_indices):
-            G[k + 1] += res[row] / (2 * dt)
-            G[k - 1] -= res[row] / (2 * dt)
-        z_obs = system.blocks[1].start + rec.cell_indices
-
-        # Step n -> n+1 moves with the coefficients by M (dc * F[n]): sum
-        # mu^{n+1} * F[n] over the sweep, weight by M and reduce to patches
-        # once below.
-        F = system.coefficient_fields(X[:-1], X[1:])
-        rhs = np.zeros(system.n_dof)
-        rhs[z_obs] = -G[N]
-        mu = lu.solve(rhs, trans="T")
-        acc = mu * F[N - 1]
-        for m in range(N - 1, 0, -1):
-            rhs = (M / dt) * mu
-            rhs[z_obs] -= G[m]
-            rhs += system.explicit_jacobian_T(X[m], M * mu)
-            mu = lu.solve(rhs, trans="T")
-            acc += mu * F[m - 1]
-
-        w = M * acc
+        # the misfit's derivative in each record value, then in each state
+        res = (rec.values - data.values) * rec.cell_weights[None, :] * self.dt
+        w = system.coefficient_gradient(traj, rec.cell_indices,
+                                        rec.transpose(res, traj.n_nodes))
         grads = {name: -(self.basis.patches(name)[0].T @ w[block])
                  for name, block in system.coefficient_blocks()}
         flat = np.concatenate([grads[name] for name in coeffs.free])
@@ -387,32 +361,6 @@ def _smooth_surf_shape(mesh: Mesh, rng) -> np.ndarray:
     return raw / np.abs(raw).max()
 
 
-def first_step_difference(system: SemilinearSystem, x: np.ndarray,
-                          s_ref: np.ndarray, dt: float, dc: np.ndarray
-                          ) -> np.ndarray:
-    """delta = s_pert - s_ref after one step of length ``dt`` from the state ``x``.
-
-    ``s_ref`` is ``system``'s step; the perturbed system moves the coupling
-    coefficients by ``dc``, laid out in the packed blocks (p13, p21, q13,
-    q21).  Subtracting the two steps gives
-    S_ref delta = M (dc * coefficient_fields(x, s_ref + delta)), which
-    fixed-point passes on ``system``'s LU solve to round-off: each
-    contracts by about dt * |dp21|.
-    """
-    lu = system.factorization(dt)
-    delta = np.zeros(system.n_dof)
-    for _ in range(_MAX_DIFFERENCE_PASSES):
-        new = lu.solve(system.mass
-                       * (dc * system.coefficient_fields(x, s_ref + delta)))
-        update = np.abs(new - delta).max()
-        delta = new
-        if update <= 4 * np.finfo(float).eps * np.abs(delta).max():
-            return delta
-    raise SolverError(
-        f"first-step difference: no fixed point in {_MAX_DIFFERENCE_PASSES} "
-        f"passes (last update {update:.3g})")
-
-
 def stability_ensemble(problem: InverseProblem,
                        reference_coeffs: CoefficientVector,
                        n_draws: int = 20, perturbation_scale: float = 1e-3,
@@ -493,8 +441,8 @@ def stability_ensemble(problem: InverseProblem,
         # the perturbed system's step-size guard at dt_fine is implied by
         # the one its response solve passed at the coarser problem.dt;
         # each identity compares d/dt of one block with its target
-        rates = first_step_difference(system_ref, x_theta, s_ref, dt_fine,
-                                      dc) / dt_fine
+        rates = system_ref.step_difference(x_theta, s_ref, dt_fine,
+                                           dc) / dt_fine
         targets = dc * fields_theta
         ident = {"identity_dt": dt_fine}
         for key, block, norm in zip(

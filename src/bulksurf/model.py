@@ -229,17 +229,16 @@ def _record(report: CheckReport, name: str, margin_field: np.ndarray) -> None:
     report.margins[name] = float(margin_field.min())
 
 
-def validate_assumption_I(pot: PotentialSet, pot_tilde: PotentialSet,
-                          nl_f: Nonlinearity, nl_g: Nonlinearity,
-                          init_tilde: InitialData, r: float, p0: float
-                          ) -> CheckReport:
+def validate_assumption_I(pot: PotentialSet, nl_f: Nonlinearity,
+                          nl_g: Nonlinearity, init_tilde: InitialData,
+                          r: float, p0: float) -> CheckReport:
     """Pointwise check of the admissibility/coercivity inequalities.
 
     Checks, cell by cell:
       * reference initial data floors: y-pair >= r, z-pair >= 0;
-      * p11*r + p12*z0 + p13~*f(r, z0) >= 0 in the bulk;
-      * q11*r + q12*z0_gamma + q13~*g(r, z0_gamma) >= 0 on the surface;
-      * p21, q21 >= p0 for both coefficient sets.
+      * p11*r + p12*z0 + p13*f(r, z0) >= 0 in the bulk;
+      * q11*r + q12*z0_gamma + q13*g(r, z0_gamma) >= 0 on the surface;
+      * p21, q21 >= p0.
 
     Report-only: never raises on violation.
     """
@@ -251,17 +250,16 @@ def validate_assumption_I(pot: PotentialSet, pot_tilde: PotentialSet,
 
     r_arr = np.full_like(init_tilde.z0, float(r))
     bulk = pot.p11 * r + pot.p12 * init_tilde.z0 \
-        + pot_tilde.p13 * nl_f(r_arr, init_tilde.z0)
+        + pot.p13 * nl_f(r_arr, init_tilde.z0)
     _record(rep, "bulk reaction floor", bulk)
 
     rg = np.full_like(init_tilde.z0_gamma, float(r))
     surf = pot.q11 * r + pot.q12 * init_tilde.z0_gamma \
-        + pot_tilde.q13 * nl_g(rg, init_tilde.z0_gamma)
+        + pot.q13 * nl_g(rg, init_tilde.z0_gamma)
     _record(rep, "surface reaction floor", surf)
 
-    for label, ps in (("", pot), ("tilde ", pot_tilde)):
-        for name in P0_FLOORED:
-            _record(rep, f"{label}{name} >= p0", getattr(ps, name) - p0)
+    for name in P0_FLOORED:
+        _record(rep, f"{name} >= p0", getattr(pot, name) - p0)
     return rep
 
 

@@ -445,6 +445,24 @@ def test_observe_matches_the_centered_difference_per_node(mesh):
         np.testing.assert_array_equal(rec.values, want)
 
 
+@pytest.mark.parametrize("shape", [(16, 32), (11, 26)], ids=["16x32", "11x26"])
+def test_record_transpose_is_the_adjoint_of_the_stencil(shape):
+    # for random z and R, the record of z against R sums to z on omega
+    # against the record's transpose of R: the adjoint's load
+    mesh = build_polar_mesh(*shape, 1.0)
+    regions = build_regions(mesh, 0.25, 0.4, 0.6, 0.2, 0.8)
+    traj = _ramp_trajectory(mesh, dt=0.01)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        traj.z[:] = rng.standard_normal(traj.z.shape)
+        rec = observe([traj], regions, mesh)
+        table = rng.standard_normal(rec.values.shape)
+        loads = rec.transpose(table, traj.n_nodes)
+        assert loads.shape == (traj.n_nodes, regions.omega.size)
+        assert np.sum(traj.z[:, rec.cell_indices] * loads) == pytest.approx(
+            np.sum(rec.values * table), rel=1e-12, abs=0)
+
+
 def _cut(traj, size):
     """``traj`` in blocks of ``size`` new states, each after the first led by
     the two states before it, as a march would yield them."""

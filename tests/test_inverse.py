@@ -1,15 +1,17 @@
+import ast
+import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import bulksurf.forward
+import bulksurf.inverse
 from bulksurf.forward import SolverError, observe
 from bulksurf.geometry import build_polar_mesh, build_regions
 from bulksurf.inverse import (
     InverseProblem,
     build_patch_basis,
-    first_step_difference,
     simulate_twin,
     stability_ensemble,
 )
@@ -339,15 +341,15 @@ def test_stability_identity_difference_matches_two_lu_quotient(problem, truth):
             p13=pot.p13 + a1, p21=pot.p21 + a2, q13=pot.q13 + l1,
             q21=pot.q21 + l2))
         quotient = (pert.step_imex(x, traj.times[k], dt) - s_ref) / dt
-        derivative = first_step_difference(
-            system, x, s_ref, dt, np.concatenate([a1, a2, l1, l2])) / dt
+        derivative = system.step_difference(
+            x, s_ref, dt, np.concatenate([a1, a2, l1, l2])) / dt
         for block in system.blocks:   # u0, v0, u0_g, v0_g
             assert np.linalg.norm(derivative[block] - quotient[block]) <= \
                 1e-6 * np.linalg.norm(quotient[block])
     # an update that never settles ends at the pass cap
     with pytest.raises(SolverError, match="no fixed point"):
-        first_step_difference(system, x, s_ref, dt,
-                              np.concatenate([np.full(nb, np.nan), a2, l1, l2]))
+        system.step_difference(x, s_ref, dt,
+                               np.concatenate([np.full(nb, np.nan), a2, l1, l2]))
 
 
 def test_stability_factorization_count(problem, truth, monkeypatch):
@@ -382,6 +384,32 @@ def test_stability_refusal_names_the_margins(problem, truth):
 def test_checkpoint_budget_guard():
     with pytest.raises(ValueError, match="checkpoint"):
         make_problem(n_r=8, n_theta=16, dt=1e-7, t_end=10.0)
+
+
+def test_checkpoint_guard_refuses_before_any_solve(monkeypatch):
+    # 4x8 cells and 8 surface nodes pack 80 dofs; t1 = 0.8 at dt = 1e-6
+    # stores 800,001 states of them, 64M floats, past the 5e7 budget
+    splu = bulksurf.forward.spla.splu
+    calls = []
+    monkeypatch.setattr(bulksurf.forward.spla, "splu",
+                        lambda *a, **k: calls.append(1) or splu(*a, **k))
+    with pytest.raises(ValueError, match="checkpoint storage exhausted"):
+        make_problem(n_r=4, n_theta=8, dt=1e-6, t_end=1.0, window=(0.1, 0.8))
+    assert calls == []
+
+
+def test_inverse_composes_the_step_algebra_of_forward():
+    # the adjoint sweep and the first-step difference are SemilinearSystem
+    # methods: this module factorizes nothing, solves no transposed system
+    # and pulls nothing through the explicit terms itself
+    tree = ast.parse(pathlib.Path(bulksurf.inverse.__file__).read_text())
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not names & {"factorization", "explicit_jacobian_T"}
+    keywords = {node.arg for node in ast.walk(tree)
+                if isinstance(node, ast.keyword)}
+    assert "trans" not in keywords
 
 
 def test_checkpoint_guard_counts_the_nodes_up_to_t1():

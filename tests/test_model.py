@@ -100,13 +100,12 @@ def test_initial_data_trace_defaults(mesh):
 
 
 def test_assumption_I_zero_margin_case(mesh):
-    # y0=1, z0=0, p11=p12=0, p13~=1, f=y*z so f(1,0)=0: margin exactly 0
+    # y0=1, z0=0, p11=p12=0, p13=1, f=y*z so f(1,0)=0: margin exactly 0
     f = make_power_nonlinearity(1, 1, (2.0, 2.0))
     g = make_power_nonlinearity(0, 0, (2.0, 2.0))
-    pot = PotentialSet.from_values(mesh, p21=1.0, q21=1.0)
-    pot_t = PotentialSet.from_values(mesh, p13=1.0, p21=1.0, q21=1.0)
+    pot = PotentialSet.from_values(mesh, p13=1.0, p21=1.0, q21=1.0)
     init = InitialData.from_values(mesh, y0=1.0, z0=0.0)
-    rep = validate_assumption_I(pot, pot_t, f, g, init, r=1.0, p0=0.5)
+    rep = validate_assumption_I(pot, f, g, init, r=1.0, p0=0.5)
     assert rep.margins["bulk reaction floor"] == 0.0
     assert rep.passed
 
@@ -114,20 +113,21 @@ def test_assumption_I_zero_margin_case(mesh):
 def test_assumption_I_p21_floor_violation(mesh):
     f = make_power_nonlinearity(0, 0, (2.0, 2.0))
     pot = PotentialSet.from_values(mesh, p21=0.5, q21=1.0)
-    pot_t = PotentialSet.from_values(mesh, p21=1.0, q21=1.0)
     init = InitialData.from_values(mesh, y0=1.0, z0=0.0)
-    rep = validate_assumption_I(pot, pot_t, f, f, init, r=1.0, p0=1.0)
+    rep = validate_assumption_I(pot, f, f, init, r=1.0, p0=1.0)
     assert not rep.passed
     assert rep.margins["p21 >= p0"] == pytest.approx(-0.5)
+    # one coefficient set: each p0 margin is named once
+    assert [k for k in rep.margins if "p0" in k] == ["p21 >= p0", "q21 >= p0"]
 
 
 def test_assumption_I_arithmetic_margin(mesh):
-    # oracle: p11*r + p12*z0 + p13~*f(r, z0) = -0.2 + 0.1 + 0.2 = 0.1
+    # oracle: p11*r + p12*z0 + p13*f(r, z0) = -0.2 + 0.1 + 0.2 = 0.1
     f = make_power_nonlinearity(1, 1, (3.0, 3.0))
     g = make_power_nonlinearity(0, 0, (3.0, 3.0))
-    pot = PotentialSet.from_values(mesh, p11=-0.1, p12=1.0, p21=1.0, q21=1.0)
-    pot_t = PotentialSet.from_values(mesh, p13=1.0, p21=1.0, q21=1.0)
+    pot = PotentialSet.from_values(mesh, p11=-0.1, p12=1.0, p13=1.0, p21=1.0,
+                                   q21=1.0)
     init = InitialData.from_values(mesh, y0=2.0, z0=0.1)
-    rep = validate_assumption_I(pot, pot_t, f, g, init, r=2.0, p0=0.5)
+    rep = validate_assumption_I(pot, f, g, init, r=2.0, p0=0.5)
     assert rep.margins["bulk reaction floor"] == pytest.approx(0.1)
     assert rep.passed
