@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .geometry import Mesh, RegionSet, build_polar_mesh
 from .model import DiffusionSpec, InitialData, Nonlinearity, PotentialSet
@@ -41,22 +42,26 @@ _HALO = 2
 _MAX_DIFFERENCE_PASSES = 8
 
 
-def row_sums(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def row_sums(rows: np.ndarray, weights: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """sum_j rows[..., j] * weights[j] for every row of ``rows``.
 
-    Each row is multiplied into a C-ordered array and reduced along it on
-    its own, so its bits depend only on that row; in a BLAS matrix-vector
-    product they also depend on the other rows of the call, the layout
-    and the alignment.  Per-node sums taken block by block thus keep
-    their bits however the blocks are cut.
+    Each row is multiplied into a C-ordered array (``out`` when given, a
+    new one otherwise) and reduced along it on its own, so its bits depend
+    only on that row; in a BLAS matrix-vector product they also depend on
+    the other rows of the call, the layout and the alignment.  Per-node
+    sums taken block by block thus keep their bits however the blocks are
+    cut.
     """
-    return np.multiply(rows, weights, order="C").sum(axis=-1)
+    return np.multiply(rows, weights, out=out, order="C").sum(axis=-1)
 
 
 def node_energies(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_omega w v^2 at each node row of ``values``: one ``row_sums`` row
-    per node, so its bits do not depend on the block the row sits in."""
-    return row_sums(np.square(values), weights)
+    per node, so its bits do not depend on the block the row sits in.  The
+    squares are weighted in their own array."""
+    squares = np.square(values, order="C")
+    return row_sums(squares, weights, out=squares)
 
 
 def window_energy(blocks, dt: float) -> float:
@@ -175,6 +180,131 @@ class PermutedLU:
         return x.T.take(self._inverse, axis=1).T
 
 
+def band_order(n_r: int) -> np.ndarray:
+    """The row of a sector's packed ``(field, ring)`` table that holds each
+    unknown of its band order ``(y_1, z_1, ..., y_nr, z_nr, y_gamma,
+    z_gamma)``.
+
+    The packed state reshaped to ``(2 n_r + 2, n_theta)`` has the y rings,
+    the z rings, y_gamma and z_gamma as rows and the sectors as columns.
+    In the band order each unknown of a sector couples only to those at
+    most two places away: its partner field and its radial neighbours.
+    """
+    ring = np.arange(n_r)
+    return np.concatenate([np.stack([ring, n_r + ring], 1).ravel(),
+                           [2 * n_r, 2 * n_r + 1]])
+
+
+# sub- and superdiagonals of each Fourier mode's band matrix, and the row
+# of its main diagonal in LAPACK's band storage: two more rows on top hold
+# the fill of the pivoting
+_BAND = 2
+_BAND_DIAGONAL = 2 * _BAND
+
+
+class FourierBandLU:
+    """LU factors of a block-circulant S, taken mode by mode along theta.
+
+    When S couples each sector only to itself and its two neighbours, with
+    the same blocks in every sector and equal blocks towards either
+    neighbour, a real DFT along theta splits it into ``n_theta/2 + 1``
+    real radial matrices, ``A_0 + 2 cos(2 pi k / n_theta) A_1`` for mode k
+    (Hockney, J. ACM 12(1), 1965; Swarztrauber, SIAM Review 19(3), 1977).
+    In ``band_order`` each is banded with two sub- and superdiagonals;
+    ``band`` holds all of them as one block-diagonal band, as LAPACK's
+    ``dgbtrf`` factors it, and ``pivots`` its row interchanges.  ``nnz``
+    counts the band's stored entries, its fill rows included.
+    """
+
+    def __init__(self, band: np.ndarray, pivots: np.ndarray, n_r: int,
+                 n_theta: int):
+        self._band = band
+        self._pivots = pivots
+        self._order = band_order(n_r)
+        self._inverse = np.argsort(self._order)
+        self._n_theta = n_theta
+        self.nnz = band.size
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Solve ``S x = b`` (``S^T x = b`` for trans "T"); ``b`` is a
+        vector or an ``(n_dof, k)`` block.
+
+        One ``rfft`` along theta, one ``dgbtrs`` with the real and
+        imaginary parts of every mode as right-hand sides, one ``irfft``.
+        A vector is a block of one column, so each column of a block gets
+        the bits of its own solve.
+        """
+        rows, n_theta = self._order.size, self._n_theta
+        # a block arrives as the transpose of a C-ordered (k, n_dof) array:
+        # each state's (field, ring) table is then contiguous along theta,
+        # and no copy is made
+        states = np.ascontiguousarray(b.T).reshape(-1, rows, n_theta)
+        k = len(states)
+        spectra = np.fft.rfft(states)
+        n_modes = spectra.shape[-1]
+        # right-hand sides (state, real | imaginary), each mode after mode
+        # in band order: a C-ordered (k, 2, n_modes, rows) array is the
+        # Fortran-ordered (n_modes rows, 2k) matrix dgbtrs reads
+        parts = spectra.view(float).reshape(k, rows, n_modes, 2)
+        rhs = parts.transpose(0, 3, 2, 1).take(self._order, axis=3)
+        x, _ = lapack.dgbtrs(self._band, _BAND, _BAND, rhs.reshape(2 * k, -1).T,
+                             self._pivots, trans=int(trans == "T"),
+                             overwrite_b=1)
+        # back into the spectra's array; the indices are a permutation, so
+        # "clip" only spares take its bounds-checked buffer
+        x.T.reshape(k, 2, n_modes, rows).transpose(0, 3, 2, 1).take(
+            self._inverse, axis=1, out=parts, mode="clip")
+        out = np.fft.irfft(spectra, n=n_theta).reshape(k, -1)
+        return out[0] if b.ndim == 1 else out.T
+
+
+def _circulant_stencil(K: sp.csc_matrix, perm: np.ndarray, mesh: Mesh,
+                       mass: np.ndarray):
+    """The band coordinates of sector 0's entries of K when K and the mass
+    are block-circulant in theta, as ``FourierBandLU`` needs; else None.
+
+    K is stored in factor order; ``perm`` gives each entry's packed row and
+    column, whose ``divmod`` by n_theta is its (table row, sector).  Every
+    entry must couple a sector to itself or a neighbour, at most two band
+    places away; every sector must hold the same entries with the same
+    values as sector 0, and the couplings to sectors j-1 and j+1 must be
+    equal.  Returns sector 0's slots in K's data for itself and its
+    neighbour j+1, their rows and columns in LAPACK's band storage, and
+    which of them couple to the neighbour.
+    """
+    n_theta = mesh.n_theta
+    order = band_order(mesh.n_r)
+    m = order.size
+    rings = mass.reshape(-1, n_theta)
+    if not (rings == rings[:, :1]).all():
+        return None
+    place = np.argsort(order)
+    row_ring, row_sector = np.divmod(perm[K.indices], n_theta)
+    col_ring, col_sector = np.divmod(
+        np.repeat(perm, np.diff(K.indptr)), n_theta)
+    row, col = place[row_ring], place[col_ring]
+    # 0 within the sector, 1 towards sector j+1, 2 towards sector j-1
+    shift = (col_sector - row_sector) % n_theta
+    side = np.select([shift == 0, shift == 1, shift == n_theta - 1], [0, 1, 2], -1)
+    offset = row - col
+    if (side < 0).any() or (np.abs(offset) > _BAND).any():
+        return None
+    key = (side * (2 * _BAND + 1) + offset + _BAND) * m + col
+    first = np.flatnonzero(row_sector == 0)
+    # sector 0's value at each key; NaN where sector 0 has no entry
+    table = np.full(3 * (2 * _BAND + 1) * m, np.nan)
+    table[key[first]] = K.data[first]
+    counts = np.bincount(key, minlength=table.size)
+    if not ((counts == n_theta * ~np.isnan(table)).all()
+            and (K.data == table[key]).all()):
+        return None
+    towards = table.reshape(3, -1)
+    if not np.array_equal(towards[1], towards[2], equal_nan=True):
+        return None
+    kept = first[side[first] < 2]
+    return (kept, _BAND_DIAGONAL + offset[kept], col[kept], side[kept] == 1)
+
+
 def source_array(key: str, val, mesh: Mesh) -> np.ndarray:
     """Source ``key`` as an array checked against its size: f1, f2 per cell,
     g1, g2 per surface node; None is the zero source."""
@@ -271,6 +401,9 @@ class SemilinearSystem:
                                for _, _, c in _IMPLICIT_POTENTIALS])
         self._pot_slots = np.searchsorted(stored, cols * n + rows)
         self._diag_slots = np.searchsorted(stored, inv * n + inv)
+        # checked once per mesh and diffusivities; the potentials decide
+        # per system (``_set_potentials``)
+        self._stencil = _circulant_stencil(K, self._perm, mesh, self.mass)
         self._set_potentials(potentials or PotentialSet.from_values(mesh))
 
     def _assemble_diffusion(self) -> sp.csc_matrix:
@@ -320,18 +453,24 @@ class SemilinearSystem:
         ``_pot_slots``, and reset the LU cache.
 
         Also fixes ``lipschitz``, the Lipschitz scale of the explicit part
-        plus the potential magnitudes, for the step-size guard.
+        plus the potential magnitudes, for the step-size guard, and
+        whether ``factorization`` takes the Fourier path: K must be
+        block-circulant and every implicit potential constant along each
+        ring.
         """
         self.potentials = pot
         self._pot_values = np.concatenate([
             self.mass[self.blocks[i]] * getattr(pot, name)
             for name, i, _ in _IMPLICIT_POTENTIALS])
+        rings = self._pot_values.reshape(-1, self.mesh.n_theta)
+        self._fourier = (self._stencil is not None
+                         and bool((rings == rings[:, :1]).all()))
         L = max(float(np.abs(getattr(pot, name)).max())
                 for name, _, _ in _IMPLICIT_POTENTIALS)
         for name, nl, _, _ in self._explicit:
             L = max(L, float(np.abs(getattr(pot, name)).max()) * nl.lipschitz_bound)
         self.lipschitz = L
-        self._lu_cache: dict[float, PermutedLU] = {}
+        self._lu_cache: dict[float, PermutedLU | FourierBandLU] = {}
 
     def with_potentials(self, potentials: PotentialSet) -> "SemilinearSystem":
         """This system with other potentials; the diffusion part is shared."""
@@ -361,36 +500,72 @@ class SemilinearSystem:
         data[self._diag_slots] += self.mass / dt
         return data
 
-    def factorization(self, dt: float) -> PermutedLU:
-        """Sparse LU of the implicit matrix, one per step size.
+    def factorization(self, dt: float) -> PermutedLU | FourierBandLU:
+        """LU of the implicit matrix, one per step size.
 
-        SuperLU factors ``P S P^T``, filled on K's stored pattern, which
-        is already in the factor order of ``__init__``, so no sparse
-        indexing runs here.  The minimum-degree ordering on A^T + A suits
-        this nearly symmetric matrix: it roughly halves the fill of
-        SuperLU's default COLAMD.  Relaxed supernodes (``relax``) and
-        panels of several columns (``panel_size``) cost time here, so
-        both are turned off; the fill is the same.
+        A block-circulant S (``_set_potentials`` decides) is factored mode
+        by mode along theta (``_fourier_lu``), every other S by SuperLU
+        (``_permuted_lu``).  Both solvers take the same ``solve(b,
+        trans)`` in packed order and report their stored entries as
+        ``nnz``.
         """
         key = float(dt)
         if key not in self._lu_cache:
-            K = self._K_diffusion
-            # eliminate_zeros works in place: the shared pattern must not change
-            S = sp.csc_matrix((self._implicit_data(dt), K.indices.copy(),
-                               K.indptr.copy()), shape=K.shape)
-            S.eliminate_zeros()
-            try:
-                lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A",
-                               relax=1, panel_size=1)
-            except RuntimeError as exc:  # singular factorization
-                raise SolverError(f"implicit factorization failed: {exc}") from exc
-            self._lu_cache[key] = PermutedLU(lu, self._perm, self._perm_inverse)
+            factor = self._fourier_lu if self._fourier else self._permuted_lu
+            self._lu_cache[key] = factor(dt)
         return self._lu_cache[key]
+
+    def _permuted_lu(self, dt: float) -> PermutedLU:
+        """SuperLU factors of ``P S P^T``, filled on K's stored pattern,
+        which is already in the factor order of ``__init__``, so no sparse
+        indexing runs here.
+
+        The minimum-degree ordering on A^T + A suits this nearly symmetric
+        matrix: it roughly halves the fill of SuperLU's default COLAMD.
+        Relaxed supernodes (``relax``) and panels of several columns
+        (``panel_size``) cost time here, so both are turned off; the fill
+        is the same.
+        """
+        K = self._K_diffusion
+        # eliminate_zeros works in place: the shared pattern must not change
+        S = sp.csc_matrix((self._implicit_data(dt), K.indices.copy(),
+                           K.indptr.copy()), shape=K.shape)
+        S.eliminate_zeros()
+        try:
+            lu = spla.splu(S, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+        except RuntimeError as exc:  # singular factorization
+            raise SolverError(f"implicit factorization failed: {exc}") from exc
+        return PermutedLU(lu, self._perm, self._perm_inverse)
+
+    def _fourier_lu(self, dt: float) -> FourierBandLU:
+        """``dgbtrf`` of every Fourier mode's band matrix at once.
+
+        The band diagonals come straight from sector 0's values of S on
+        K's stored pattern: mode k adds ``2 cos(2 pi k / n_theta)`` times
+        the couplings to sector j+1 to those within the sector.
+        """
+        slots, band_rows, cols, towards = self._stencil
+        values = self._implicit_data(dt)[slots]
+        n_theta = self.mesh.n_theta
+        n_modes = n_theta // 2 + 1
+        per_sector = self.n_dof // n_theta
+        band = np.zeros((_BAND_DIAGONAL + _BAND + 1, n_modes, per_sector))
+        inside = ~towards
+        band[band_rows[inside], :, cols[inside]] = values[inside, None]
+        band[band_rows[towards], :, cols[towards]] += values[towards, None] * (
+            2 * np.cos(2 * np.pi * np.arange(n_modes) / n_theta))
+        lu, pivots, info = lapack.dgbtrf(
+            np.asfortranarray(band.reshape(len(band), -1)), _BAND, _BAND,
+            overwrite_ab=1)
+        if info:
+            raise SolverError(f"implicit factorization failed: dgbtrf info "
+                              f"{info} (mode {(info - 1) // per_sector})")
+        return FourierBandLU(lu, pivots, self.mesh.n_r, n_theta)
 
     def step_imex(self, x: np.ndarray, t: float, dt: float,
                   out: np.ndarray | None = None, sources=None,
                   reactions: ReactionSet | None = None,
-                  lu: PermutedLU | None = None) -> np.ndarray:
+                  lu: PermutedLU | FourierBandLU | None = None) -> np.ndarray:
         """One IMEX step of the packed state ``x`` at time ``t``.
 
         ``x`` is one state ``(n_dof,)`` or a block ``(k, n_dof)`` of states
@@ -540,18 +715,18 @@ class SemilinearSystem:
         objective whose derivative in the z values of ``cells`` at node n
         is ``load[n]``: from mu = 0 at the last state, one transposed solve
         on the forward LU per step back.  Returns M sum_n mu^{n+1} * F[n],
-        F the ``coefficient_fields``: minus the gradient density."""
+        F[n] the ``coefficient_fields`` of the step from node n, formed one
+        step at a time: minus the gradient density."""
         X, dt, M = traj.packed, traj.dt, self.mass
         lu = self.factorization(dt)
         rows = self.blocks[1].start + cells
-        F = self.coefficient_fields(X[:-1], X[1:])
         mu, acc = np.zeros(self.n_dof), np.zeros(self.n_dof)
         for m in range(traj.n_nodes - 1, 0, -1):
             rhs = (M / dt) * mu
             rhs[rows] -= load[m]
             rhs += self.explicit_jacobian_T(X[m], M * mu)
             mu = lu.solve(rhs, trans="T")
-            acc += mu * F[m - 1]
+            acc += mu * self.coefficient_fields(X[m - 1], X[m])
         return M * acc
 
     def step_difference(self, x: np.ndarray, s_ref: np.ndarray, dt: float,
@@ -640,8 +815,10 @@ class ObservationRecord:
         ``table`` against that run's record."""
         out = np.zeros((n_nodes, self.cell_indices.size))
         scaled = table / (2 * self.dt)
-        out[self.time_indices + 1] += scaled
-        out[self.time_indices - 1] -= scaled
+        # the window nodes are consecutive: slices add in place
+        first = self.time_indices[0]
+        out[first + 1:first + 1 + len(scaled)] += scaled
+        out[first - 1:first - 1 + len(scaled)] -= scaled
         return out
 
 

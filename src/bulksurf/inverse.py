@@ -248,8 +248,12 @@ class InverseProblem:
         rec = observe([traj], self.regions, self.mesh)
         J = self._misfit(rec, data)
 
-        # the misfit's derivative in each record value, then in each state
-        res = (rec.values - data.values) * rec.cell_weights[None, :] * self.dt
+        # the misfit's derivative in each record value, formed in place in
+        # the record's table, which nothing reads again; then in each state
+        res = rec.values
+        res -= data.values
+        res *= rec.cell_weights
+        res *= self.dt
         w = system.coefficient_gradient(traj, rec.cell_indices,
                                         rec.transpose(res, traj.n_nodes))
         grads = {name: -(self.basis.patches(name)[0].T @ w[block])

@@ -73,20 +73,39 @@ def test_simulate_zero_potentials_steady(tmp_path):
     assert run_cli("simulate", cfg, out) == 0
     summary = read_summary(out)
     assert summary["checks"]["mass_conservation"]
-    # L.nnz + U.nnz at the default mesh.  Zero potentials decouple the y
-    # and z pairs: the minimum-degree ordering gives 25,480 here, SuperLU's
-    # default COLAMD 39,280 (81,194 with the default potentials)
+    # the factor's stored entries at the default mesh.  Zero potentials and
+    # constant diffusivities are constant along theta, so the Fourier band
+    # holds them: 4,046.  On the SuperLU path, zero potentials decouple the
+    # y and z pairs: the minimum-degree ordering gives 25,480 here,
+    # SuperLU's default COLAMD 39,280 (81,194 with the default potentials)
     assert 0 < summary["lu_fill_nnz"] < 30_000
     assert os.path.exists(out / "series.csv")
     assert os.path.exists(out / "schema.json")
 
 
+# A potential that varies along theta keeps S off the Fourier path, so
+# SuperLU factors it; at the parent of that path this config read the
+# default config's fills
+_THETA_VARYING = {"p12": "0.1 + 0.05*x1"}
+
+
 def test_simulate_lu_fill_at_the_default_config(tmp_path):
-    # L.nnz + U.nnz at 16x32 with the default potentials: a change of the
-    # column ordering or of the supernode settings shows here
+    # L.nnz + U.nnz at 16x32 with the default potentials, p12 made to vary
+    # along theta: a change of the column ordering or of the supernode
+    # settings shows here
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"potentials": _THETA_VARYING}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert read_summary(out)["lu_fill_nnz"] == 44_668
+
+
+def test_simulate_fourier_fill_at_the_default_config(tmp_path):
+    # the default config is constant along theta: its band holds 7 rows
+    # (2 of them pivoting fill) for each of the 17 modes' 34 unknowns
     out = tmp_path / "out"
     assert main(["simulate", "--out", str(out)]) == 0
-    assert read_summary(out)["lu_fill_nnz"] == 44_668
+    assert read_summary(out)["lu_fill_nnz"] == 4_046 == 7 * 17 * 34
 
 
 @pytest.mark.parametrize("potentials", ["default", "zero"])
@@ -94,7 +113,8 @@ def test_simulate_lu_fill_at_the_default_config(tmp_path):
 def test_simulate_reads_the_fill_without_building_L_and_U(
         tmp_path, monkeypatch, n_r, n_theta, potentials):
     # L and U are copies of the factors; simulate reads the fill from the
-    # SuperLU object's nnz, which counts the same entries
+    # SuperLU object's nnz, which counts the same entries.  A p12 or p11
+    # that varies along theta keeps S on the SuperLU path
     splu = bulksurf.forward.spla.splu
     factors = []
 
@@ -116,14 +136,59 @@ def test_simulate_reads_the_fill_without_building_L_and_U(
         return WithoutLU(factors[-1])
 
     monkeypatch.setattr(bulksurf.forward.spla, "splu", spy)
-    extra = {"mesh": {"n_r": n_r, "n_theta": n_theta}}
+    extra = {"mesh": {"n_r": n_r, "n_theta": n_theta},
+             "potentials": _THETA_VARYING}
     if potentials == "zero":
-        extra["potentials"] = _ZERO_POTENTIALS
+        extra["potentials"] = {**_ZERO_POTENTIALS, "p11": "0.05*x1"}
     out = tmp_path / "out"
     assert run_cli("simulate", write_config(tmp_path, extra), out) == 0
     assert len(factors) == 1
     lu = factors[0]
     assert read_summary(out)["lu_fill_nnz"] == lu.nnz == lu.L.nnz + lu.U.nnz
+
+
+def test_a_theta_invariant_config_makes_no_splu_call(tmp_path, monkeypatch):
+    splu = bulksurf.forward.spla.splu
+    calls = []
+    monkeypatch.setattr(bulksurf.forward.spla, "splu",
+                        lambda *a, **k: calls.append(1) or splu(*a, **k))
+    out = tmp_path / "out"
+    assert run_cli("simulate", write_config(tmp_path), out) == 0
+    assert calls == []
+    # 8x16: 7 band rows for each of the 9 modes' 18 unknowns
+    assert read_summary(out)["lu_fill_nnz"] == 7 * 9 * 18
+
+
+def test_a_failing_band_factorization_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bulksurf.forward.lapack, "dgbtrf",
+                        lambda ab, kl, ku, **k: (ab, np.zeros(ab.shape[1], np.int32), 1))
+    assert run_cli("simulate", write_config(tmp_path), tmp_path / "out") == 2
+    assert "numerical failure: implicit factorization failed: dgbtrf info 1" \
+        in capsys.readouterr().err
+
+
+def test_gradcheck_on_ring_patches_solves_the_adjoint_by_fourier(tmp_path,
+                                                                 monkeypatch):
+    # patches that span whole rings and one arc keep every system of the
+    # run constant along theta, so the adjoint's transposed solves take
+    # the Fourier path; SuperLU on the same systems gives the same adjoint
+    # to round-off
+    splu = bulksurf.forward.spla.splu
+    calls = []
+    monkeypatch.setattr(bulksurf.forward.spla, "splu",
+                        lambda *a, **k: calls.append(1) or splu(*a, **k))
+    cfg = write_config(tmp_path, {"inverse": {"n_patch_theta": 1, "n_arcs": 1}})
+    assert run_cli("gradcheck", cfg, tmp_path / "fourier") == 0
+    assert calls == []
+    assert read_summary(tmp_path / "fourier")["checks"]["gradient_matches_fd"]
+    monkeypatch.setattr(SemilinearSystem, "_fourier_lu",
+                        SemilinearSystem._permuted_lu)
+    assert run_cli("gradcheck", cfg, tmp_path / "superlu") == 0
+    assert calls
+    fourier, superlu = (np.loadtxt(tmp_path / side / "gradcheck.csv",
+                                   delimiter=",", skiprows=1, usecols=3)
+                        for side in ("fourier", "superlu"))
+    np.testing.assert_allclose(fourier, superlu, rtol=1e-12)
 
 
 def test_simulate_lets_its_factorization_go_before_the_csvs(tmp_path,
@@ -283,13 +348,15 @@ def test_positivity_computes_the_negative_part_energy_once(tmp_path,
 
 
 def test_positivity_draws_share_one_factorization(tmp_path, monkeypatch):
-    splu = bulksurf.forward.spla.splu
-    calls = []
-    monkeypatch.setattr(bulksurf.forward.spla, "splu",
-                        lambda *a, **k: calls.append(1) or splu(*a, **k))
+    # counts the factorizations built, on either path
+    factorization = SemilinearSystem.factorization
+    built = []
+    monkeypatch.setattr(SemilinearSystem, "factorization",
+                        lambda self, dt: built.append(factorization(self, dt))
+                        or built[-1])
     cfg = write_config(tmp_path, {"positivity": {"draws": 5}})
     assert run_cli("positivity", cfg, tmp_path / "out") == 0
-    assert len(calls) == 1
+    assert len({id(lu) for lu in built}) == 1
     summary = read_summary(tmp_path / "out")
     assert summary["matrix_check"]["offdiag_nonpositive"]
     assert "matrix_check" not in summary["checks"]

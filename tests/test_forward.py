@@ -11,8 +11,11 @@ from scipy.sparse._index import IndexMixin
 import bulksurf.forward
 from bulksurf.config import load_config
 from bulksurf.forward import (
+    FourierBandLU,
+    PermutedLU,
     ReactionSet,
     SemilinearSystem,
+    SolverError,
     Trajectory,
     block_spans,
     mass_series,
@@ -282,11 +285,67 @@ def test_factor_solves_the_natural_system(mesh, diffusion, trans, k):
 
 def test_factor_fill_at_32x64():
     # L.nnz + U.nnz of the default config's implicit matrix at 32x64,
-    # where the factor order matters more than at 16x32
-    cfg = load_config(None, {"mesh": {"n_r": 32, "n_theta": 64}})
+    # where the factor order matters more than at 16x32; a p12 that varies
+    # along theta keeps it on the SuperLU path, with the default's fill
+    cfg = load_config(None, {"mesh": {"n_r": 32, "n_theta": 64},
+                             "potentials": {"p12": "0.1 + 0.05*x1"}})
     system = SemilinearSystem(cfg.mesh, cfg.diffusion, cfg.potentials,
                               nl_f=cfg.nl_f, nl_g=cfg.nl_g)
     assert system.factorization(cfg.dt).nnz == 255_086
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (16, 32), (11, 26)],
+                         ids=["4x8", "16x32", "11x26"])
+def test_fourier_solve_matches_superlu(shape):
+    # diffusivities and potentials that vary from ring to ring but not
+    # along theta: the Fourier solve of S equals SuperLU's of the same S
+    # to round-off, for a vector, a 20-column block and their transposes
+    mesh = build_polar_mesh(*shape, 1.0)
+    r = mesh.cell_r
+    diffusion = DiffusionSpec.from_values(mesh, a1=1.0 + 0.3 * r, d2=1.5)
+    pot = PotentialSet.from_values(mesh, p11=-0.2, p12=0.1 * r,
+                                   p21=0.3 + 0.1 * r, p22=-0.1, q11=0.1,
+                                   q12=0.05, q21=0.2, q22=-0.05)
+    system = SemilinearSystem(mesh, diffusion, pot)
+    dt = 0.01
+    lu = system.factorization(dt)
+    assert isinstance(lu, FourierBandLU)
+    superlu = system._permuted_lu(dt)
+    rng = np.random.default_rng(4)
+    # the block comes as the transpose of a (20, n_dof) array, as
+    # step_imex passes it
+    for b in (rng.standard_normal(system.n_dof),
+              rng.standard_normal((20, system.n_dof)).T):
+        for trans in ("N", "T"):
+            want, got = superlu.solve(b, trans), lu.solve(b, trans)
+            assert got.shape == b.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("varying", [
+    {"potentials": {"p12": "0.1 + 0.05*x1"}},
+    {"potentials": {"q21": "1 + 0.1*sin(theta)"}},
+    {"diffusion": {"a2": "1 + 0.1*x2"}},
+    {"diffusion": {"d1": "1 + 0.2*cos(theta)"}},
+], ids=["p12", "q21", "a2", "d1"])
+def test_a_theta_varying_config_builds_no_fourier_factor(varying, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bulksurf.forward.lapack, "dgbtrf",
+                        lambda *a, **k: calls.append(1))
+    cfg = load_config(None, {"mesh": {"n_r": 8, "n_theta": 16}, **varying})
+    system = SemilinearSystem(cfg.mesh, cfg.diffusion, cfg.potentials,
+                              nl_f=cfg.nl_f, nl_g=cfg.nl_g)
+    assert isinstance(system.factorization(cfg.dt), PermutedLU)
+    assert calls == []
+
+
+def test_a_failing_band_factorization_raises_solver_error(mesh, diffusion,
+                                                         monkeypatch):
+    # dgbtrf reports an exactly zero pivot with info > 0
+    monkeypatch.setattr(bulksurf.forward.lapack, "dgbtrf",
+                        lambda ab, kl, ku, **k: (ab, np.zeros(ab.shape[1], np.int32), 40))
+    with pytest.raises(SolverError, match=r"dgbtrf info 40 \(mode 2\)"):
+        SemilinearSystem(mesh, diffusion).factorization(0.01)
 
 
 def test_solve_matches_dense_reference():

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 import bulksurf.forward
 import bulksurf.inverse
+from bulksurf.cli import _make_inverse_problem, _truth_coeffs
+from bulksurf.config import load_config
 from bulksurf.forward import SolverError, observe
 from bulksurf.geometry import build_polar_mesh, build_regions
 from bulksurf.inverse import (
@@ -417,3 +420,24 @@ def test_checkpoint_guard_counts_the_nodes_up_to_t1():
     # nodes, where the 200,001 up to t_end would exceed the budget
     problem = make_problem(n_r=8, n_theta=16, dt=1e-5, t_end=2.0)
     assert problem.regions.t1 == 0.4
+
+
+def test_objective_and_gradient_peaks_below_two_stored_solves():
+    # one objective and gradient at the default config holds the stored
+    # solve up to t1 (161 states of 1,088 dofs, 1.40 MB) and, per step of
+    # the sweep, one state's coefficient fields; the whole table of them
+    # lifted the traced peak to 3.7 stored solves
+    cfg = load_config(None)
+    problem = _make_inverse_problem(cfg)
+    truth = _truth_coeffs(problem, cfg)
+    data = simulate_twin(problem, truth, seed=cfg.seed)
+    problem.objective_and_gradient(truth, data)
+    tracemalloc.start()
+    try:
+        problem.objective_and_gradient(truth, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_nodes = round(cfg.regions.t1 / cfg.dt) + 1
+    stored = n_nodes * problem.system_for(truth).n_dof * 8
+    assert peak < 2 * stored, (peak, stored)
