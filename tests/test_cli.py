@@ -73,12 +73,11 @@ def test_simulate_zero_potentials_steady(tmp_path):
     assert run_cli("simulate", cfg, out) == 0
     summary = read_summary(out)
     assert summary["checks"]["mass_conservation"]
-    # the factor's stored entries at the default mesh.  Zero potentials and
-    # constant diffusivities are constant along theta, so the Fourier band
-    # holds them: 4,046.  On the SuperLU path, zero potentials decouple the
-    # y and z pairs: the minimum-degree ordering gives 25,480 here,
-    # SuperLU's default COLAMD 39,280 (81,194 with the default potentials)
-    assert 0 < summary["lu_fill_nnz"] < 30_000
+    # zero potentials and constant diffusivities are constant along theta,
+    # so the Fourier band holds the factor: 7 rows for each of the 17
+    # modes' 34 unknowns, whichever couplings vanish.  The SuperLU fill of
+    # zero potentials is pinned in test_simulate_reads_the_fill_...
+    assert summary["lu_fill_nnz"] == 4_046 == 7 * 17 * 34
     assert os.path.exists(out / "series.csv")
     assert os.path.exists(out / "schema.json")
 
@@ -145,6 +144,11 @@ def test_simulate_reads_the_fill_without_building_L_and_U(
     assert len(factors) == 1
     lu = factors[0]
     assert read_summary(out)["lu_fill_nnz"] == lu.nnz == lu.L.nnz + lu.U.nnz
+    if potentials == "zero":
+        # zero couplings decouple the y and z pairs: the minimum-degree
+        # ordering gives 25,480 at 16x32, SuperLU's default COLAMD 39,280
+        # (81,194 with the default potentials)
+        assert lu.nnz == {(4, 8): 888, (16, 32): 25_480}[n_r, n_theta]
 
 
 def test_a_theta_invariant_config_makes_no_splu_call(tmp_path, monkeypatch):

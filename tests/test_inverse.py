@@ -391,14 +391,16 @@ def test_checkpoint_budget_guard():
 
 def test_checkpoint_guard_refuses_before_any_solve(monkeypatch):
     # 4x8 cells and 8 surface nodes pack 80 dofs; t1 = 0.8 at dt = 1e-6
-    # stores 800,001 states of them, 64M floats, past the 5e7 budget
-    splu = bulksurf.forward.spla.splu
-    calls = []
-    monkeypatch.setattr(bulksurf.forward.spla, "splu",
-                        lambda *a, **k: calls.append(1) or splu(*a, **k))
+    # stores 800,001 states of them, 64M floats, past the 5e7 budget.
+    # Every solve, on either path, first takes SemilinearSystem.factorization
+    factorization = bulksurf.forward.SemilinearSystem.factorization
+    built = []
+    monkeypatch.setattr(bulksurf.forward.SemilinearSystem, "factorization",
+                        lambda self, dt: built.append(dt)
+                        or factorization(self, dt))
     with pytest.raises(ValueError, match="checkpoint storage exhausted"):
         make_problem(n_r=4, n_theta=8, dt=1e-6, t_end=1.0, window=(0.1, 0.8))
-    assert calls == []
+    assert built == []
 
 
 def test_inverse_composes_the_step_algebra_of_forward():
